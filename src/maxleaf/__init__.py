@@ -3,32 +3,18 @@
 Kernelization by safe reduction rules, root-to-root numberings, constructive
 leaf-count lower bounds, a factor-92 approximation pipeline, and an
 exhaustive oracle for desk-scale verification.
+
+The package namespace holds the entry points and the error types; the
+building blocks live in the submodules (`maxleaf.digraph`, `maxleaf.reduce`,
+`maxleaf.bounds`, `maxleaf.stnum`, ...).
 """
 
-from .digraph import (Classification, NormalizationNote, Outbranching,
-                      RootedDigraph, bfs_tree, build, classify, cutvertices,
-                      find_cutvertex, immediate_dominators, is_2connected,
-                      is_connected, is_normalized, normalize, reachable,
-                      verify_outbranching)
-from .errors import GraphFormatError, InfeasibleError, InternalInvariantError
-from .exact import ExactResult, maxleaf_exact
-from .gen import (GenSpec, gen_bipath_chain, gen_boloney, gen_dipath,
-                  gen_random, gen_star, gen_t_l, generate)
-from .stnum import (NumberingSplit, RRNumbering, reduce_indegrees,
-                    rr_numbering, split, two_disjoint_root_paths,
-                    validate_numbering)
-from .bounds import (DominationScaffold, TransverseDecomposition,
-                     acyclic_many_leaves, bound1_tree, bound2_tree,
-                     dominate_bipartite, domination_scaffold,
-                     many_leaves_bound, topological_order,
-                     transverse_decomposition, trim_to_indegree_two,
-                     vertex_cover_third)
-from .reduce import (KernelDecision, ReductionTrace, apply_rule1, apply_rule2,
-                     apply_rule3, decide, find_bipath4, find_rule3,
-                     is_bipath4, iter_bipath4, iter_rule3, kernelize,
-                     large_indegree_witness, lift, rule0)
-from .approx import (ApproxReport, WeakBipath, approximate,
-                     approximate_each_root, majbound_tree, sqrt_opt_tree,
-                     weak_bipaths)
+from .digraph import Outbranching, RootedDigraph, build, verify_outbranching
+from .errors import (GraphFormatError, InfeasibleError, InternalInvariantError,
+                     PreconditionError)
+from .exact import maxleaf_exact
+from .gen import GenSpec, gen_random, generate
+from .reduce import decide, kernelize, lift
+from .approx import approximate, approximate_each_root, sqrt_opt_tree
 
 __version__ = "0.1.0"

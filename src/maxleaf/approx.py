@@ -16,15 +16,13 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .digraph import (Outbranching, RootedDigraph, bfs_tree, classify,
-                      find_cutvertex, normalize, verify_outbranching)
+                      normalize, verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError
-from .bounds import bound1_tree, bound2_tree
-from .reduce import (NormDeleteStep, NormMergeStep, ReductionTrace,
-                     apply_rule1, kernelize, large_indegree_witness, lift,
-                     rule0)
+from .bounds import bound1_tree, bound2_tree, numbering_bound_tree
+from .reduce import (ReductionTrace, kernelize, large_indegree_witness, lift,
+                     renormalize, rule0, strip_cutvertices)
 from .stnum import rr_numbering
 
 
@@ -184,29 +182,13 @@ class ApproxReport:
         ]) + "\n"
 
 
-def _strip_cutvertices(d):
-    """Normalize and exhaust the cutvertex rule; returns (core, trace)."""
-    steps = []
-    work, note = normalize(d)
-    for kind, payload in note.events:
-        steps.append(NormDeleteStep(payload) if kind == "del" else NormMergeStep(payload))
-    while True:
-        x = find_cutvertex(work)
-        if x is None:
-            break
-        work, st = apply_rule1(work, x)
-        steps.append(st)
-        work, note = normalize(work)
-        for kind, payload in note.events:
-            steps.append(NormDeleteStep(payload) if kind == "del" else NormMergeStep(payload))
-    return work, ReductionTrace(tuple(steps))
-
-
 def approximate(d0):
     """Factor-92 approximation; returns (tree on the input digraph, report)."""
     if not rule0(d0):
         raise InfeasibleError("some vertex is unreachable from the root")
-    core, trace = _strip_cutvertices(d0)
+    steps = []
+    core = strip_cutvertices(renormalize(d0, steps), steps)
+    trace = ReductionTrace(tuple(steps))
 
     if core.n <= 2:
         trivial = bfs_tree(core)
@@ -276,9 +258,7 @@ def sqrt_opt_tree(d0):
     if reduced.n >= 3:
         d_norm, note = normalize(reduced)
         if not note.merged:
-            num = rr_numbering(d_norm)
-            candidates.append(bound1_tree(d_norm, num))
-            candidates.append(bound2_tree(d_norm, num))
+            candidates.append(numbering_bound_tree(d_norm))
     best = max(candidates, key=lambda t: t.leaf_count)
     floor_bound = math.isqrt(reduced.n // 90)
     if best.leaf_count < floor_bound:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digraph import (Outbranching, RootedDigraph, bfs_tree, classify,
-                      is_connected)
+                      grow_tree, is_connected)
 from .errors import InternalInvariantError
 from .stnum import RRNumbering, rr_numbering, split
 
@@ -141,24 +141,6 @@ def domination_scaffold(d):
     return DominationScaffold(sink, z, y, a_dom, a, b, x, c)
 
 
-def _tree_through(d, internal):
-    """Spanning out-tree of d whose internal vertices all lie in `internal`."""
-    parent = {}
-    seen = {d.root}
-    queue = deque([d.root])
-    while queue:
-        u = queue.popleft()
-        for v in d.out_neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                if v in internal:
-                    queue.append(v)
-    if len(seen) != d.n:
-        raise InternalInvariantError("dominating set did not span the digraph")
-    return Outbranching(d.root, parent)
-
-
 def acyclic_many_leaves(d):
     """Out-tree of an acyclic connected rooted digraph with at least
     (l + d(r) - 1)/3 + 1 leaves, where l counts the indegree->=2 vertices."""
@@ -169,8 +151,10 @@ def acyclic_many_leaves(d):
     if d.n <= 2:
         return bfs_tree(d)
     trimmed = trim_to_indegree_two(d)
-    scaffold = domination_scaffold(trimmed)
-    return _tree_through(trimmed, scaffold.c)
+    tree = grow_tree(trimmed, internal=domination_scaffold(trimmed).c)
+    if len(tree.parent) != d.n - 1:
+        raise InternalInvariantError("dominating set did not span the digraph")
+    return tree
 
 
 def many_leaves_bound(d):
@@ -267,7 +251,7 @@ def _trim_one_forward_one_backward(d, num):
             keep_f, keep_b = fwd[0], bwd[0]
         arcs.append((keep_f, v))
         arcs.append((keep_b, v))
-    return RootedDigraph(d.vertices, d.root, arcs, d.generation + 1)
+    return RootedDigraph(d.vertices, d.root, arcs)
 
 
 def transverse_decomposition(d, numbering=None):
@@ -312,8 +296,7 @@ def transverse_decomposition(d, numbering=None):
     s_right = frozenset((u, v) for u, v in trans if tout[u] < tin[v])
     side = s_left if len(s_left) >= len(s_right) else s_right
     union_arcs = list(side) + [(p, c) for c, p in t_opp.parent.items()]
-    union = RootedDigraph(trimmed.vertices, trimmed.root, union_arcs,
-                          trimmed.generation + 1)
+    union = RootedDigraph(trimmed.vertices, trimmed.root, union_arcs)
     return TransverseDecomposition(num, trimmed, t_f, t_b, transverse_f,
                                    transverse_b, chosen, s_left, s_right, union)
 
@@ -326,3 +309,12 @@ def bound2_tree(d, numbering=None):
     if topological_order(decomp.union) is None:
         raise InternalInvariantError("tree plus one-sided transverse arcs must be acyclic")
     return acyclic_many_leaves(decomp.union)
+
+
+def numbering_bound_tree(d):
+    """The better of bound1_tree and bound2_tree, ties to bound1, both built
+    on one shared numbering of the 2-connected digraph d."""
+    num = rr_numbering(d)
+    t1 = bound1_tree(d, num)
+    t2 = bound2_tree(d, num)
+    return t1 if t1.leaf_count >= t2.leaf_count else t2

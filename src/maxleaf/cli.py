@@ -1,8 +1,12 @@
-"""Command-line front end for generation, kernelization, decision,
+"""Command-line front end for instance generators, kernelization, decision,
 approximation, exact solving, verification and benchmarking.
 
-Exit codes: 0 success, 2 malformed input, 3 infeasible instance (a vertex is
-unreachable from the root), 4 internal invariant violation.
+Exit codes: 0 success, 1 tree rejected by `verify`, 2 malformed input
+(unreadable file or bad graph/tree text), 3 infeasible instance (a vertex is
+unreachable from the root), 4 internal error (an invariant violation or any
+other unexpected ValueError), 5 unmet precondition (well-formed input the
+command does not accept: an instance above the `exact` limit, k < 1, a
+generator parameter out of range).
 """
 from __future__ import annotations
 
@@ -12,7 +16,8 @@ import sys
 from . import graphio
 from .approx import approximate, approximate_each_root, sqrt_opt_tree
 from .digraph import verify_outbranching
-from .errors import GraphFormatError, InfeasibleError, InternalInvariantError
+from .errors import (GraphFormatError, InfeasibleError, InternalInvariantError,
+                     PreconditionError)
 from .exact import DEFAULT_LIMIT, maxleaf_exact
 from .gen import FAMILIES, GenSpec, generate
 from .reduce import decide, kernelize, rule0
@@ -21,6 +26,7 @@ EXIT_OK = 0
 EXIT_FORMAT = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
+EXIT_PRECONDITION = 5
 
 
 def _write_or_print(text, path, out):
@@ -210,21 +216,21 @@ def main(argv=None, out=None, err=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, out, err)
-    except GraphFormatError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_FORMAT
-    except FileNotFoundError as exc:
+    except (GraphFormatError, FileNotFoundError, UnicodeDecodeError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_FORMAT
     except InfeasibleError as exc:
         err.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
+    except PreconditionError as exc:
+        err.write(f"unmet precondition: {exc}\n")
+        return EXIT_PRECONDITION
     except InternalInvariantError as exc:
         err.write(f"internal invariant violation: {exc}\n")
         return EXIT_INTERNAL
     except ValueError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_FORMAT
+        err.write(f"internal error: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def entry():

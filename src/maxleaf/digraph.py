@@ -17,15 +17,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class RootedDigraph:
     """Immutable rooted digraph over integer vertex ids (not necessarily dense)."""
 
-    __slots__ = ("vertices", "root", "_out", "_in", "_arcset", "generation")
+    __slots__ = ("vertices", "root", "_out", "_in", "_arcset")
 
-    def __init__(self, vertices, root, arcs, generation=0):
+    def __init__(self, vertices, root, arcs):
         vs = tuple(sorted(set(vertices)))
         vset = set(vs)
         if root not in vset:
@@ -48,7 +48,6 @@ class RootedDigraph:
         self._out = {v: tuple(sorted(out[v])) for v in vs}
         self._in = {v: tuple(sorted(inn[v])) for v in vs}
         self._arcset = frozenset(arcset)
-        self.generation = generation
 
     # -- basic queries -------------------------------------------------
 
@@ -101,13 +100,11 @@ class RootedDigraph:
     def without_arcs(self, arcs):
         drop = set(arcs)
         return RootedDigraph(self.vertices, self.root,
-                             (a for a in self._arcset if a not in drop),
-                             self.generation + 1)
+                             (a for a in self._arcset if a not in drop))
 
     def with_arcs(self, arcs):
         return RootedDigraph(self.vertices, self.root,
-                             list(self._arcset) + list(arcs),
-                             self.generation + 1)
+                             list(self._arcset) + list(arcs))
 
     def without_vertex(self, v, extra_arcs=()):
         if v == self.root:
@@ -115,7 +112,7 @@ class RootedDigraph:
         keep = [w for w in self.vertices if w != v]
         arcs = [a for a in self._arcset if v not in a]
         arcs.extend(extra_arcs)
-        return RootedDigraph(keep, self.root, arcs, self.generation + 1)
+        return RootedDigraph(keep, self.root, arcs)
 
     def contracted(self, keep, absorb):
         """Merge vertex `absorb` into `keep`, rewriting arcs and dropping loops."""
@@ -130,7 +127,7 @@ class RootedDigraph:
             if u != v:
                 arcs.append((u, v))
         keep_vs = [w for w in self.vertices if w != absorb]
-        return RootedDigraph(keep_vs, self.root, arcs, self.generation + 1)
+        return RootedDigraph(keep_vs, self.root, arcs)
 
 
 def build(n, root, arcs):
@@ -162,19 +159,8 @@ class NormalizationNote:
     events: tuple
 
     @property
-    def deleted_arcs(self):
-        out = []
-        for kind, payload in self.events:
-            if kind == "del":
-                out.extend(payload)
-        return out
-
-    @property
     def merged(self):
         return [payload for kind, payload in self.events if kind == "merge"]
-
-    def is_noop(self):
-        return not self.events
 
 
 def _illegal_arcs(d):
@@ -189,22 +175,6 @@ def _illegal_arcs(d):
     return bad
 
 
-def merge_root_outneighbor(d):
-    """Contract the root with its unique outneighbor; arcs into the pair vanish."""
-    (u,) = d.root_out()
-    r = d.root
-    arcs = []
-    for a, b in d._arcset:
-        if a == u:
-            a = r
-        if b == u or b == r:
-            continue  # arcs into the merged root are dropped
-        if a != b:
-            arcs.append((a, b))
-    keep = [w for w in d.vertices if w != u]
-    return RootedDigraph(keep, r, arcs, d.generation + 1)
-
-
 def normalize(d):
     """Enforce the standing root assumptions; returns (digraph, NormalizationNote).
 
@@ -212,7 +182,9 @@ def normalize(d):
     anywhere but r, and merges r with its unique outneighbor while the root
     outdegree is 1 and n > 2.  The maximum leaf number is preserved: a tree
     arc into an outneighbor y of r can always be replaced by (r, y), and the
-    merged vertex is internal in every spanning out-tree.
+    merged vertex is internal in every spanning out-tree.  Once the illegal
+    arcs are gone the only arc into the merged outneighbor is the root's, so
+    the merge is a plain contraction.
     """
     events = []
     work = d
@@ -225,7 +197,7 @@ def normalize(d):
         if work.n > 2 and work.outdeg(work.root) == 1:
             (u,) = work.root_out()
             events.append(("merge", u))
-            work = merge_root_outneighbor(work)
+            work = work.contracted(work.root, u)
             continue
         break
     return work, NormalizationNote(tuple(events))
@@ -242,20 +214,24 @@ def is_normalized(d):
 # -- reachability and cuts ---------------------------------------------
 
 
+def _reach(root, out_map, removed=()):
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in out_map[u]:
+            if v not in seen and v not in removed:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
 def reachable(d, removed=()):
     """Vertices reachable from the root in d minus `removed`."""
     removed = set(removed)
     if d.root in removed:
         raise ValueError("cannot remove the root")
-    seen = {d.root}
-    queue = deque([d.root])
-    while queue:
-        u = queue.popleft()
-        for v in d._out[u]:
-            if v not in seen and v not in removed:
-                seen.add(v)
-                queue.append(v)
-    return seen
+    return _reach(d.root, d._out, removed)
 
 
 def is_connected(d):
@@ -339,11 +315,18 @@ def find_cutvertex(d):
 
 def is_2connected(d):
     """No cut of size at most 1: connected and cutvertex-free."""
-    if not is_connected(d):
+    return is_2connected_from_maps(d.root, d._out, d._in)
+
+
+def is_2connected_from_maps(root, out_map, in_map):
+    """is_2connected on adjacency maps sharing one key set (the vertices):
+    one reachability pass, then one dominator pass, since a vertex is a
+    cutvertex exactly when it is the immediate dominator of another."""
+    if len(_reach(root, out_map)) != len(out_map):
         return False
-    if d.n <= 2:
+    if len(out_map) <= 2:
         return True
-    return find_cutvertex(d) is None
+    return all(p == root for p in dominators_from_maps(root, out_map, in_map).values())
 
 
 # -- classification ----------------------------------------------------
@@ -417,10 +400,6 @@ class VerifyResult:
     leaf_count: Optional[int]
     reason: Optional[str] = None
 
-    def __iter__(self):  # allow `ok, leaves = verify_outbranching(...)`
-        yield self.ok
-        yield self.leaf_count
-
 
 def verify_outbranching(d, t):
     """Check that t is a spanning out-tree of d rooted at d.root."""
@@ -452,18 +431,32 @@ def verify_outbranching(d, t):
     return VerifyResult(True, t.leaf_count)
 
 
-def bfs_tree(d):
-    """Breadth-first spanning out-tree; every outneighbor of r is a root child."""
-    if not is_connected(d):
-        raise ValueError("digraph is not connected from the root")
-    parent = {}
-    seen = {d.root}
-    queue = deque([d.root])
+def grow_tree(d, internal=None, parent=None):
+    """Breadth-first out-tree grown from the root, or from the partial tree
+    given by the parent map `parent`.
+
+    The root and the vertices of `parent` are expanded in ascending id order,
+    then every newly reached vertex that lies in `internal` (every one when
+    `internal` is None), so only those can become internal.  Callers check
+    that the result spans.
+    """
+    parent = dict(parent or {})
+    queue = deque(sorted({d.root, *parent}))
+    placed = set(queue)
     while queue:
         u = queue.popleft()
         for v in d._out[u]:
-            if v not in seen:
-                seen.add(v)
+            if v not in placed:
+                placed.add(v)
                 parent[v] = u
-                queue.append(v)
+                if internal is None or v in internal:
+                    queue.append(v)
     return Outbranching(d.root, parent)
+
+
+def bfs_tree(d):
+    """Breadth-first spanning out-tree; every outneighbor of r is a root child."""
+    tree = grow_tree(d)
+    if len(tree.parent) != d.n - 1:
+        raise ValueError("digraph is not connected from the root")
+    return tree

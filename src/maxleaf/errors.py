@@ -10,6 +10,11 @@ class GraphFormatError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
+class PreconditionError(ValueError):
+    """Well-formed input that the requested operation does not accept, such as
+    an instance above the exact-search limit or a parameter out of range."""
+
+
 class InfeasibleError(Exception):
     """The instance admits no spanning out-tree rooted at r (some vertex unreachable)."""
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .digraph import Outbranching, RootedDigraph, is_connected
+from .digraph import Outbranching, grow_tree, is_connected
+from .errors import PreconditionError
 
 DEFAULT_LIMIT = 20
 
@@ -24,30 +25,14 @@ class ExactResult:
     explored: int
 
 
-def _witness_from_internal(d, internal):
-    """Grow a tree from r whose internal vertices all lie in `internal`."""
-    internal = set(internal)
-    parent = {}
-    seen = {d.root}
-    stack = [d.root]
-    while stack:
-        u = stack.pop()
-        for v in d.out_neighbors(u):
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                if v in internal:
-                    stack.append(v)
-    return Outbranching(d.root, parent)
-
-
 def maxleaf_exact(d, limit=DEFAULT_LIMIT):
     """Exact maximum leaf count plus an optimal witness tree.
 
     Rejects instances above `limit` vertices or not connected from the root.
     """
     if d.n > limit:
-        raise ValueError(f"instance has {d.n} vertices, above the exact-search limit {limit}")
+        raise PreconditionError(
+            f"instance has {d.n} vertices, above the exact-search limit {limit}")
     if not is_connected(d):
         raise ValueError("instance is not connected from the root")
     if d.n == 1:
@@ -90,8 +75,7 @@ def maxleaf_exact(d, limit=DEFAULT_LIMIT):
                         stack.append(w)
             if reached != imask:
                 continue
-            internal = [verts[i] for i in comb] + [d.root]
-            witness = _witness_from_internal(d, internal)
+            witness = grow_tree(d, internal={verts[i] for i in comb})
             maxleaf = d.n - 1 - size
             if witness.leaf_count != maxleaf:
                 raise AssertionError("optimal internal set produced a suboptimal tree")

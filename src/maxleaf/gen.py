@@ -3,9 +3,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .digraph import RootedDigraph, build, normalize
+from .errors import PreconditionError
 
 FAMILIES = ("t_l", "boloney", "random", "star", "dipath", "bipath_chain")
 
@@ -30,7 +30,7 @@ def gen_t_l(l):
     2(l-1).
     """
     if l < 2:
-        raise ValueError("row count l must be at least 2")
+        raise PreconditionError("row count l must be at least 2")
     cols = 3 * (l - 1)
 
     def vid(i, j):
@@ -59,7 +59,7 @@ def gen_boloney(k):
     k+2 leaves.
     """
     if k < 2:
-        raise ValueError("layer count k must be at least 2")
+        raise PreconditionError("layer count k must be at least 2")
 
     def vid(j, c):
         return 1 + 3 * j + c
@@ -78,9 +78,9 @@ def gen_boloney(k):
 def gen_random(n, arc_probability, seed):
     """Random normalized instance: planted spanning arborescence plus noise arcs."""
     if n < 2:
-        raise ValueError("need at least two vertices")
+        raise PreconditionError("need at least two vertices")
     if not 0.0 <= arc_probability <= 1.0:
-        raise ValueError("arc probability must lie in [0, 1]")
+        raise PreconditionError("arc probability must lie in [0, 1]")
     rng = random.Random(seed)
     arcs = [(rng.randrange(v), v) for v in range(1, n)]
     for u in range(n):
@@ -94,21 +94,21 @@ def gen_random(n, arc_probability, seed):
 def gen_star(k):
     """Root with k leaves."""
     if k < 1:
-        raise ValueError("need at least one leaf")
+        raise PreconditionError("need at least one leaf")
     return build(k + 1, 0, [(0, v) for v in range(1, k + 1)])
 
 
 def gen_dipath(length):
     """Directed path r -> 1 -> ... -> length."""
     if length < 1:
-        raise ValueError("need at least one non-root vertex")
+        raise PreconditionError("need at least one non-root vertex")
     return build(length + 1, 0, [(v, v + 1) for v in range(length)])
 
 
 def gen_bipath_chain(length):
     """Root feeding a chain of `length` vertices linked by 2-circuits."""
     if length < 1:
-        raise ValueError("need at least one chain vertex")
+        raise PreconditionError("need at least one chain vertex")
     arcs = [(0, 1)]
     for v in range(1, length):
         arcs.append((v, v + 1))
@@ -129,4 +129,4 @@ def generate(spec: GenSpec) -> RootedDigraph:
         return gen_dipath(spec.size)
     if spec.family == "bipath_chain":
         return gen_bipath_chain(spec.size)
-    raise ValueError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
+    raise PreconditionError(f"unknown family {spec.family!r}; choose from {FAMILIES}")

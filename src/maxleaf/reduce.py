@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .digraph import (Outbranching, RootedDigraph, bfs_tree, cutvertices,
-                      find_cutvertex, is_connected, merge_root_outneighbor,
-                      normalize, reachable, verify_outbranching)
-from .errors import InfeasibleError, InternalInvariantError
-from .bounds import bound1_tree, bound2_tree
+                      find_cutvertex, grow_tree, is_connected, normalize,
+                      reachable, verify_outbranching)
+from .errors import InfeasibleError, InternalInvariantError, PreconditionError
+from .bounds import numbering_bound_tree
 
 # -- trace steps ---------------------------------------------------------
 
@@ -49,7 +49,7 @@ class NormMergeStep:
     def apply(self, d):
         if d.root_out() != (self.absorbed,):
             raise InternalInvariantError("merge replay does not match the recorded digraph")
-        return merge_root_outneighbor(d)
+        return d.contracted(d.root, self.absorbed)
 
     def lift(self, tree):
         root = tree.root
@@ -282,11 +282,24 @@ def apply_rule3(d, x, y):
 # -- kernelization -------------------------------------------------------
 
 
-def _renormalize(d, steps):
+def renormalize(d, steps):
+    """Normalize d, appending one trace step per normalization event."""
     d2, note = normalize(d)
     for kind, payload in note.events:
         steps.append(NormDeleteStep(payload) if kind == "del" else NormMergeStep(payload))
     return d2
+
+
+def strip_cutvertices(d, steps):
+    """Apply rule 1 until no cutvertex is left, re-normalizing after every
+    rewrite and appending the steps; d itself comes back when it has none."""
+    while True:
+        x = find_cutvertex(d)
+        if x is None:
+            return d
+        d, st = apply_rule1(d, x)
+        steps.append(st)
+        d = renormalize(d, steps)
 
 
 def kernelize(d):
@@ -301,30 +314,21 @@ def kernelize(d):
     steps = []
     work = d
     while True:
-        applied = False
-        while True:
-            x = find_cutvertex(work)
-            if x is None:
-                break
-            work, st = apply_rule1(work, x)
-            steps.append(st)
-            work = _renormalize(work, steps)
-            applied = True
+        before = len(steps)
+        work = strip_cutvertices(work, steps)
         while True:
             pair = find_rule3(work)
             if pair is None:
                 break
             work, st = apply_rule3(work, *pair)
             steps.append(st)
-            work = _renormalize(work, steps)
-            applied = True
+            work = renormalize(work, steps)
         p = find_bipath4(work)
         if p is not None:
             work, st = apply_rule2(work, p)
             steps.append(st)
-            work = _renormalize(work, steps)
-            applied = True
-        if not applied:
+            work = renormalize(work, steps)
+        if len(steps) == before:
             break
     return work, ReductionTrace(tuple(steps))
 
@@ -382,19 +386,10 @@ def large_indegree_witness(d, x):
         parent[x] = root
         placed.add(x)
 
-    queue = sorted(placed)
-    qi = 0
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
-        for b in d.out_neighbors(a):
-            if b not in placed:
-                placed.add(b)
-                parent[b] = a
-                queue.append(b)
-    if len(placed) != d.n:
+    tree = grow_tree(d, parent=parent)
+    if len(tree.parent) != d.n - 1:
         raise InternalInvariantError("witness tree failed to span the digraph")
-    return Outbranching(root, parent)
+    return tree
 
 
 @dataclass(frozen=True)
@@ -419,7 +414,7 @@ def decide(d, k):
     smaller than that threshold.
     """
     if k < 1:
-        raise ValueError("parameter k must be at least 1")
+        raise PreconditionError("parameter k must be at least 1")
     if not rule0(d):
         return KernelDecision("FALSE", None, None, None, k)
     reduced, trace = kernelize(d)
@@ -446,17 +441,14 @@ def decide(d, k):
     if reduced.n >= 2 and reduced.outdeg(reduced.root) >= k:
         return settle(bfs_tree(reduced))
 
-    threshold = (3 * k - 2) * (30 * k - 2)
-    if reduced.n >= threshold:
-        d_norm, note = normalize(reduced)
-        if note.merged:
-            raise InternalInvariantError("reduced 2-connected digraph should not merge")
-        t1 = bound1_tree(d_norm)
-        t2 = bound2_tree(d_norm)
-        best = t1 if t1.leaf_count >= t2.leaf_count else t2
-        if best.leaf_count < k:
-            raise InternalInvariantError(
-                f"tree bounds produced {best.leaf_count} < k={k} leaves above the size threshold")
-        return settle(best)
-
-    return KernelDecision("REDUCED", None, reduced, trace, k)
+    verdict = KernelDecision("REDUCED", None, reduced, trace, k)
+    if reduced.n < verdict.threshold:
+        return verdict
+    d_norm, note = normalize(reduced)
+    if note.merged:
+        raise InternalInvariantError("reduced 2-connected digraph should not merge")
+    best = numbering_bound_tree(d_norm)
+    if best.leaf_count < k:
+        raise InternalInvariantError(
+            f"tree bounds produced {best.leaf_count} < k={k} leaves above the size threshold")
+    return settle(best)

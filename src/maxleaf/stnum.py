@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .digraph import RootedDigraph, dominators_from_maps, is_2connected
+from .digraph import RootedDigraph, is_2connected, is_2connected_from_maps
 from .errors import InternalInvariantError
 
 
@@ -74,9 +74,8 @@ def split(d, numbering):
             fwd.append((u, v))
         else:
             bwd.append((u, v))
-    g = d.generation + 1
-    return NumberingSplit(RootedDigraph(d.vertices, d.root, fwd, g),
-                          RootedDigraph(d.vertices, d.root, bwd, g))
+    return NumberingSplit(RootedDigraph(d.vertices, d.root, fwd),
+                          RootedDigraph(d.vertices, d.root, bwd))
 
 
 # -- indegree reduction -------------------------------------------------
@@ -182,30 +181,13 @@ def reduce_indegrees(d):
 # -- numbering construction --------------------------------------------
 
 
-def _maps_2connected(root, verts, out, inn):
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in out[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    if len(seen) != len(verts):
-        return False
-    if len(verts) <= 2:
-        return True
-    idom = dominators_from_maps(root, out, inn)
-    return all(idom[v] == root for v in verts if v != root)
-
-
-def _trim_indegree(root, verts, out, inn, u):
+def _trim_indegree(root, out, inn, u):
     for y in sorted(inn[u]):
         if len(inn[u]) <= 2:
             return
         out[y].discard(u)
         inn[u].discard(y)
-        if not _maps_2connected(root, verts, out, inn):
+        if not is_2connected_from_maps(root, out, inn):
             out[y].add(u)
             inn[u].add(y)
     if len(inn[u]) > 2:
@@ -273,7 +255,7 @@ def rr_numbering(d):
             del out[v], inn[v]
             verts.discard(v)
             if len(inn[u]) > 2:
-                _trim_indegree(r, verts, out, inn, u)
+                _trim_indegree(r, out, inn, u)
 
     for rec in reversed(records):
         if rec[0] == "remove":

@@ -129,3 +129,48 @@ def test_graph_file_round_trip(tmp_path):
     run(["gen", "--family", "t_l", "--size", "2", "--out", str(g)])
     d = load_graph(g)
     assert parse_graph(format_graph(d)) == d
+
+
+def test_binary_graph_file_is_malformed_input(tmp_path):
+    g = tmp_path / "bin.graph"
+    g.write_bytes(b"\xff\xfe\x00\x81 not text")
+    code, _, err = run(["approx", str(g)])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_exact_above_size_limit_is_precondition(tmp_path):
+    g = tmp_path / "big.graph"
+    run(["gen", "--family", "random", "--n", "30", "--seed", "1", "--out", str(g)])
+    assert load_graph(g).n == 30
+    code, _, err = run(["exact", str(g)])
+    assert code == 5
+    assert "limit" in err
+
+
+def test_decide_k0_is_precondition(tmp_path):
+    g = tmp_path / "r.graph"
+    run(["gen", "--family", "random", "--n", "9", "--seed", "4", "--out", str(g)])
+    code, _, err = run(["decide", str(g), "-k", "0"])
+    assert code == 5
+    assert "k must be at least 1" in err
+
+
+def test_gen_parameter_out_of_range_is_precondition():
+    code, out, _ = run(["gen", "--family", "t_l", "--size", "1"])
+    assert code == 5
+    assert out == ""
+
+
+def test_unexpected_value_error_is_internal(tmp_path, monkeypatch):
+    import maxleaf.cli
+
+    def broken(d):
+        raise ValueError("numbering requires a 2-connected digraph")
+
+    monkeypatch.setattr(maxleaf.cli, "approximate", broken)
+    g = tmp_path / "g.graph"
+    run(["gen", "--family", "random", "--n", "10", "--seed", "11", "--out", str(g)])
+    code, _, err = run(["approx", str(g)])
+    assert code == 4
+    assert err.startswith("internal error:")

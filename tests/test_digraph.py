@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
-                             find_cutvertex, is_2connected, is_connected,
+                             find_cutvertex, is_2connected,
+                             is_2connected_from_maps, is_connected,
                              is_normalized, normalize, Outbranching,
                              reachable, verify_outbranching)
 from maxleaf.exact import maxleaf_exact
@@ -121,6 +122,10 @@ def test_is_2connected_matches_disjoint_paths():
             two_disjoint_root_paths(d, v) is not None
             for v in d.vertices if v != d.root and v not in d.root_out())
         assert is_2connected(d) == expected
+        # the maps-level check, on the mutable set maps the numbering edits
+        out_map = {v: set(d.out_neighbors(v)) for v in d.vertices}
+        in_map = {v: set(d.in_neighbors(v)) for v in d.vertices}
+        assert is_2connected_from_maps(d.root, out_map, in_map) == expected
 
 
 def test_classify_two_circuit_pair():
