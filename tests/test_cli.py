@@ -163,12 +163,10 @@ def test_gen_parameter_out_of_range_is_precondition():
 
 
 def test_unexpected_value_error_is_internal(tmp_path, monkeypatch):
-    import maxleaf.cli
-
     def broken(d):
         raise ValueError("numbering requires a 2-connected digraph")
 
-    monkeypatch.setattr(maxleaf.cli, "approximate", broken)
+    monkeypatch.setattr("maxleaf.cli.approximate", broken)
     g = tmp_path / "g.graph"
     run(["gen", "--family", "random", "--n", "10", "--seed", "11", "--out", str(g)])
     code, _, err = run(["approx", str(g)])
