@@ -1,10 +1,11 @@
 """Command-line front end for instance generators, kernelization, decision,
 approximation, exact solving, verification and benchmarking.
 
-Exit codes: 0 success, 1 tree rejected by `verify`, 2 malformed input
-(unreadable file or bad graph/tree text), 3 infeasible instance (a vertex is
-unreachable from the root), 4 internal error (an invariant violation or any
-other unexpected ValueError), 5 unmet precondition (well-formed input the
+Exit codes: 0 success, 1 tree rejected by `verify`, 2 malformed input (a
+missing, unreadable or unwritable file, such as a directory or a file
+without permission, or bad graph/tree text), 3 infeasible instance (a vertex
+is unreachable from the root), 4 internal error (an invariant violation or
+any other unexpected ValueError), 5 unmet precondition (well-formed input the
 command does not accept: an instance above the `exact` limit, k < 1, a
 generator parameter out of range).
 """
@@ -216,7 +217,7 @@ def main(argv=None, out=None, err=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, out, err)
-    except (GraphFormatError, FileNotFoundError, UnicodeDecodeError) as exc:
+    except (GraphFormatError, OSError, UnicodeDecodeError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_FORMAT
     except InfeasibleError as exc:

@@ -248,17 +248,21 @@ def immediate_dominators(d):
 
 
 def dominators_from_maps(root, out_map, in_map):
+    """Immediate dominators on adjacency maps (Cooper, Harvey and Kennedy's
+    iterative scheme over a reverse postorder).  The neighbor collections
+    may come in any order: the dominator tree is unique, and the visit order
+    only changes how fast the fixpoint converges."""
     order = []
     index = {}
     seen = {root}
-    stack = [(root, iter(sorted(out_map[root])))]
+    stack = [(root, iter(out_map[root]))]
     while stack:
         u, it = stack[-1]
         advanced = False
         for v in it:
             if v not in seen:
                 seen.add(v)
-                stack.append((v, iter(sorted(out_map[v]))))
+                stack.append((v, iter(out_map[v])))
                 advanced = True
                 break
         if not advanced:
@@ -284,7 +288,7 @@ def dominators_from_maps(root, out_map, in_map):
             if v == root:
                 continue
             new = None
-            for p in sorted(in_map[v]):
+            for p in in_map[v]:
                 if p in idom:
                     new = p if new is None else intersect(p, new)
             if new is not None and idom.get(v) != new:

@@ -7,15 +7,17 @@ each together with the out-arcs of r, gives two acyclic connected spanning
 subdigraphs that share exactly the out-arcs of r.
 
 Construction first deletes in-arcs of high-indegree vertices until every
-non-root vertex has indegree at most 2 (keeping 2-connectivity), then
-repeatedly eliminates a vertex of outdegree 0 (delete) or 1 (contract into
-its outneighbor), and finally reinserts the eliminated vertices into the
-order, each placed so that its own and its outneighbor's side constraints
-hold.
+non-root vertex has indegree at most 2.  Each such vertex keeps the last
+arcs of two internally disjoint root paths, found by flow in one network
+per digraph; that alone keeps the digraph 2-connected (see
+`reduce_indegrees`), so only the result is checked.  It then repeatedly
+eliminates a vertex of outdegree 0 (delete) or 1 (contract into its
+outneighbor), and finally reinserts the eliminated vertices into the order,
+each placed so that its own and its outneighbor's side constraints hold.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 
 from .digraph import RootedDigraph, is_2connected, is_2connected_from_maps
@@ -81,66 +83,87 @@ def split(d, numbering):
 # -- indegree reduction -------------------------------------------------
 
 
-def two_disjoint_root_paths(d, target):
-    """Two internally vertex-disjoint paths from the root to `target`, or None.
+class RootPathNetwork:
+    """Node-split unit-capacity flow network of a rooted digraph.
 
-    Unit vertex capacities via node splitting, two BFS augmentations.
+    The i-th vertex becomes an in-node 2i and an out-node 2i + 1 joined by
+    edge 2i of capacity 1 (2 for the root); each arc (u, v) becomes an edge
+    out(u) -> in(v) of capacity 1.  Edge e's residual twin is e ^ 1, so
+    forward edges have even ids.  Every node's edge list is sorted by head
+    once, which makes augmenting paths break ties by ascending vertex id.
     """
-    if target == d.root:
+
+    def __init__(self, d):
+        self.root = d.root
+        self.vertices = d.vertices
+        self.node = {v: 2 * i for i, v in enumerate(d.vertices)}
+        self.head = []
+        self.cap = []
+        self.edges = [[] for _ in range(2 * d.n)]
+        for v in d.vertices:
+            self._add(self.node[v], self.node[v] + 1, 2 if v == d.root else 1)
+        self.arc_edge = {(u, v): self._add(self.node[u] + 1, self.node[v], 1)
+                         for u, v in d.arc_set()}
+        for edges in self.edges:
+            edges.sort()
+
+    def _add(self, a, b, capacity):
+        e = len(self.head)
+        self.head += [b, a]
+        self.cap += [capacity, 0]
+        self.edges[a].append((b, e))
+        self.edges[b].append((a, e + 1))
+        return e
+
+    def delete_arc(self, u, v):
+        self.cap[self.arc_edge[(u, v)]] = 0
+
+
+def two_disjoint_root_paths(network, target):
+    """Two internally vertex-disjoint paths from the root to `target` in a
+    `RootPathNetwork`, or None.
+
+    Two breadth-first augmentations on a copy of the capacities with the
+    target's split edge at 2, each stopping when it reaches the target; the
+    paths are then walked from the root along the flow, smallest first.
+    """
+    if target == network.root:
         raise ValueError("target must differ from the root")
-    idx = {v: 2 * i for i, v in enumerate(d.vertices)}
-
-    def nin(v):
-        return idx[v]
-
-    def nout(v):
-        return idx[v] + 1
-
-    cap = defaultdict(int)
-    for v in d.vertices:
-        cap[(nin(v), nout(v))] = 2 if v in (d.root, target) else 1
-    for u, v in d.arc_set():
-        cap[(nout(u), nin(v))] = 1
-    adj = defaultdict(set)
-    for a, b in list(cap):
-        adj[a].add(b)
-        adj[b].add(a)
-    s, t = nout(d.root), nin(target)
-    sent = 0
+    cap = list(network.cap)
+    edges, head = network.edges, network.head
+    s, t = network.node[network.root] + 1, network.node[target]
+    cap[t] = 2  # the split edge of the vertex with in-node t has id t
     for _ in range(2):
-        prev = {s: None}
+        via = {s: None}
         queue = deque([s])
-        while queue and t not in prev:
+        while queue and t not in via:
             a = queue.popleft()
-            for b in sorted(adj[a]):
-                if b not in prev and cap[(a, b)] > 0:
-                    prev[b] = a
+            for b, e in edges[a]:
+                if cap[e] and b not in via:
+                    via[b] = e
+                    if b == t:
+                        break
                     queue.append(b)
-        if t not in prev:
-            break
+        if t not in via:
+            return None
         b = t
-        while prev[b] is not None:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-        sent += 1
-    if sent < 2:
-        return None
-    flow_out = defaultdict(list)
-    for u, v in d.arc_set():
-        if cap[(nin(v), nout(u))] > 0:
-            flow_out[u].append(v)
-    for u in flow_out:
-        flow_out[u].sort()
+        while via[b] is not None:
+            e = via[b]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            b = head[e ^ 1]
+
+    def flow_heads(a):
+        return [b for b, e in edges[a] if not e & 1 and cap[e ^ 1]]
+
     paths = []
-    for _ in range(2):
-        path = [d.root]
-        cur = d.root
-        while cur != target:
-            nxt = flow_out[cur].pop(0)
-            path.append(nxt)
-            cur = nxt
+    for b in flow_heads(s):
+        path = [network.root]
+        while True:
+            path.append(network.vertices[b // 2])
+            if b == t:
+                break
+            (b,) = flow_heads(b + 1)
         paths.append(path)
     return paths
 
@@ -148,34 +171,38 @@ def two_disjoint_root_paths(d, target):
 def reduce_indegrees(d):
     """Delete in-arcs until every non-root vertex has indegree at most 2.
 
-    For each high-indegree vertex the two in-arcs carried by a pair of
-    internally disjoint root paths are kept; every other in-arc is deleted
-    one at a time, each deletion validated by a full 2-connectivity check.
+    For each vertex x of indegree above 2, in ascending order, the two
+    in-arcs that end a pair of internally disjoint root paths are kept and
+    every other in-arc of x is deleted.  No deletion needs its own check:
+    if some z lost every root path avoiding a vertex w, its old path that
+    avoided w used a deleted arc (y, x); its suffix from x avoids w, and one
+    kept path to x avoids w too, so together they reach z again.  Deleting
+    arcs never repairs a cut, so one 2-connectivity check of the result
+    guards all deletions.  Returns `d` itself when nothing is deleted.
     """
     if not is_2connected(d):
         raise ValueError("indegree reduction requires a 2-connected digraph")
-    work = d
-    for x in work.vertices:
-        if x == work.root or work.indeg(x) <= 2:
+    network = None
+    deleted = []
+    for x in d.vertices:
+        if x == d.root or d.indeg(x) <= 2:
             continue
-        while work.indeg(x) > 2:
-            paths = two_disjoint_root_paths(work, x)
-            if paths is None:
-                raise InternalInvariantError(f"no disjoint path pair to {x} in a 2-connected digraph")
-            keep = {(p[-2], x) for p in paths}
-            progressed = False
-            for y in work.in_neighbors(x):
-                if work.indeg(x) <= 2:
-                    break
-                if (y, x) in keep:
-                    continue
-                cand = work.without_arcs([(y, x)])
-                if is_2connected(cand):
-                    work = cand
-                    progressed = True
-            if not progressed and work.indeg(x) > 2:
-                raise InternalInvariantError(f"cannot reduce indegree of {x} below {work.indeg(x)}")
-    return work
+        if network is None:
+            network = RootPathNetwork(d)
+        paths = two_disjoint_root_paths(network, x)
+        if paths is None:
+            raise InternalInvariantError(f"no disjoint path pair to {x} in a 2-connected digraph")
+        keep = {p[-2] for p in paths}
+        for y in d.in_neighbors(x):
+            if y not in keep:
+                network.delete_arc(y, x)
+                deleted.append((y, x))
+    if not deleted:
+        return d
+    reduced = d.without_arcs(deleted)
+    if not is_2connected(reduced):
+        raise InternalInvariantError("indegree reduction broke 2-connectivity")
+    return reduced
 
 
 # -- numbering construction --------------------------------------------

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict, deque
 from itertools import combinations
 
 from maxleaf.digraph import RootedDigraph, build, is_2connected, normalize, reachable
+from maxleaf.errors import InternalInvariantError
 from maxleaf.gen import gen_random
 from maxleaf.reduce import iter_bipath4, iter_rule3
 from maxleaf.digraph import cutvertices as idom_cutvertices
@@ -114,6 +116,97 @@ def brute_cutvertices(d):
     """Cutvertices by removing each vertex and re-running reachability."""
     return sorted(x for x in d.vertices if x != d.root
                   and len(reachable(d, {x})) < d.n - 1)
+
+
+def brute_idom(d):
+    """Immediate dominators by removing each vertex and re-running
+    reachability: the strict dominators of a vertex form a chain, and its
+    immediate dominator is the one with the most dominators of its own."""
+    cut_off = {x: set(d.vertices) - reachable(d, {x}) - {x}
+               for x in d.vertices if x != d.root}
+    doms = {v: {d.root, v} | {x for x in cut_off if v in cut_off[x]} for v in d.vertices}
+    idom = {d.root: d.root}
+    for v in d.vertices:
+        if v != d.root:
+            idom[v] = max(doms[v] - {v}, key=lambda x: len(doms[x]))
+    return idom
+
+
+def flow_disjoint_root_paths(d, target):
+    """Two internally vertex-disjoint root paths to `target`, or None: a
+    fresh node-split flow network per call, two BFS augmentations scanning
+    neighbors in ascending order, paths read off by scanning every arc."""
+    idx = {v: 2 * i for i, v in enumerate(d.vertices)}
+    cap = defaultdict(int)
+    for v in d.vertices:
+        cap[(idx[v], idx[v] + 1)] = 2 if v in (d.root, target) else 1
+    for u, v in d.arc_set():
+        cap[(idx[u] + 1, idx[v])] = 1
+    adj = defaultdict(set)
+    for a, b in list(cap):
+        adj[a].add(b)
+        adj[b].add(a)
+    s, t = idx[d.root] + 1, idx[target]
+    for _ in range(2):
+        prev = {s: None}
+        queue = deque([s])
+        while queue and t not in prev:
+            a = queue.popleft()
+            for b in sorted(adj[a]):
+                if b not in prev and cap[(a, b)] > 0:
+                    prev[b] = a
+                    queue.append(b)
+        if t not in prev:
+            return None
+        b = t
+        while prev[b] is not None:
+            a = prev[b]
+            cap[(a, b)] -= 1
+            cap[(b, a)] += 1
+            b = a
+    flow_out = defaultdict(list)
+    for u, v in d.arc_set():
+        if cap[(idx[v], idx[u] + 1)] > 0:
+            flow_out[u].append(v)
+    for u in flow_out:
+        flow_out[u].sort()
+    paths = []
+    for _ in range(2):
+        path = [d.root]
+        while path[-1] != target:
+            path.append(flow_out[path[-1]].pop(0))
+        paths.append(path)
+    return paths
+
+
+def checked_reduce_indegrees(d):
+    """Indegree reduction that deletes the in-arcs of each high-indegree
+    vertex not ending a disjoint root path pair one at a time, keeping a
+    deletion only when a full 2-connectivity check of the result passes."""
+    if not is_2connected(d):
+        raise ValueError("indegree reduction requires a 2-connected digraph")
+    work = d
+    for x in work.vertices:
+        if x == work.root or work.indeg(x) <= 2:
+            continue
+        while work.indeg(x) > 2:
+            paths = flow_disjoint_root_paths(work, x)
+            if paths is None:
+                raise InternalInvariantError(f"no disjoint path pair to {x}")
+            keep = {(p[-2], x) for p in paths}
+            progressed = False
+            for y in work.in_neighbors(x):
+                if work.indeg(x) <= 2:
+                    break
+                if (y, x) in keep:
+                    continue
+                cand = work.without_arcs([(y, x)])
+                if is_2connected(cand):
+                    work = cand
+                    progressed = True
+            if not progressed and work.indeg(x) > 2:
+                raise InternalInvariantError(f"cannot reduce indegree of {x}")
+    return work
 
 
 def brute_min_vertex_cover(vertices, edges):

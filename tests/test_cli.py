@@ -139,6 +139,22 @@ def test_binary_graph_file_is_malformed_input(tmp_path):
     assert err.startswith("error:")
 
 
+def test_directory_as_graph_is_malformed_input(tmp_path):
+    code, _, err = run(["approx", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_unreadable_graph_is_malformed_input(tmp_path, monkeypatch):
+    def denied(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("maxleaf.graphio.load_graph", denied)
+    code, _, err = run(["kernelize", str(tmp_path / "g.graph")])
+    assert code == 2
+    assert err.startswith("error:") and "Permission denied" in err
+
+
 def test_exact_above_size_limit_is_precondition(tmp_path):
     g = tmp_path / "big.graph"
     run(["gen", "--family", "random", "--n", "30", "--seed", "1", "--out", str(g)])

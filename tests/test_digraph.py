@@ -1,17 +1,20 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
-                             find_cutvertex, is_2connected,
+                             dominators_from_maps, find_cutvertex,
+                             immediate_dominators, is_2connected,
                              is_2connected_from_maps, is_connected,
                              is_normalized, normalize, Outbranching,
                              reachable, verify_outbranching)
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
-from maxleaf.stnum import two_disjoint_root_paths
+from maxleaf.stnum import RootPathNetwork, two_disjoint_root_paths
 
-from support import brute_cutvertices, random_instances
+from support import brute_cutvertices, brute_idom, random_instances
 
 
 def test_build_smallest_star():
@@ -118,8 +121,9 @@ def test_is_2connected_examples():
 
 def test_is_2connected_matches_disjoint_paths():
     for d in random_instances(25, 4, 10, seed_base=501):
+        network = RootPathNetwork(d)
         expected = is_connected(d) and all(
-            two_disjoint_root_paths(d, v) is not None
+            two_disjoint_root_paths(network, v) is not None
             for v in d.vertices if v != d.root and v not in d.root_out())
         assert is_2connected(d) == expected
         # the maps-level check, on the mutable set maps the numbering edits
@@ -202,3 +206,23 @@ def test_exact_witness_matches_count(seed):
     res = maxleaf_exact(d)
     check = verify_outbranching(d, res.witness)
     assert check.ok and check.leaf_count == res.maxleaf
+
+
+def test_dominators_ignore_adjacency_order():
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        arcs = [(rng.randrange(v), v) for v in range(1, n)]
+        arcs += [(rng.randrange(n), rng.randrange(1, n)) for _ in range(rng.randint(0, 2 * n))]
+        d = build(n, 0, [(u, v) for u, v in arcs if u != v])
+        expected = brute_idom(d)
+        assert immediate_dominators(d) == expected
+        for k in range(4):
+            perm = random.Random(1000 * seed + k)
+            keys = perm.sample(d.vertices, n)
+            out_map = {v: perm.sample(d.out_neighbors(v), d.outdeg(v)) for v in keys}
+            in_map = {v: perm.sample(d.in_neighbors(v), d.indeg(v)) for v in keys}
+            assert dominators_from_maps(d.root, out_map, in_map) == expected
+            out_sets = {v: set(out_map[v]) for v in keys}
+            in_sets = {v: set(in_map[v]) for v in keys}
+            assert dominators_from_maps(d.root, out_sets, in_sets) == expected

@@ -1,12 +1,17 @@
+import random
+
 import pytest
 
-from maxleaf.digraph import build, is_2connected, normalize, reachable
-from maxleaf.gen import gen_boloney, gen_t_l
-from maxleaf.stnum import (reduce_indegrees, rr_numbering, split,
-                           two_disjoint_root_paths, validate_numbering)
+from maxleaf import stnum
+from maxleaf.digraph import RootedDigraph, build, is_2connected, normalize, reachable
+from maxleaf.gen import gen_boloney, gen_random, gen_t_l
+from maxleaf.reduce import renormalize, strip_cutvertices
+from maxleaf.stnum import (RootPathNetwork, reduce_indegrees, rr_numbering,
+                           split, two_disjoint_root_paths, validate_numbering)
 from maxleaf.bounds import topological_order
 
-from support import two_connected_instances
+from support import (checked_reduce_indegrees, flow_disjoint_root_paths,
+                     two_connected_instances)
 
 
 def sandwich_example():
@@ -66,13 +71,13 @@ def test_reduce_indegrees_rejects_cut():
 
 def test_two_disjoint_root_paths():
     d = sandwich_example()
-    paths = two_disjoint_root_paths(d, 3)
+    paths = two_disjoint_root_paths(RootPathNetwork(d), 3)
     assert paths is not None
     a, b = paths
     assert a[0] == b[0] == 0 and a[-1] == b[-1] == 3
     assert not (set(a[1:-1]) & set(b[1:-1]))
     path = build(3, 0, [(0, 1), (1, 2)])
-    assert two_disjoint_root_paths(path, 2) is None
+    assert two_disjoint_root_paths(RootPathNetwork(path), 2) is None
 
 
 def test_numbering_on_families():
@@ -128,3 +133,64 @@ def test_split_properties_on_corpus():
         dr = d.outdeg(d.root)
         assert parts.forward.m + parts.backward.m == d.m + dr
         assert 2 * (max(parts.forward.m, parts.backward.m) - dr) >= d.m - dr
+
+
+def cutvertex_free_core(d):
+    """The normalized, cutvertex-free core that `approximate` numbers."""
+    return strip_cutvertices(renormalize(d, []), [])
+
+
+def oracle_corpus():
+    """Seeded 2-connected cores: gen_random at p = 4/n (n 20-60) and at
+    p in 0.3-0.6 (n 6-24), plus t_l and boloney."""
+    out = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(20, 60)
+        out.append(cutvertex_free_core(gen_random(n, 4 / n, 7000 + seed)))
+    out += two_connected_instances(30, 6, 24, seed_base=7100, p_lo=0.3, p_hi=0.6)
+    out += [normalize(gen_t_l(l))[0] for l in range(2, 7)]
+    out += [gen_boloney(k) for k in range(2, 9)]
+    return [d for d in out if d.n >= 3]
+
+
+def test_reduce_indegrees_matches_checked_oracle(monkeypatch):
+    corpus = oracle_corpus()
+    assert len(corpus) >= 95
+    assert sum(1 for d in corpus if any(d.indeg(v) > 2 for v in d.vertices)) >= 60
+    orders = []
+    for d in corpus:
+        assert reduce_indegrees(d) == checked_reduce_indegrees(d)
+        orders.append(rr_numbering(d).order)
+    monkeypatch.setattr(stnum, "reduce_indegrees", checked_reduce_indegrees)
+    assert [rr_numbering(d).order for d in corpus] == orders
+
+
+def test_disjoint_root_paths_match_fresh_flow():
+    for d in oracle_corpus()[::3]:
+        network = RootPathNetwork(d)
+        for v in d.vertices:
+            if v != d.root:
+                assert two_disjoint_root_paths(network, v) == flow_disjoint_root_paths(d, v)
+
+
+def test_reduce_indegrees_checks_once(monkeypatch):
+    d = cutvertex_free_core(gen_random(200, 4 / 200, seed=1))
+    assert any(d.indeg(v) > 2 for v in d.vertices)
+    checks, builds = [], []
+    real_check, real_init = stnum.is_2connected, RootedDigraph.__init__
+
+    def counted_check(g):
+        checks.append(g)
+        return real_check(g)
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(stnum, "is_2connected", counted_check)
+    monkeypatch.setattr(RootedDigraph, "__init__", counted_init)
+    red = reduce_indegrees(d)
+    assert red != d
+    assert len(checks) <= 2
+    assert len(builds) <= 1
