@@ -7,7 +7,7 @@ without permission, or bad graph/tree text), 3 infeasible instance (a vertex
 is unreachable from the root), 4 internal error (an invariant violation or
 any other unexpected ValueError), 5 unmet precondition (well-formed input the
 command does not accept: an instance above the `exact` limit, k < 1, a
-generator parameter out of range).
+generator parameter out of range, a `bench` count below 1).
 """
 from __future__ import annotations
 
@@ -127,6 +127,8 @@ def cmd_verify(args, out, err):
 
 
 def cmd_bench(args, out, err):
+    if args.count < 1:
+        raise PreconditionError("--count must be at least 1")
     rows = []
     for i in range(args.count):
         if args.family == "random":

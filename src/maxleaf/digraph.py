@@ -318,19 +318,14 @@ def find_cutvertex(d):
 
 
 def is_2connected(d):
-    """No cut of size at most 1: connected and cutvertex-free."""
-    return is_2connected_from_maps(d.root, d._out, d._in)
-
-
-def is_2connected_from_maps(root, out_map, in_map):
-    """is_2connected on adjacency maps sharing one key set (the vertices):
-    one reachability pass, then one dominator pass, since a vertex is a
-    cutvertex exactly when it is the immediate dominator of another."""
-    if len(_reach(root, out_map)) != len(out_map):
+    """No cut of size at most 1: every vertex reachable from the root, then
+    one dominator pass, since a vertex is a cutvertex exactly when it is the
+    immediate dominator of another."""
+    if len(_reach(d.root, d._out)) != d.n:
         return False
-    if len(out_map) <= 2:
+    if d.n <= 2:
         return True
-    return all(p == root for p in dominators_from_maps(root, out_map, in_map).values())
+    return all(p == d.root for p in dominators_from_maps(d.root, d._out, d._in).values())
 
 
 # -- classification ----------------------------------------------------
@@ -385,9 +380,6 @@ class Outbranching:
 
     def arcs(self):
         return sorted((p, c) for c, p in self.parent.items())
-
-    def vertices(self):
-        return sorted(set(self.parent) | {self.root})
 
     def __eq__(self, other):
         if not isinstance(other, Outbranching):

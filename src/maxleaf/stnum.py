@@ -4,7 +4,9 @@ A numbering is a linear order of the non-root vertices in which every vertex
 that is not an outneighbor of r has an in-neighbor on each side.  Splitting
 the arcs into the increasing (forward) and decreasing (backward) families,
 each together with the out-arcs of r, gives two acyclic connected spanning
-subdigraphs that share exactly the out-arcs of r.
+subdigraphs that share exactly the out-arcs of r.  Arcs into r belong to
+neither family: they constrain no vertex, and since r reaches every vertex
+in both families, each would close a cycle.
 
 Construction first deletes in-arcs of high-indegree vertices until every
 non-root vertex has indegree at most 2.  Each such vertex keeps the last
@@ -12,15 +14,17 @@ arcs of two internally disjoint root paths, found by flow in one network
 per digraph; that alone keeps the digraph 2-connected (see
 `reduce_indegrees`), so only the result is checked.  It then repeatedly
 eliminates a vertex of outdegree 0 (delete) or 1 (contract into its
-outneighbor), and finally reinserts the eliminated vertices into the order,
-each placed so that its own and its outneighbor's side constraints hold.
+outneighbor) from a working copy without the arcs into r, and finally
+reinserts the eliminated vertices in reverse order, each at the smallest
+gap where its own and its outneighbor's side constraints hold (see
+`rr_numbering`).
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 
-from .digraph import RootedDigraph, is_2connected, is_2connected_from_maps
+from .digraph import RootedDigraph, is_2connected
 from .errors import InternalInvariantError
 
 
@@ -69,6 +73,8 @@ def split(d, numbering):
     pos = numbering.position
     fwd, bwd = [], []
     for u, v in d.arc_set():
+        if v == d.root:
+            continue
         if u == d.root:
             fwd.append((u, v))
             bwd.append((u, v))
@@ -208,102 +214,93 @@ def reduce_indegrees(d):
 # -- numbering construction --------------------------------------------
 
 
-def _trim_indegree(root, out, inn, u):
-    for y in sorted(inn[u]):
-        if len(inn[u]) <= 2:
-            return
-        out[y].discard(u)
-        inn[u].discard(y)
-        if not is_2connected_from_maps(root, out, inn):
-            out[y].add(u)
-            inn[u].add(y)
-    if len(inn[u]) > 2:
-        raise InternalInvariantError(f"indegree of contracted vertex {u} stuck above 2")
+def _working_maps(g):
+    """Out-neighbor sets of every vertex and in-neighbor sets of the non-root
+    vertices of g, without the arcs into the root."""
+    out = {v: set(g.out_neighbors(v)) - {g.root} for v in g.vertices}
+    inn = {v: set(g.in_neighbors(v)) for v in g.vertices if v != g.root}
+    return out, inn
 
 
-def _smallest_valid_gap(sigma, in_positions, exempt, side_pivot=None, side_after=None):
-    """Smallest insertion index with an in-neighbor on each side (unless
-    exempt) and, when side_pivot is given, landing before it iff side_after."""
-    for g in range(len(sigma) + 1):
-        if side_pivot is not None:
-            before_pivot = g <= side_pivot
-            if before_pivot != side_after:
-                continue
-        if not exempt:
-            if not any(q < g for q in in_positions):
-                continue
-            if not any(q >= g for q in in_positions):
-                continue
-        return g
-    raise InternalInvariantError("no valid insertion gap for numbering expansion")
+def _smallest_valid_gap(sigma, v_in, v_exempt, u, u_others, u_exempt):
+    """Smallest index of sigma at which inserting v gives v a non-root
+    in-neighbor on each side, unless v_exempt, and lands v after u when u is
+    not exempt and u's other non-root in-neighbors all lie before it.  When
+    they all lie after u, that index is before u (see `rr_numbering`)."""
+    lo = 0
+    if u is not None and not u_exempt:
+        p = sigma.index(u)
+        if all(sigma.index(w) < p for w in u_others):
+            lo = p + 1
+    if v_exempt:
+        return lo
+    return max(lo, min(sigma.index(w) for w in v_in) + 1)
 
 
 def rr_numbering(d):
-    """A valid root-to-root numbering of a 2-connected rooted digraph."""
-    if not is_2connected(d):
-        raise ValueError("numbering requires a 2-connected digraph")
+    """A valid root-to-root numbering of a 2-connected rooted digraph.
+
+    Works on `reduce_indegrees(d)` without its arcs into the root r.  Those
+    arcs constrain no vertex, and without them a vertex whose only out-arc
+    led to r is deleted rather than contracted into r.  Every step keeps the
+    working digraph 2-connected: a vertex of outdegree 0 lies on no root
+    path to another vertex, and a root path avoiding u never enters a vertex
+    v whose only out-arc is (v, u), so contracting v into u keeps it.  In a
+    2-connected digraph every non-root vertex is a root outneighbor or has
+    two non-root in-neighbors, since a single one would dominate it.
+
+    Progress: while every non-root indegree is at most 2, the outdegrees of
+    the k non-root vertices sum to at most 2k - 1, because some root
+    outneighbor has at most one other in-neighbor; so some vertex v has
+    outdegree at most 1 and is eliminated.  Contracting v into u can raise
+    u's indegree above 2, and when no vertex of outdegree at most 1 is left
+    the working digraph is reduced again.  The loop stops once every
+    remaining vertex is a root outneighbor, which any order numbers.
+
+    Reinsertion runs in reverse.  Let sigma number the working digraph G'
+    that v's elimination left, and G the one before it.  A numbering stays
+    valid when the arcs a reduction deleted come back, and in G only v and,
+    when v was contracted into u, u gain constraints.  v needs a non-root
+    in-neighbor on each side unless r is one.  u needs one of its other
+    in-neighbors or v on each side unless r is one of the others, so v must
+    lie on the far side of u exactly when u's other non-root in-neighbors
+    all lie on one side of it.  `_smallest_valid_gap` takes the gap g just
+    past v's first in-neighbor, or just past u when the others all lie
+    before u and u is later.  It is valid: in G', u's in-neighbors are its
+    others and v's, so when the others all lie on one side of u, r or an
+    in-neighbor y of v lies on the far side.  If it is r, v is exempt, and g
+    is 0 or just past u.  Otherwise v has two non-root in-neighbors; the
+    first is before g, and y (when g is just past u) or else the second is
+    after it.  g is on the far side of u: past u when the others lie before
+    it, and before u when they lie after it, since v's first in-neighbor is
+    then no later than y.
+    """
     r = d.root
-    if d.n == 1:
-        return RRNumbering((), {})
-    base = reduce_indegrees(d)
-    verts = set(base.vertices)
-    out = {v: set(base.out_neighbors(v)) for v in verts}
-    inn = {v: set(base.in_neighbors(v)) for v in verts}
+    out, inn = _working_maps(reduce_indegrees(d))
     records = []
-    while True:
-        nonroot = verts - {r}
-        if all(r in inn[v] for v in nonroot):
-            sigma = sorted(nonroot)
-            break
-        v = min(w for w in nonroot if len(out[w]) <= 1)
-        exempt = r in inn[v]
-        in_nbrs = tuple(sorted(inn[v] - {r}))
-        if not out[v]:
-            records.append(("remove", v, exempt, in_nbrs))
-            for y in inn[v]:
-                out[y].discard(v)
-            del out[v], inn[v]
-            verts.discard(v)
-        else:
-            (u,) = out[v]
-            others = inn[u] - {v}
-            if len(others) != 1:
-                raise InternalInvariantError(f"outneighbor {u} of {v} lacks a second in-neighbor")
-            (w,) = others
-            records.append(("expand", v, u, w if w != r else None, exempt, in_nbrs))
-            # contract v into u
-            for y in inn[v]:
-                out[y].discard(v)
-                if y != u:
-                    out[y].add(u)
-                    inn[u].add(y)
+    while any(r not in inn[v] for v in inn):
+        candidates = [w for w in inn if len(out[w]) <= 1]
+        if not candidates:
+            work = RootedDigraph(out, r, [(y, v) for v in inn for y in inn[v]])
+            out, inn = _working_maps(reduce_indegrees(work))
+            continue
+        v = min(candidates)
+        v_out, v_in = out.pop(v), inn.pop(v)
+        for y in v_in:
+            out[y].discard(v)
+        u, u_others, u_exempt = None, (), False
+        if v_out:
+            (u,) = v_out
             inn[u].discard(v)
-            out[u].discard(v)
-            del out[v], inn[v]
-            verts.discard(v)
-            if len(inn[u]) > 2:
-                _trim_indegree(r, out, inn, u)
+            u_others, u_exempt = inn[u] - {r}, r in inn[u]
+            for y in v_in - {u}:
+                out[y].add(u)
+                inn[u].add(y)
+        records.append((v, v_in - {r}, r in v_in, u, u_others, u_exempt))
 
-    for rec in reversed(records):
-        if rec[0] == "remove":
-            _, v, exempt, in_nbrs = rec
-            if exempt:
-                sigma.insert(0, v)
-            else:
-                positions = sorted(sigma.index(a) for a in in_nbrs)
-                sigma.insert(positions[0] + 1, v)
-        else:
-            _, v, u, w, exempt, in_nbrs = rec
-            p = sigma.index(u)
-            in_positions = [sigma.index(a) for a in in_nbrs]
-            if w is None:
-                g = _smallest_valid_gap(sigma, in_positions, exempt)
-            else:
-                w_after = sigma.index(w) > p
-                g = _smallest_valid_gap(sigma, in_positions, exempt,
-                                        side_pivot=p, side_after=w_after)
-            sigma.insert(g, v)
-
+    sigma = sorted(inn)
+    for v, *constraints in reversed(records):
+        sigma.insert(_smallest_valid_gap(sigma, *constraints), v)
     if not validate_numbering(d, sigma):
         raise InternalInvariantError("constructed numbering failed validation")
     order = tuple(sigma)

@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from maxleaf.cli import main
 from maxleaf.digraph import verify_outbranching
 from maxleaf.graphio import format_graph, load_graph, load_tree, parse_graph
@@ -175,6 +177,14 @@ def test_decide_k0_is_precondition(tmp_path):
 def test_gen_parameter_out_of_range_is_precondition():
     code, out, _ = run(["gen", "--family", "t_l", "--size", "1"])
     assert code == 5
+    assert out == ""
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_bench_count_below_one_is_precondition(count):
+    code, out, err = run(["bench", "--count", count])
+    assert code == 5
+    assert "--count must be at least 1" in err
     assert out == ""
 
 

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from maxleaf import stnum
-from maxleaf.digraph import RootedDigraph, build, is_2connected, normalize, reachable
+from maxleaf.digraph import (RootedDigraph, build, is_2connected, normalize, reachable,
+                             verify_outbranching)
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.reduce import renormalize, strip_cutvertices
 from maxleaf.stnum import (RootPathNetwork, reduce_indegrees, rr_numbering,
                            split, two_disjoint_root_paths, validate_numbering)
-from maxleaf.bounds import topological_order
+from maxleaf.bounds import bound1_tree, bound2_tree, topological_order
 
 from support import (checked_reduce_indegrees, flow_disjoint_root_paths,
                      two_connected_instances)
@@ -135,6 +136,31 @@ def test_split_properties_on_corpus():
         assert 2 * (max(parts.forward.m, parts.backward.m) - dr) >= d.m - dr
 
 
+def raw_two_connected_with_root_in_arcs(count, seed_base):
+    """Seeded stream of raw 2-connected digraphs, n 3-9, with arcs into the root."""
+    out = []
+    seed = seed_base
+    while len(out) < count:
+        rng = random.Random(seed)
+        n = rng.randint(3, 9)
+        p = rng.uniform(0.25, 0.6)
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+        d = build(n, rng.randrange(n), arcs)
+        if d.indeg(d.root) and is_2connected(d):
+            out.append(d)
+        seed += 1
+    return out
+
+
+def test_numbering_and_bound_trees_with_root_in_arcs():
+    minimal = build(4, 0, [(0, 2), (0, 3), (1, 0), (2, 1), (3, 1)])
+    for d in [minimal] + raw_two_connected_with_root_in_arcs(150, seed_base=3100):
+        num = rr_numbering(d)
+        assert validate_numbering(d, num.order)
+        for tree in (bound1_tree(d, num), bound2_tree(d, num)):
+            assert verify_outbranching(d, tree).ok
+
+
 def cutvertex_free_core(d):
     """The normalized, cutvertex-free core that `approximate` numbers."""
     return strip_cutvertices(renormalize(d, []), [])
@@ -194,3 +220,32 @@ def test_reduce_indegrees_checks_once(monkeypatch):
     assert red != d
     assert len(checks) <= 2
     assert len(builds) <= 1
+
+
+def test_rr_numbering_reduces_again_and_checks_only_inside_reduction(monkeypatch):
+    # contractions raise indegrees on this core until no vertex of outdegree
+    # at most 1 is left, so the working digraph is reduced a second time
+    d = cutvertex_free_core(gen_random(148, 3 / 148, seed=5208))
+    assert d.n == 143
+    reductions, outside, inside = [], [], [False]
+    real_check, real_reduce = stnum.is_2connected, stnum.reduce_indegrees
+
+    def counted_check(g):
+        if not inside[0]:
+            outside.append(g)
+        return real_check(g)
+
+    def counted_reduce(g):
+        reductions.append(g)
+        inside[0] = True
+        try:
+            return real_reduce(g)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(stnum, "is_2connected", counted_check)
+    monkeypatch.setattr(stnum, "reduce_indegrees", counted_reduce)
+    num = rr_numbering(d)
+    assert validate_numbering(d, num.order)
+    assert len(reductions) == 2
+    assert outside == []
