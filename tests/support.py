@@ -51,6 +51,25 @@ def random_with_chain(seed):
     return d
 
 
+def raw_digraph(seed):
+    """Non-normalized digraph with a random root and arcs into the root; a
+    quarter have no planted arborescence, so some of those are infeasible."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 18)
+    root = rng.randrange(n)
+    arcs = set()
+    if rng.random() < 0.75:
+        order = [root] + rng.sample([v for v in range(n) if v != root], n - 1)
+        for j in range(1, n):
+            arcs.add((order[rng.randrange(j)], order[j]))
+    p = rng.uniform(0.08, 0.35)
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < p:
+                arcs.add((u, v))
+    return RootedDigraph(range(n), root, sorted(arcs))
+
+
 def mixed_rule_corpus(count, seed_base):
     """Random instances mixed with chain-planted ones, all with n <= 10."""
     out = []
@@ -130,6 +149,13 @@ def brute_idom(d):
         if v != d.root:
             idom[v] = max(doms[v] - {v}, key=lambda x: len(doms[x]))
     return idom
+
+
+def per_arc_rule3(d, x, y):
+    """Rule 3 decided for the single arc (y, x): the in-neighbors of x other
+    than y and the root are not empty and cut y from the root."""
+    removed = set(d.in_neighbors(x)) - {y, d.root}
+    return bool(removed) and y not in reachable(d, removed)
 
 
 def flow_disjoint_root_paths(d, target):

@@ -1,4 +1,5 @@
-"""Golden corpus: sha256 digests of the pipeline's outputs on ~200 seeded instances.
+"""Golden corpus: sha256 digests of the pipeline's outputs on ~200 seeded
+instances and on every rooted digraph with at most three vertices.
 
 Each instance is run through approximate, sqrt_opt_tree, kernelize, decide
 (k = 2, 3, 5), rr_numbering on the cutvertex-free core that approximate
@@ -29,7 +30,7 @@ from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.reduce import apply_rule1, decide, kernelize, rule0
 from maxleaf.stnum import rr_numbering
 
-from support import random_with_chain
+from support import random_with_chain, raw_digraph
 
 GOLDEN = Path(__file__).with_name("golden.json")
 EXACT_MAX_N = 14
@@ -37,25 +38,6 @@ DECIDE_KS = (2, 3, 5)
 
 
 # -- corpus ----------------------------------------------------------------
-
-
-def raw_digraph(seed):
-    """Non-normalized digraph with a random root and arcs into the root; a
-    quarter have no planted arborescence, so some of those are infeasible."""
-    rng = random.Random(seed)
-    n = rng.randint(6, 18)
-    root = rng.randrange(n)
-    arcs = set()
-    if rng.random() < 0.75:
-        order = [root] + rng.sample([v for v in range(n) if v != root], n - 1)
-        for j in range(1, n):
-            arcs.add((order[rng.randrange(j)], order[j]))
-    p = rng.uniform(0.08, 0.35)
-    for u in range(n):
-        for v in range(n):
-            if u != v and rng.random() < p:
-                arcs.add((u, v))
-    return RootedDigraph(range(n), root, sorted(arcs))
 
 
 def layered_two_wide(layers):
@@ -70,6 +52,20 @@ def layered_two_wide(layers):
             arcs.append((vid(j, c), vid(j + 1, 1)))
     arcs += [(vid(layers - 1, 0), t), (vid(layers - 1, 1), t)]
     return build(2 * layers + 2, 0, arcs)
+
+
+def every_small_digraph(max_n):
+    """Every digraph on 0..n-1 for n <= max_n, once with each root: loops
+    are the only arcs left out, so arcs into the root and unreachable
+    vertices occur."""
+    out = []
+    for n in range(1, max_n + 1):
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for root in range(n):
+            for mask in range(1 << len(pairs)):
+                arcs = [a for i, a in enumerate(pairs) if mask >> i & 1]
+                out.append((f"small/{n}-{root}-{mask}", RootedDigraph(range(n), root, arcs)))
+    return out
 
 
 def corpus():
@@ -92,6 +88,8 @@ def corpus():
     # the size-threshold branch of decide: n = 618 >= 616 = (3k-2)(30k-2) at
     # k = 3; only kernelize and decide, the numbering on n = 618 is slow
     out.append(("layered/308", layered_two_wide(308), (3,), False))
+    for name, d in every_small_digraph(3):
+        out.append((name, d, DECIDE_KS, True))
     return out
 
 

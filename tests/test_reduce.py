@@ -6,10 +6,11 @@ from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_dipath, gen_random, gen_star, gen_t_l
 from maxleaf.reduce import (ReductionTrace, apply_rule1, apply_rule2,
                             apply_rule3, decide, find_bipath4, find_rule3,
-                            is_bipath4, iter_bipath4, kernelize,
+                            is_bipath4, iter_bipath4, iter_rule3, kernelize,
                             large_indegree_witness, lift, rule0)
 
-from support import all_rule_applications, mixed_rule_corpus, random_instances
+from support import (all_rule_applications, mixed_rule_corpus, per_arc_rule3,
+                     random_instances, raw_digraph)
 
 
 def test_rule0():
@@ -88,6 +89,26 @@ def test_rule3_rejects_bad_pair():
     d = build(4, 0, [(0, 1), (0, 2), (1, 3), (2, 3)])
     with pytest.raises(ValueError):
         apply_rule3(d, 3, 1)  # {2} does not cut 1 from the root
+
+
+def test_rule3_decisions_match_per_arc_oracle():
+    disconnected = accepted = 0
+    for seed in range(200):
+        d = raw_digraph(500 + seed)
+        disconnected += not rule0(d)
+        want = [(x, y) for x in d.vertices if x != d.root
+                for y in d.in_neighbors(x) if y != d.root and per_arc_rule3(d, x, y)]
+        assert list(iter_rule3(d)) == want
+        for x in d.vertices:
+            for y in d.in_neighbors(x):
+                if per_arc_rule3(d, x, y):
+                    d2, _ = apply_rule3(d, x, y)
+                    assert not d2.has_arc(y, x)
+                    accepted += 1
+                else:
+                    with pytest.raises(ValueError):
+                        apply_rule3(d, x, y)
+    assert disconnected > 0 and accepted > 0
 
 
 def test_kernelize_collapses_dipath():
