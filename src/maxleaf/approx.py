@@ -189,17 +189,6 @@ def approximate(d0):
     steps = []
     core = strip_cutvertices(renormalize(d0, steps), steps)
     trace = ReductionTrace(tuple(steps))
-
-    if core.n <= 2:
-        trivial = bfs_tree(core)
-        trees = {"bound1": trivial, "bound2": trivial, "majbound": trivial}
-        l = 0 if core.n == 1 else 1
-        report = ApproxReport(l, 0, trivial.leaf_count, trivial.leaf_count,
-                              trivial.leaf_count, "bound1", Fraction(l, 30),
-                              max(l, trivial.leaf_count), trees)
-        lifted = lift(trivial, trace)
-        return lifted, report
-
     cls = classify(core)
     paths = weak_bipaths(core, cls)
     l, h = len(cls.special), len(paths)
@@ -214,7 +203,7 @@ def approximate(d0):
             chosen = label
             break
     lower = max(Fraction(l, 30), Fraction(h - l))
-    upper = l + 2 * h
+    upper = max(l + 2 * h, 1)  # a one-vertex core has l = h = 0 and one leaf
     best = trees[chosen]
     if Fraction(best.leaf_count) < lower:
         raise InternalInvariantError(
@@ -247,8 +236,6 @@ def sqrt_opt_tree(d0):
     if not rule0(d0):
         raise InfeasibleError("some vertex is unreachable from the root")
     reduced, trace = kernelize(d0)
-    if reduced.n == 1:
-        return Outbranching(reduced.root, {})
     candidates = []
     best_x = max((v for v in reduced.vertices if v != reduced.root),
                  key=lambda v: (reduced.indeg(v), -v), default=None)

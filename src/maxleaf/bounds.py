@@ -15,8 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import (Outbranching, RootedDigraph, bfs_tree, classify,
-                      grow_tree, is_connected)
+from .digraph import (Outbranching, RootedDigraph, classify, grow_tree,
+                      is_connected)
 from .errors import InternalInvariantError
 from .stnum import RRNumbering, rr_numbering, split
 
@@ -148,8 +148,6 @@ def acyclic_many_leaves(d):
         raise ValueError("digraph has a directed cycle")
     if not is_connected(d):
         raise ValueError("digraph is not connected from the root")
-    if d.n <= 2:
-        return bfs_tree(d)
     trimmed = trim_to_indegree_two(d)
     tree = grow_tree(trimmed, internal=domination_scaffold(trimmed).c)
     if len(tree.parent) != d.n - 1:
@@ -172,8 +170,6 @@ def bound1_tree(d, numbering=None):
     Takes the numbering-induced acyclic cover with more indegree-2 vertices
     and extracts a many-leaves tree from it.
     """
-    if d.n <= 2:
-        return bfs_tree(d)
     num = numbering or rr_numbering(d)
     parts = split(d, num)
     best, best_count = None, -1
@@ -303,8 +299,6 @@ def transverse_decomposition(d, numbering=None):
 
 def bound2_tree(d, numbering=None):
     """Out-tree with at least l/24 leaves, l = number of nice vertices."""
-    if d.n <= 2:
-        return bfs_tree(d)
     decomp = transverse_decomposition(d, numbering)
     if topological_order(decomp.union) is None:
         raise InternalInvariantError("tree plus one-sided transverse arcs must be acyclic")

@@ -164,13 +164,11 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output graph file (default stdout)")
     p.add_argument("--dot", help="also write a DOT rendering here")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("kernelize", help="reduce an instance to its rule fixpoint")
     p.add_argument("graph")
     p.add_argument("--out", help="write the reduced graph here")
     p.add_argument("--trace", help="write the reduction trace here")
-    p.set_defaults(func=cmd_kernelize)
 
     p = sub.add_parser("decide", help="decide whether k leaves are achievable, or kernelize")
     p.add_argument("graph")
@@ -178,7 +176,6 @@ def build_parser():
     p.add_argument("--witness", help="write the witness tree here on TRUE")
     p.add_argument("--out", help="write the reduced graph here on REDUCED")
     p.add_argument("--trace", help="write the reduction trace here on REDUCED")
-    p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("approx", help="factor-92 approximation")
     p.add_argument("graph")
@@ -186,18 +183,15 @@ def build_parser():
     p.add_argument("--dot", help="write a DOT rendering with the tree bolded")
     p.add_argument("--all-roots", action="store_true",
                    help="try every vertex as root and keep the best tree")
-    p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("exact", help="exact maximum leaf count by exhaustive search")
     p.add_argument("graph")
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
     p.add_argument("--witness", help="write the optimal tree here")
-    p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("verify", help="check a (graph, tree) pair")
     p.add_argument("graph")
     p.add_argument("tree")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="sweep a generator and emit CSV rows")
     p.add_argument("--family", choices=FAMILIES, default="random")
@@ -207,18 +201,20 @@ def build_parser():
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
-    p.set_defaults(func=cmd_bench)
 
     return parser
+
+
+_PARSER = build_parser()
 
 
 def main(argv=None, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    command = globals()["cmd_" + args.command]  # at call time, so a rebound cmd_* runs
     try:
-        return args.func(args, out, err)
+        return command(args, out, err)
     except (GraphFormatError, OSError, UnicodeDecodeError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_FORMAT

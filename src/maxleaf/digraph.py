@@ -323,8 +323,6 @@ def is_2connected(d):
     immediate dominator of another."""
     if len(_reach(d.root, d._out)) != d.n:
         return False
-    if d.n <= 2:
-        return True
     return all(p == d.root for p in dominators_from_maps(d.root, d._out, d._in).values())
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .digraph import Outbranching, grow_tree, is_connected
-from .errors import PreconditionError
+from .errors import InternalInvariantError, PreconditionError
 
 DEFAULT_LIMIT = 20
 
@@ -78,6 +78,6 @@ def maxleaf_exact(d, limit=DEFAULT_LIMIT):
             witness = grow_tree(d, internal={verts[i] for i in comb})
             maxleaf = d.n - 1 - size
             if witness.leaf_count != maxleaf:
-                raise AssertionError("optimal internal set produced a suboptimal tree")
+                raise InternalInvariantError("optimal internal set produced a suboptimal tree")
             return ExactResult(maxleaf, witness, explored)
-    raise AssertionError("no internal set found on a connected instance")
+    raise InternalInvariantError("no internal set found on a connected instance")

@@ -6,6 +6,11 @@ rule 3 deletes an arc (y, x) whenever the other in-neighbors of x cut y from
 the root.  Each rule preserves the maximum leaf number, and a spanning
 out-tree of the rewritten digraph can be lifted back without losing leaves.
 
+Rule 3 is decided once per head x: with A the non-root in-neighbors of x
+(at least two of them), (y, x) goes exactly when no in-neighbor of y is
+reachable from the root in the digraph minus A, so one reachability pass
+settles every in-arc of x.
+
 The kernelizer applies rule 1 to exhaustion, then rule 3 to exhaustion, then
 one rule 2 contraction, re-normalizing after every rewrite, and loops until
 nothing applies.  An untouched input is returned exactly as given.
@@ -192,17 +197,14 @@ def apply_rule1(d, x):
 
 
 def is_bipath4(d, p):
-    """Check the length-4 bipath condition: the arcs adjacent to the three
-    internal vertices are exactly the consecutive 2-circuits of p."""
+    """Check the length-4 bipath condition: each of the three internal
+    vertices has exactly its two path neighbors as in- and outneighbors."""
     if len(p) != 5 or len(set(p)) != 5:
         return False
-    inner = set(p[1:4])
-    required = set()
-    for a, b in zip(p, p[1:]):
-        required.add((a, b))
-        required.add((b, a))
-    adjacent = {(a, b) for a, b in d.arc_set() if a in inner or b in inner}
-    return adjacent == required
+    for a, v, b in zip(p, p[1:], p[2:]):
+        if not d.out_neighbors(v) == d.in_neighbors(v) == tuple(sorted((a, b))):
+            return False
+    return True
 
 
 def _chain_partner_map(d):
@@ -247,21 +249,23 @@ def apply_rule2(d, p):
     return step.apply(d), step
 
 
-def _rule3_cut(d, x, y):
-    removed = (set(d.in_neighbors(x)) - {y}) - {d.root}
-    if not removed:
-        return False
-    return y not in reachable(d, removed)
+def _rule3_tails(d, x):
+    """The y, ascending, whose arc (y, x) rule 3 deletes: y in A = N-(x) - r
+    with no in-neighbor reachable from r in d - A.  A shortest root path to y
+    in d - (A - y) meets A only at y, so y has such a path exactly when one
+    of its in-neighbors is reachable avoiding A.  When A is a single vertex
+    its arc stays, even if nothing reaches that vertex."""
+    tails = [y for y in d.in_neighbors(x) if y != d.root]
+    if len(tails) < 2:
+        return []
+    seen = reachable(d, tails)
+    return [y for y in tails if not any(w in seen for w in d.in_neighbors(y))]
 
 
 def iter_rule3(d):
     for x in d.vertices:
-        if x == d.root:
-            continue
-        for y in d.in_neighbors(x):
-            if y == d.root:
-                continue
-            if _rule3_cut(d, x, y):
+        if x != d.root:
+            for y in _rule3_tails(d, x):
                 yield x, y
 
 
@@ -273,7 +277,7 @@ def apply_rule3(d, x, y):
     """Delete the arc (y, x) when the other in-neighbors of x cut y from r."""
     if y not in d.in_neighbors(x):
         raise ValueError(f"{y} is not an in-neighbor of {x}")
-    if not _rule3_cut(d, x, y):
+    if y not in _rule3_tails(d, x):
         raise ValueError(f"in-neighbors of {x} other than {y} do not cut {y} from the root")
     step = Rule3Step(y, x)
     return step.apply(d), step
@@ -356,31 +360,17 @@ def large_indegree_witness(d, x):
         if u == root or u in placed:
             continue
         blocked = (set(in_nbrs) - {u}) - {root}
-        # BFS from the root avoiding `blocked`, stopping at u
-        prev = {root: None}
-        queue = [root]
-        qi = 0
-        while qi < len(queue) and u not in prev:
-            a = queue[qi]
-            qi += 1
-            for b in d.out_neighbors(a):
-                if b not in prev and b not in blocked:
-                    prev[b] = a
-                    queue.append(b)
-        if u not in prev:
+        bfs = grow_tree(d, internal=set(d.vertices) - blocked).parent
+        if u not in bfs:
             raise ValueError(
                 f"in-neighbors of {x} other than {u} cut {u} from the root; "
                 "digraph is not reduced under rule 3")
-        path = []
         v = u
-        while v is not None:
-            path.append(v)
-            v = prev[v]
-        path.reverse()
-        for a, b in zip(path, path[1:]):
-            if b not in placed:
-                parent[b] = a
-                placed.add(b)
+        while v != root:
+            if v not in placed:
+                parent[v] = bfs[v]
+                placed.add(v)
+            v = bfs[v]
 
     if root in in_nbrs and x not in placed:
         parent[x] = root

@@ -33,9 +33,6 @@ class RRNumbering:
     order: tuple
     position: dict
 
-    def __len__(self):
-        return len(self.order)
-
     def reversed(self):
         order = tuple(reversed(self.order))
         return RRNumbering(order, {v: i for i, v in enumerate(order)})

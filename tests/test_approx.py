@@ -10,6 +10,7 @@ from maxleaf.errors import InfeasibleError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_dipath, gen_random, gen_star, gen_t_l
 from maxleaf.reduce import kernelize
+from maxleaf.stnum import rr_numbering
 
 from support import random_instances, two_connected_instances
 
@@ -120,6 +121,20 @@ def test_approximate_report_fields():
     assert report.chosen in report.trees
     assert report.chosen_tree.leaf_count == max(
         t.leaf_count for t in report.trees.values())
+
+
+def test_approximate_single_vertex_numbers_once(monkeypatch):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return rr_numbering(d)
+
+    monkeypatch.setattr("maxleaf.approx.rr_numbering", counted)
+    monkeypatch.setattr("maxleaf.bounds.rr_numbering", counted)
+    tree, report = approximate(build(1, 0, []))
+    assert len(calls) == 1
+    assert tree.leaf_count == 1 and report.upper == 1 and report.chosen == "bound1"
 
 
 def test_approximate_rejects_unreachable():

@@ -3,9 +3,10 @@ import io
 import pytest
 
 from maxleaf.cli import main
-from maxleaf.digraph import verify_outbranching
+from maxleaf.digraph import Outbranching, grow_tree, verify_outbranching
 from maxleaf.graphio import format_graph, load_graph, load_tree, parse_graph
-from maxleaf.gen import gen_t_l
+from maxleaf.gen import gen_random, gen_t_l
+from maxleaf.reduce import kernelize
 
 
 def run(argv):
@@ -43,6 +44,27 @@ def test_decide_reduced_writes_kernel(tmp_path):
     assert out.startswith("REDUCED")
     assert load_graph(red).n == 19
     assert tr.read_text() == ""  # T_3 is already reduced
+
+
+def test_decide_unreachable_vertex_is_false(tmp_path):
+    g = tmp_path / "u.graph"
+    g.write_text("3 1 0\n0 1\n")
+    code, out, _ = run(["decide", str(g), "-k", "2"])
+    assert code == 0
+    assert out == "FALSE\n"
+
+
+def test_kernelize_writes_kernel_and_trace(tmp_path):
+    d = gen_random(30, 1.5 / 30, 3)
+    reduced, trace = kernelize(d)
+    assert len(trace) > 0
+    g, red, tr = tmp_path / "g.graph", tmp_path / "red.graph", tmp_path / "steps.txt"
+    g.write_text(format_graph(d))
+    code, out, _ = run(["kernelize", str(g), "--out", str(red), "--trace", str(tr)])
+    assert code == 0
+    assert out == f"{d.n} {d.m} -> {reduced.n} {reduced.m} ({len(trace)} steps)\n"
+    assert red.read_text() == format_graph(reduced)
+    assert tr.read_text() == trace.to_text()
 
 
 def test_kernelize_prints_sizes(tmp_path):
@@ -198,3 +220,24 @@ def test_unexpected_value_error_is_internal(tmp_path, monkeypatch):
     code, _, err = run(["approx", str(g)])
     assert code == 4
     assert err.startswith("internal error:")
+
+
+def test_exact_broken_invariant_is_internal(tmp_path, monkeypatch):
+    def one_leaf_short(d, internal=None, parent=None):
+        tree = grow_tree(d, internal=internal, parent=parent)
+        a, b = sorted(tree.leaf_set - {d.root})[:2]
+        short = Outbranching(d.root, {**tree.parent, b: a})
+        assert short.leaf_count == tree.leaf_count - 1
+        return short
+
+    monkeypatch.setattr("maxleaf.exact.grow_tree", one_leaf_short)
+    g = tmp_path / "t3.graph"
+    run(["gen", "--family", "t_l", "--size", "3", "--out", str(g)])
+    code, _, err = run(["exact", str(g)])
+    assert code == 4
+    assert err.startswith("internal invariant violation:")
+
+
+def test_command_is_looked_up_per_call(monkeypatch):
+    monkeypatch.setattr("maxleaf.cli.cmd_verify", lambda args, out, err: 7)
+    assert run(["verify", "g.graph", "g.tree"])[0] == 7
