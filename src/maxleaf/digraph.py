@@ -454,3 +454,29 @@ def bfs_tree(d):
     if len(tree.parent) != d.n - 1:
         raise ValueError("digraph is not connected from the root")
     return tree
+
+
+def euler_intervals(tree):
+    """Preorder entry/exit counters of an out-tree, children visited in id
+    order: a is a proper ancestor of v exactly when
+    tin[a] < tin[v] and tout[v] < tout[a]."""
+    children = {}
+    for c, p in tree.parent.items():
+        children.setdefault(p, []).append(c)
+    for p in children:
+        children[p].sort()
+    tin, tout = {}, {}
+    clock = 0
+    stack = [(tree.root, False)]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            tout[v] = clock
+            clock += 1
+            continue
+        tin[v] = clock
+        clock += 1
+        stack.append((v, True))
+        for c in reversed(children.get(v, ())):
+            stack.append((c, False))
+    return tin, tout

@@ -6,10 +6,26 @@ rule 3 deletes an arc (y, x) whenever the other in-neighbors of x cut y from
 the root.  Each rule preserves the maximum leaf number, and a spanning
 out-tree of the rewritten digraph can be lifted back without losing leaves.
 
+Rule 1 runs on one dominator tree per strip.  The cutvertices are the
+non-root vertices with a child in the dominator tree.  Splice lemma: deleting
+a cutvertex x and adding its shortcuts gives the dominator tree of the
+result by splicing x out, each child of x taking idom(x) as its parent,
+because a path of the new digraph avoids a vertex y != x exactly when the
+old path through x that it shortcuts avoids y.  Normalization keeps the
+tree: an arc into r lies on no simple root path, and a root path through an
+arc into a root outneighbor z has the shortcut (r, z) on a subset of its
+vertices, so neither kind of deletion changes a dominator; a root merge
+absorbs the root's only outneighbor u, whose idom is r, which is the same
+splice.
+
 Rule 3 is decided once per head x: with A the non-root in-neighbors of x
 (at least two of them), (y, x) goes exactly when no in-neighbor of y is
 reachable from the root in the digraph minus A, so one reachability pass
-settles every in-arc of x.
+settles every in-arc of x.  Certificate: the root path to a vertex in a
+spanning out-tree is a path of the digraph, so when an in-neighbor of y has
+a tree path meeting no vertex of A, (y, x) stays.  A scan builds one such
+tree and pays the reachability pass only for heads with a tail it does not
+certify; the filter only keeps arcs, so every decision is the pass's own.
 
 The kernelizer applies rule 1 to exhaustion, then rule 3 to exhaustion, then
 one rule 2 contraction, re-normalizing after every rewrite, and loops until
@@ -20,11 +36,12 @@ and lift a tree backward, so vertex ids stay in input coordinates.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import (Outbranching, RootedDigraph, bfs_tree, cutvertices,
-                      find_cutvertex, grow_tree, is_connected, normalize,
+from .digraph import (Outbranching, RootedDigraph, bfs_tree, find_cutvertex,
+                      grow_tree, immediate_dominators, is_connected, normalize,
                       reachable, verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .bounds import numbering_bound_tree
@@ -185,9 +202,37 @@ def rule0(d):
     return is_connected(d)
 
 
+def _is_cutvertex(d, x):
+    """Rule 1's check in one traversal: everything reachable from the root
+    while avoiding x, then onward from x, which must reach the rest.  x is a
+    cutvertex when the first part misses a vertex other than x.  Raises
+    ValueError when d is not connected from the root."""
+    if x == d.root or x not in d.vertices:
+        return False
+    seen = {x}
+
+    def sweep(start):
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for v in d.out_neighbors(queue.popleft()):
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+
+    sweep(d.root)
+    avoiding = len(seen)
+    x_reached = any(w in seen for w in d.in_neighbors(x))
+    if x_reached:
+        sweep(x)
+    if not x_reached or len(seen) < d.n:
+        raise ValueError("digraph is not connected from the root")
+    return avoiding < d.n
+
+
 def apply_rule1(d, x):
     """Delete cutvertex x, adding (v, z) for every v in N-(x), z in N+(x)-v."""
-    if x not in cutvertices(d):
+    if not _is_cutvertex(d, x):
         raise ValueError(f"vertex {x} is not a cutvertex")
     in_nbrs = d.in_neighbors(x)
     out_nbrs = d.out_neighbors(x)
@@ -262,11 +307,49 @@ def _rule3_tails(d, x):
     return [y for y in tails if not any(w in seen for w in d.in_neighbors(y))]
 
 
+def _needs_search(d, tails, parent):
+    """Whether some tail y has no in-neighbor whose root path in the
+    spanning out-tree `parent` meets no tail; such a path avoids every
+    tail, so each tail with one keeps its arc."""
+    blocked = set(tails)
+    for y in tails:
+        for w in d.in_neighbors(y):
+            while w not in blocked and w != d.root:
+                w = parent[w]
+            if w == d.root:
+                break
+        else:
+            return True
+    return False
+
+
 def iter_rule3(d):
+    """Every arc (y, x) rule 3 deletes, as (x, y), by ascending head x and
+    then tail y.
+
+    At the first head with two non-root in-neighbors, a breadth-first
+    spanning out-tree is grown once for the scan.  With A the non-root
+    in-neighbors of x, (y, x) stays when an in-neighbor of y has a tree path
+    from the root that meets no vertex of A.  Only a head with a tail
+    lacking such a certificate pays `_rule3_tails`' reachability pass, and
+    since the filter only keeps arcs, the result is that of the pass on
+    every head.  When the root does not reach every vertex, every head pays.
+    """
+    parent = None
     for x in d.vertices:
-        if x != d.root:
-            for y in _rule3_tails(d, x):
-                yield x, y
+        if x == d.root:
+            continue
+        tails = [y for y in d.in_neighbors(x) if y != d.root]
+        if len(tails) < 2:
+            continue
+        if parent is None:
+            parent = grow_tree(d).parent
+            if len(parent) < d.n - 1:
+                parent = {}
+        if parent and not _needs_search(d, tails, parent):
+            continue
+        for y in _rule3_tails(d, x):
+            yield x, y
 
 
 def find_rule3(d):
@@ -294,16 +377,63 @@ def renormalize(d, steps):
     return d2
 
 
+class _DominatorTree:
+    """The dominator tree of a digraph connected from the root, following
+    the rule 1 rewrites and normalization events of a strip."""
+
+    def __init__(self, d):
+        self.root = d.root
+        self.idom = immediate_dominators(d)
+        self.children = {}
+        for v, p in self.idom.items():
+            if v != d.root:
+                self.children.setdefault(p, set()).add(v)
+
+    def splice(self, x):
+        """Drop x, handing its children to idom(x)."""
+        p = self.idom.pop(x)
+        siblings = self.children[p]
+        siblings.discard(x)
+        for c in self.children.pop(x, ()):
+            self.idom[c] = p
+            siblings.add(c)
+        if not siblings:
+            del self.children[p]
+
+    def follow(self, step):
+        """Update the tree for one trace step of a strip."""
+        if isinstance(step, Rule1Step):
+            self.splice(step.x)
+        elif isinstance(step, NormMergeStep):
+            self.splice(step.absorbed)
+
+    def smallest_cutvertex(self):
+        return min((v for v in self.children if v != self.root), default=None)
+
+
 def strip_cutvertices(d, steps):
     """Apply rule 1 until no cutvertex is left, re-normalizing after every
-    rewrite and appending the steps; d itself comes back when it has none."""
-    while True:
-        x = find_cutvertex(d)
-        if x is None:
-            return d
+    rewrite and appending the steps; d itself comes back when it has none.
+
+    Each rewrite takes the smallest cutvertex, as `find_cutvertex` would.
+    One dominator pass serves the whole strip: by the splice lemma (module
+    docstring) a rule 1 rewrite of x and a root merge of u each splice that
+    vertex out of the tree, handing its children to its parent, and
+    normalization's arc deletions leave it as it is.
+    """
+    x = find_cutvertex(d)
+    if x is None:
+        return d
+    tree = _DominatorTree(d)
+    while x is not None:
+        mark = len(steps)
         d, st = apply_rule1(d, x)
         steps.append(st)
         d = renormalize(d, steps)
+        for step in steps[mark:]:
+            tree.follow(step)
+        x = tree.smallest_cutvertex()
+    return d
 
 
 def kernelize(d):

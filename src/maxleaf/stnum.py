@@ -126,49 +126,58 @@ def two_disjoint_root_paths(network, target):
     """Two internally vertex-disjoint paths from the root to `target` in a
     `RootPathNetwork`, or None.
 
-    Two breadth-first augmentations on a copy of the capacities with the
+    Two breadth-first augmentations on the network's capacities with the
     target's split edge at 2, each stopping when it reaches the target; the
     paths are then walked from the root along the flow, smallest first.
+    Only the entries those augmentations touched are saved, and they are
+    restored before returning, so the network is left as it was.
     """
     if target == network.root:
         raise ValueError("target must differ from the root")
-    cap = list(network.cap)
+    cap = network.cap
     edges, head = network.edges, network.head
     s, t = network.node[network.root] + 1, network.node[target]
+    saved = {t: cap[t]}
     cap[t] = 2  # the split edge of the vertex with in-node t has id t
-    for _ in range(2):
-        via = {s: None}
-        queue = deque([s])
-        while queue and t not in via:
-            a = queue.popleft()
-            for b, e in edges[a]:
-                if cap[e] and b not in via:
-                    via[b] = e
-                    if b == t:
-                        break
-                    queue.append(b)
-        if t not in via:
-            return None
-        b = t
-        while via[b] is not None:
-            e = via[b]
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-            b = head[e ^ 1]
+    try:
+        for _ in range(2):
+            via = {s: None}
+            queue = deque([s])
+            while queue and t not in via:
+                a = queue.popleft()
+                for b, e in edges[a]:
+                    if cap[e] and b not in via:
+                        via[b] = e
+                        if b == t:
+                            break
+                        queue.append(b)
+            if t not in via:
+                return None
+            b = t
+            while via[b] is not None:
+                e = via[b]
+                saved.setdefault(e, cap[e])
+                saved.setdefault(e ^ 1, cap[e ^ 1])
+                cap[e] -= 1
+                cap[e ^ 1] += 1
+                b = head[e ^ 1]
 
-    def flow_heads(a):
-        return [b for b, e in edges[a] if not e & 1 and cap[e ^ 1]]
+        def flow_heads(a):
+            return [b for b, e in edges[a] if not e & 1 and cap[e ^ 1]]
 
-    paths = []
-    for b in flow_heads(s):
-        path = [network.root]
-        while True:
-            path.append(network.vertices[b // 2])
-            if b == t:
-                break
-            (b,) = flow_heads(b + 1)
-        paths.append(path)
-    return paths
+        paths = []
+        for b in flow_heads(s):
+            path = [network.root]
+            while True:
+                path.append(network.vertices[b // 2])
+                if b == t:
+                    break
+                (b,) = flow_heads(b + 1)
+            paths.append(path)
+        return paths
+    finally:
+        for e, c in saved.items():
+            cap[e] = c
 
 
 def reduce_indegrees(d):

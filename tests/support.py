@@ -5,10 +5,11 @@ import random
 from collections import defaultdict, deque
 from itertools import combinations
 
-from maxleaf.digraph import RootedDigraph, build, is_2connected, normalize, reachable
+from maxleaf.digraph import (RootedDigraph, build, find_cutvertex, is_2connected,
+                             normalize, reachable)
 from maxleaf.errors import InternalInvariantError
 from maxleaf.gen import gen_random
-from maxleaf.reduce import iter_bipath4, iter_rule3
+from maxleaf.reduce import apply_rule1, iter_bipath4, iter_rule3, renormalize
 from maxleaf.digraph import cutvertices as idom_cutvertices
 
 
@@ -233,6 +234,45 @@ def checked_reduce_indegrees(d):
             if not progressed and work.indeg(x) > 2:
                 raise InternalInvariantError(f"cannot reduce indegree of {x}")
     return work
+
+
+def resorting_vertex_cover(vertices, edges):
+    """Greedy vertex cover that re-sorts the vertices after every pick and
+    takes the smallest one of degree at least 2, then one endpoint per edge
+    of the remaining matching."""
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    cover = set()
+    while True:
+        heavy = [v for v in sorted(adj) if len(adj[v]) >= 2]
+        if not heavy:
+            break
+        v = heavy[0]
+        for w in adj[v]:
+            adj[w].discard(v)
+        del adj[v]
+        cover.add(v)
+    for v in sorted(adj):
+        if adj[v]:
+            (w,) = adj[v]
+            adj[w].clear()
+            adj[v].clear()
+            cover.add(v)
+    return cover
+
+
+def recomputing_strip(d, steps):
+    """Rule 1 to exhaustion with a fresh dominator pass (`find_cutvertex`)
+    before every rewrite, re-normalizing after each."""
+    while True:
+        x = find_cutvertex(d)
+        if x is None:
+            return d
+        d, st = apply_rule1(d, x)
+        steps.append(st)
+        d = renormalize(d, steps)
 
 
 def brute_min_vertex_cover(vertices, edges):

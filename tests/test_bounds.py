@@ -16,7 +16,8 @@ from maxleaf.gen import gen_boloney, gen_star, gen_t_l
 from maxleaf.stnum import rr_numbering, split
 
 from support import (brute_min_vertex_cover, is_ancestor,
-                     random_undirected_graphs, two_connected_instances)
+                     random_undirected_graphs, resorting_vertex_cover,
+                     two_connected_instances)
 
 
 # -- vertex cover --------------------------------------------------------
@@ -43,6 +44,14 @@ def test_cover_bound_and_minimality_gap():
         assert all(u in cover or v in cover for u, v in edges)
         assert Fraction(len(cover)) <= Fraction(len(vertices) + len(edges), 3)
         assert len(cover) >= len(brute_min_vertex_cover(vertices, edges))
+
+
+def test_cover_matches_resorting_oracle():
+    graphs = random_undirected_graphs(150, 12, seed_base=91)
+    graphs += random_undirected_graphs(20, 120, seed_base=391, p_lo=0.01, p_hi=0.08)
+    for vertices, edges in graphs:
+        random.Random(len(edges)).shuffle(vertices)
+        assert vertex_cover_third(vertices, edges) == resorting_vertex_cover(vertices, edges)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,16 +1,19 @@
 import pytest
 
-from maxleaf.digraph import build, normalize, verify_outbranching
+from maxleaf import digraph, reduce
+from maxleaf.digraph import (build, cutvertices, immediate_dominators,
+                             verify_outbranching)
 from maxleaf.errors import InfeasibleError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_dipath, gen_random, gen_star, gen_t_l
-from maxleaf.reduce import (ReductionTrace, apply_rule1, apply_rule2,
-                            apply_rule3, decide, find_bipath4, find_rule3,
-                            is_bipath4, iter_bipath4, iter_rule3, kernelize,
-                            large_indegree_witness, lift, rule0)
+from maxleaf.reduce import (NormMergeStep, ReductionTrace, apply_rule1,
+                            apply_rule2, apply_rule3, decide, find_bipath4,
+                            find_rule3, is_bipath4, iter_bipath4, iter_rule3,
+                            kernelize, large_indegree_witness, lift, rule0,
+                            strip_cutvertices)
 
 from support import (all_rule_applications, mixed_rule_corpus, per_arc_rule3,
-                     random_instances, raw_digraph)
+                     random_instances, raw_digraph, recomputing_strip)
 
 
 def test_rule0():
@@ -36,6 +39,93 @@ def test_rule1_shortcut_set():
 def test_rule1_rejects_non_cutvertex():
     with pytest.raises(ValueError, match="cutvertex"):
         apply_rule1(gen_star(3), 1)
+
+
+def test_rule1_check_matches_cutvertices():
+    disconnected = accepted = 0
+    for seed in range(150):
+        d = raw_digraph(900 + seed)
+        try:
+            cuts = cutvertices(d)
+        except ValueError:
+            cuts = None
+            disconnected += 1
+        for x in d.vertices:
+            if cuts is not None and x in cuts:
+                d2, step = apply_rule1(d, x)
+                assert step.x == x and x not in d2.vertices
+                accepted += 1
+            else:
+                match = "cutvertex" if cuts is not None or x == d.root else "not connected"
+                with pytest.raises(ValueError, match=match):
+                    apply_rule1(d, x)
+    assert disconnected > 0 and accepted > 0
+
+
+def spliced_trees(d):
+    """Strip d's cutvertices, then replay the steps one by one, following
+    each with the strip's dominator tree; yields (step, tree, replayed
+    digraph)."""
+    steps = []
+    stripped = strip_cutvertices(d, steps)
+    tree = reduce._DominatorTree(d)
+    for step in steps:
+        d = step.apply(d)
+        tree.follow(step)
+        yield step, tree, d
+    assert d == stripped
+
+
+def test_strip_splices_the_dominator_tree():
+    # the root's only outneighbor 5 dominates everything; rule 1 takes 1
+    # first, and the renormalization after it merges 5 into the root
+    root_merge = build(6, 0, [(0, 5), (5, 1), (5, 2), (1, 4), (2, 3), (3, 2), (4, 0)])
+    corpus = [root_merge] + [d for d in map(raw_digraph, range(2000, 2600)) if rule0(d)]
+    merges = events = 0
+    for i, d in enumerate(corpus):
+        for step, tree, g in spliced_trees(d):
+            assert tree.idom == immediate_dominators(g)
+            assert tree.smallest_cutvertex() == (cutvertices(g) or [None])[0]
+            merges += isinstance(step, NormMergeStep)
+            events += 1
+        if i == 0:
+            assert merges == 1
+    assert merges >= 5 and events > 500
+
+
+def test_strip_traces_match_recomputing_strip():
+    corpus = [d for d in map(raw_digraph, range(2600, 2900)) if rule0(d)]
+    corpus += random_instances(40, 20, 80, seed_base=2900, p_lo=0.02, p_hi=0.08)
+    total = 0
+    for d in corpus:
+        steps, want = [], []
+        assert strip_cutvertices(d, steps) == recomputing_strip(d, want)
+        assert steps == want
+        total += len(steps)
+    assert total > 500
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_strip_and_first_rule3_scan_pass_counts(monkeypatch):
+    d = gen_random(800, 1.5 / 800, seed=2)
+    passes = count_calls(monkeypatch, digraph, "dominators_from_maps")
+    steps = []
+    core = strip_cutvertices(d, steps)
+    assert len(steps) > 150 and len(passes) <= 2
+    searches = count_calls(monkeypatch, reduce, "reachable")
+    assert find_rule3(core) is not None
+    assert len(searches) <= 10
 
 
 def five_vertex_bipath():
@@ -109,6 +199,22 @@ def test_rule3_decisions_match_per_arc_oracle():
                     with pytest.raises(ValueError):
                         apply_rule3(d, x, y)
     assert disconnected > 0 and accepted > 0
+
+
+def test_rule3_certificates_keep_every_decision(monkeypatch):
+    corpus = random_instances(60, 40, 90, seed_base=4100, p_lo=0.02, p_hi=0.1)
+    corpus += [strip_cutvertices(d, []) for d in corpus[:30]]
+    searches = count_calls(monkeypatch, reduce, "reachable")
+    deleted = heads = 0
+    for d in corpus:
+        want = [(x, y) for x in d.vertices if x != d.root
+                for y in d.in_neighbors(x) if y != d.root and per_arc_rule3(d, x, y)]
+        heads += sum(1 for x in d.vertices if sum(y != d.root for y in d.in_neighbors(x)) >= 2)
+        searches.clear()
+        assert list(iter_rule3(d)) == want
+        heads -= len(searches)
+        deleted += len(want)
+    assert deleted > 0 and heads > 1000
 
 
 def test_kernelize_collapses_dipath():

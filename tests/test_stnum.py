@@ -200,6 +200,22 @@ def test_disjoint_root_paths_match_fresh_flow():
                 assert two_disjoint_root_paths(network, v) == flow_disjoint_root_paths(d, v)
 
 
+def test_disjoint_root_paths_leave_the_network_unchanged():
+    checked = missing = 0
+    for d in oracle_corpus()[::4] + raw_two_connected_with_root_in_arcs(20, seed_base=3300):
+        network = RootPathNetwork(d)
+        cut = min(d.vertices, key=lambda v: (-d.indeg(v), v))
+        for y in d.in_neighbors(cut)[1:]:
+            network.delete_arc(y, cut)  # leaves cut one in-arc: no path pair
+        before = list(network.cap)
+        for v in d.vertices:
+            if v != d.root:
+                missing += two_disjoint_root_paths(network, v) is None
+                assert network.cap == before
+                checked += 1
+    assert checked > 500 and missing > 0
+
+
 def test_reduce_indegrees_checks_once(monkeypatch):
     d = cutvertex_free_core(gen_random(200, 4 / 200, seed=1))
     assert any(d.indeg(v) > 2 for v in d.vertices)
