@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digraph import (Outbranching, RootedDigraph, bfs_tree, classify,
-                      normalize, verify_outbranching)
+                      verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError
-from .bounds import bound1_tree, bound2_tree, numbering_bound_tree
-from .reduce import (ReductionTrace, kernelize, large_indegree_witness, lift,
-                     renormalize, rule0, strip_cutvertices)
+from .bounds import bound1_tree, bound2_tree
+from .reduce import (ReductionTrace, kernel_numbering_tree, kernelize,
+                     large_indegree_witness, lift, renormalize, rule0,
+                     strip_cutvertices)
 from .stnum import rr_numbering
 
 
@@ -197,11 +198,7 @@ def approximate(d0):
     t2 = bound2_tree(core, num)
     t3 = majbound_tree(core, cls, paths)
     trees = {"bound1": t1, "bound2": t2, "majbound": t3}
-    chosen = max(trees, key=lambda k: trees[k].leaf_count)
-    for label in ("bound1", "bound2", "majbound"):  # earliest wins ties
-        if trees[label].leaf_count == trees[chosen].leaf_count:
-            chosen = label
-            break
+    chosen = max(trees, key=lambda k: trees[k].leaf_count)  # earliest wins ties
     lower = max(Fraction(l, 30), Fraction(h - l))
     upper = max(l + 2 * h, 1)  # a one-vertex core has l = h = 0 and one leaf
     best = trees[chosen]
@@ -243,9 +240,7 @@ def sqrt_opt_tree(d0):
         candidates.append(large_indegree_witness(reduced, best_x))
     candidates.append(bfs_tree(reduced))
     if reduced.n >= 3:
-        d_norm, note = normalize(reduced)
-        if not note.merged:
-            candidates.append(numbering_bound_tree(d_norm))
+        candidates.append(kernel_numbering_tree(reduced))
     best = max(candidates, key=lambda t: t.leaf_count)
     floor_bound = math.isqrt(reduced.n // 90)
     if best.leaf_count < floor_bound:

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import graphio
-from .approx import approximate, approximate_each_root, sqrt_opt_tree
+from .approx import approximate, approximate_each_root
 from .digraph import verify_outbranching
 from .errors import (GraphFormatError, InfeasibleError, InternalInvariantError,
                      PreconditionError)

@@ -19,6 +19,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import InternalInvariantError
+
 
 class RootedDigraph:
     """Immutable rooted digraph over integer vertex ids (not necessarily dense)."""
@@ -148,35 +150,51 @@ def build(n, root, arcs):
 
 
 @dataclass(frozen=True)
-class NormalizationNote:
-    """Ordered record of what normalization did.
+class NormDeleteStep:
+    arcs: tuple
 
-    events is a sequence of ('del', arcs_tuple) and ('merge', absorbed_id)
-    entries, in application order.  Replaying them on the input digraph gives
-    the normalized digraph.
-    """
+    def apply(self, d):
+        return d.without_arcs(self.arcs)
 
-    events: tuple
+    def lift(self, tree):
+        return tree
 
-    @property
-    def merged(self):
-        return [payload for kind, payload in self.events if kind == "merge"]
+    def __str__(self):
+        pairs = " ".join(f"{u}>{v}" for u, v in self.arcs)
+        return f"norm-del {pairs}"
+
+
+@dataclass(frozen=True)
+class NormMergeStep:
+    absorbed: int
+
+    def apply(self, d):
+        if d.root_out() != (self.absorbed,):
+            raise InternalInvariantError("merge replay does not match the recorded digraph")
+        return d.contracted(d.root, self.absorbed)
+
+    def lift(self, tree):
+        root = tree.root
+        parent = {c: (self.absorbed if p == root else p) for c, p in tree.parent.items()}
+        parent[self.absorbed] = root
+        return Outbranching(root, parent)
+
+    def __str__(self):
+        return f"norm-merge {self.absorbed}"
 
 
 def _illegal_arcs(d):
+    """Arcs into r and arcs into a root outneighbor from anywhere but r, sorted."""
     r = d.root
-    root_out = set(d.root_out())
-    bad = []
-    for u, v in d.arcs():
-        if v == r:
-            bad.append((u, v))
-        elif v in root_out and u != r:
-            bad.append((u, v))
-    return bad
+    bad = [(u, r) for u in d.in_neighbors(r)]
+    for v in d.root_out():
+        bad.extend((u, v) for u in d.in_neighbors(v) if u != r)
+    return sorted(bad)
 
 
 def normalize(d):
-    """Enforce the standing root assumptions; returns (digraph, NormalizationNote).
+    """Enforce the standing root assumptions; returns the digraph and the
+    tuple of `NormDeleteStep` / `NormMergeStep` rewrites applied, in order.
 
     Deletes arcs into r, deletes arcs into outneighbors of r coming from
     anywhere but r, and merges r with its unique outneighbor while the root
@@ -186,21 +204,17 @@ def normalize(d):
     arcs are gone the only arc into the merged outneighbor is the root's, so
     the merge is a plain contraction.
     """
-    events = []
-    work = d
+    steps = []
     while True:
-        bad = _illegal_arcs(work)
+        bad = _illegal_arcs(d)
         if bad:
-            events.append(("del", tuple(bad)))
-            work = work.without_arcs(bad)
-            continue
-        if work.n > 2 and work.outdeg(work.root) == 1:
-            (u,) = work.root_out()
-            events.append(("merge", u))
-            work = work.contracted(work.root, u)
-            continue
-        break
-    return work, NormalizationNote(tuple(events))
+            step = NormDeleteStep(tuple(bad))
+        elif d.n > 2 and d.outdeg(d.root) == 1:
+            step = NormMergeStep(d.root_out()[0])
+        else:
+            return d, tuple(steps)
+        steps.append(step)
+        d = step.apply(d)
 
 
 def is_normalized(d):

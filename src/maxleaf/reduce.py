@@ -28,8 +28,27 @@ tree and pays the reachability pass only for heads with a tail it does not
 certify; the filter only keeps arcs, so every decision is the pass's own.
 
 The kernelizer applies rule 1 to exhaustion, then rule 3 to exhaustion, then
-one rule 2 contraction, re-normalizing after every rewrite, and loops until
-nothing applies.  An untouched input is returned exactly as given.
+rule 2 to exhaustion, re-normalizing after every rewrite, and each phase
+runs once.  An untouched input is returned exactly as given.  No phase
+re-enables an earlier rule:
+
+Lemma A (rule 3).  Say rule 3 deletes (y, x), with A = N-(x) - r.  Every
+simple root path to y meets some a in A - y before y, so replacing a
+segment a ... y -> x of a root path by the arc (a, x) gives a path on a
+subset of the same vertices.  Hence for every vertex set S the vertices
+reachable while avoiding S stay the same: no dominator changes and no
+cutvertex appears.  The normalization that follows only deletes arcs, which
+keeps reachability as shown above.  It never merges: root out-arcs are
+untouched, and a root outdegree of 1 with n > 2 would make that
+outneighbor a cutvertex.
+
+Lemma B (rule 2).  Contracting y into x in the bipath (u, x, y, z, t) maps
+every root path avoiding phi^-1(S) onto one avoiding S, and back, where phi
+maps y to x.  A simple path that meets y but not x ends at y, so {x, y}
+cuts a vertex only when x alone cuts it.  In-neighbor sets change only at
+u, x and z, and only by renaming y to x.  So on a digraph with no cutvertex
+and no rule 3 arc, the contraction and the normalization after it create
+neither.
 
 Every rewrite is logged as a step that can both replay forward on a digraph
 and lift a tree backward, so vertex ids stay in input coordinates.
@@ -40,47 +59,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import (Outbranching, RootedDigraph, bfs_tree, find_cutvertex,
-                      grow_tree, immediate_dominators, is_connected, normalize,
-                      reachable, verify_outbranching)
+from .digraph import (NormMergeStep, Outbranching, RootedDigraph, bfs_tree,
+                      find_cutvertex, grow_tree, immediate_dominators,
+                      is_connected, normalize, reachable, verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .bounds import numbering_bound_tree
 
-# -- trace steps ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NormDeleteStep:
-    arcs: tuple
-
-    def apply(self, d):
-        return d.without_arcs(self.arcs)
-
-    def lift(self, tree):
-        return tree
-
-    def __str__(self):
-        pairs = " ".join(f"{u}>{v}" for u, v in self.arcs)
-        return f"norm-del {pairs}"
-
-
-@dataclass(frozen=True)
-class NormMergeStep:
-    absorbed: int
-
-    def apply(self, d):
-        if d.root_out() != (self.absorbed,):
-            raise InternalInvariantError("merge replay does not match the recorded digraph")
-        return d.contracted(d.root, self.absorbed)
-
-    def lift(self, tree):
-        root = tree.root
-        parent = {c: (self.absorbed if p == root else p) for c, p in tree.parent.items()}
-        parent[self.absorbed] = root
-        return Outbranching(root, parent)
-
-    def __str__(self):
-        return f"norm-merge {self.absorbed}"
+# -- trace steps (the normalization steps live in digraph) --------------
 
 
 @dataclass(frozen=True)
@@ -370,11 +355,10 @@ def apply_rule3(d, x, y):
 
 
 def renormalize(d, steps):
-    """Normalize d, appending one trace step per normalization event."""
-    d2, note = normalize(d)
-    for kind, payload in note.events:
-        steps.append(NormDeleteStep(payload) if kind == "del" else NormMergeStep(payload))
-    return d2
+    """Normalize d, appending its normalization steps."""
+    d, norm = normalize(d)
+    steps.extend(norm)
+    return d
 
 
 class _DominatorTree:
@@ -437,7 +421,9 @@ def strip_cutvertices(d, steps):
 
 
 def kernelize(d):
-    """Apply the rules to a fixpoint; returns the reduced digraph and trace.
+    """Rule 1, then rule 3, then rule 2, each once to exhaustion, which by
+    lemmas A and B (module docstring) leaves no rule applicable; returns the
+    reduced digraph and trace.
 
     A digraph on which no rule applies is returned unchanged, without
     normalization; normalization runs only after an actual rewrite, since
@@ -446,25 +432,30 @@ def kernelize(d):
     if not rule0(d):
         raise InfeasibleError("some vertex is unreachable from the root")
     steps = []
-    work = d
-    while True:
-        before = len(steps)
-        work = strip_cutvertices(work, steps)
-        while True:
-            pair = find_rule3(work)
-            if pair is None:
-                break
-            work, st = apply_rule3(work, *pair)
-            steps.append(st)
-            work = renormalize(work, steps)
+    work = strip_cutvertices(d, steps)
+    pair = find_rule3(work)
+    while pair is not None:
+        work, st = apply_rule3(work, *pair)
+        steps.append(st)
+        work = renormalize(work, steps)
+        pair = find_rule3(work)
+    p = find_bipath4(work)
+    while p is not None:
+        work, st = apply_rule2(work, p)
+        steps.append(st)
+        work = renormalize(work, steps)
         p = find_bipath4(work)
-        if p is not None:
-            work, st = apply_rule2(work, p)
-            steps.append(st)
-            work = renormalize(work, steps)
-        if len(steps) == before:
-            break
     return work, ReductionTrace(tuple(steps))
+
+
+def kernel_numbering_tree(reduced):
+    """`numbering_bound_tree` on the normalized kernel.  Normalizing a
+    kernel never merges: it is normalized after any rewrite, and an untouched
+    input with root outdegree 1 and n > 2 has a cutvertex."""
+    d_norm, steps = normalize(reduced)
+    if any(isinstance(step, NormMergeStep) for step in steps):
+        raise InternalInvariantError("normalizing a kernel merged the root")
+    return numbering_bound_tree(d_norm)
 
 
 # -- witnesses and the kernel decision ------------------------------------
@@ -564,10 +555,7 @@ def decide(d, k):
     verdict = KernelDecision("REDUCED", None, reduced, trace, k)
     if reduced.n < verdict.threshold:
         return verdict
-    d_norm, note = normalize(reduced)
-    if note.merged:
-        raise InternalInvariantError("reduced 2-connected digraph should not merge")
-    best = numbering_bound_tree(d_norm)
+    best = kernel_numbering_tree(reduced)
     if best.leaf_count < k:
         raise InternalInvariantError(
             f"tree bounds produced {best.leaf_count} < k={k} leaves above the size threshold")

@@ -7,9 +7,11 @@ from itertools import combinations
 
 from maxleaf.digraph import (RootedDigraph, build, find_cutvertex, is_2connected,
                              normalize, reachable)
-from maxleaf.errors import InternalInvariantError
+from maxleaf.errors import InfeasibleError, InternalInvariantError
 from maxleaf.gen import gen_random
-from maxleaf.reduce import apply_rule1, iter_bipath4, iter_rule3, renormalize
+from maxleaf.reduce import (ReductionTrace, apply_rule1, apply_rule2, apply_rule3,
+                            find_bipath4, find_rule3, iter_bipath4, iter_rule3,
+                            renormalize, rule0, strip_cutvertices)
 from maxleaf.digraph import cutvertices as idom_cutvertices
 
 
@@ -69,6 +71,38 @@ def raw_digraph(seed):
             if u != v and rng.random() < p:
                 arcs.add((u, v))
     return RootedDigraph(range(n), root, sorted(arcs))
+
+
+def chain_planted_corpus(count, seed_base, raw):
+    """Digraphs connected from the root: a raw base (`raw_digraph`) or a
+    `gen_random` base with n from 6 to 30 and p from 1.2/n to 3/n, plus 1 to
+    3 chains of 2-circuits, each of 3 to 10 new vertices, between two
+    distinct vertices of the base (the root only when it has in-arcs).  The
+    results are not normalized."""
+    out = []
+    seed = seed_base
+    while len(out) < count:
+        rng = random.Random(seed)
+        if raw:
+            base = raw_digraph(seed)
+        else:
+            n = rng.randint(6, 30)
+            base = gen_random(n, rng.uniform(1.2 / n, 3 / n), seed)
+        ends = [v for v in base.vertices if v != base.root or base.indeg(base.root)]
+        vertices = list(base.vertices)
+        arcs = list(base.arc_set())
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.sample(ends, 2)
+            start = max(vertices) + 1
+            chain = list(range(start, start + rng.randint(3, 10)))
+            vertices += chain
+            for u, v in zip([a] + chain, chain + [b]):
+                arcs += [(u, v), (v, u)]
+        d = RootedDigraph(vertices, base.root, arcs)
+        if rule0(d):
+            out.append(d)
+        seed += 1
+    return out
 
 
 def mixed_rule_corpus(count, seed_base):
@@ -273,6 +307,34 @@ def recomputing_strip(d, steps):
         d, st = apply_rule1(d, x)
         steps.append(st)
         d = renormalize(d, steps)
+
+
+def fixpoint_kernelize(d):
+    """Rule 1 to exhaustion, rule 3 to exhaustion, then one rule 2
+    contraction, re-normalizing after every rewrite, in a loop that repeats
+    until a whole round rewrites nothing."""
+    if not rule0(d):
+        raise InfeasibleError("some vertex is unreachable from the root")
+    steps = []
+    work = d
+    while True:
+        before = len(steps)
+        work = strip_cutvertices(work, steps)
+        while True:
+            pair = find_rule3(work)
+            if pair is None:
+                break
+            work, st = apply_rule3(work, *pair)
+            steps.append(st)
+            work = renormalize(work, steps)
+        p = find_bipath4(work)
+        if p is not None:
+            work, st = apply_rule2(work, p)
+            steps.append(st)
+            work = renormalize(work, steps)
+        if len(steps) == before:
+            break
+    return work, ReductionTrace(tuple(steps))
 
 
 def brute_min_vertex_cover(vertices, edges):

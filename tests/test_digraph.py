@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
                              dominators_from_maps, find_cutvertex,
                              immediate_dominators, is_2connected, is_connected,
-                             is_normalized, normalize, Outbranching,
-                             reachable, verify_outbranching)
+                             is_normalized, normalize, NormMergeStep,
+                             Outbranching, reachable, verify_outbranching)
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.stnum import RootPathNetwork, two_disjoint_root_paths
@@ -51,8 +51,8 @@ def test_normalize_removes_arcs_into_root_outneighbors():
 
 def test_normalize_merges_single_outneighbor():
     raw = build(4, 0, [(0, 1), (1, 2), (1, 3), (2, 3)])
-    d, note = normalize(raw)
-    assert note.merged == [1]
+    d, steps = normalize(raw)
+    assert [s.absorbed for s in steps if isinstance(s, NormMergeStep)] == [1]
     assert d.root_out() == (2, 3)
     assert maxleaf_exact(raw).maxleaf == maxleaf_exact(d).maxleaf == 2
 

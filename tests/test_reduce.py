@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from maxleaf import digraph, reduce
@@ -6,13 +9,15 @@ from maxleaf.digraph import (build, cutvertices, immediate_dominators,
 from maxleaf.errors import InfeasibleError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_dipath, gen_random, gen_star, gen_t_l
-from maxleaf.reduce import (NormMergeStep, ReductionTrace, apply_rule1,
-                            apply_rule2, apply_rule3, decide, find_bipath4,
-                            find_rule3, is_bipath4, iter_bipath4, iter_rule3,
-                            kernelize, large_indegree_witness, lift, rule0,
+from maxleaf.reduce import (NormMergeStep, ReductionTrace, Rule1Step, Rule2Step,
+                            Rule3Step, apply_rule1, apply_rule2, apply_rule3,
+                            decide, find_bipath4, find_rule3, is_bipath4,
+                            iter_bipath4, iter_rule3, kernelize,
+                            large_indegree_witness, lift, rule0,
                             strip_cutvertices)
 
-from support import (all_rule_applications, mixed_rule_corpus, per_arc_rule3,
+from support import (all_rule_applications, chain_planted_corpus,
+                     fixpoint_kernelize, mixed_rule_corpus, per_arc_rule3,
                      random_instances, raw_digraph, recomputing_strip)
 
 
@@ -236,6 +241,46 @@ def test_kernelize_output_admits_no_rule():
         assert not all_rule_applications(red)
         assert trace.replay(d) == red
         assert maxleaf_exact(d).maxleaf == maxleaf_exact(red).maxleaf
+
+
+def test_kernelize_matches_fixpoint_loop():
+    raw = chain_planted_corpus(150, 7000, raw=True)
+    corpus = raw + chain_planted_corpus(150, 7000, raw=False)
+    corpus += [d for d in map(raw_digraph, range(7400, 7650)) if rule0(d)][:150]
+    for seed in range(7700, 7800):
+        n = random.Random(seed).randint(10, 60)
+        corpus.append(gen_random(n, random.Random(-seed).uniform(1.2 / n, 3 / n), seed))
+    fired = Counter()
+    rule2_first = 0
+    for i, d in enumerate(corpus):
+        red, trace = kernelize(d)
+        want, want_trace = fixpoint_kernelize(d)
+        assert red == want
+        assert trace.to_text() == want_trace.to_text()
+        kinds = [type(s) for s in trace.steps
+                 if isinstance(s, (Rule1Step, Rule2Step, Rule3Step))]
+        fired.update(kinds)
+        rule2_first += i < len(raw) and kinds[:1] == [Rule2Step]
+    assert len(corpus) == 550 and fired[Rule2Step] > 1000 and fired[Rule3Step] > 200
+    assert rule2_first > 0
+
+
+def test_kernelize_runs_each_rule_once(monkeypatch):
+    corpus = chain_planted_corpus(40, 7900, raw=True)
+    corpus += chain_planted_corpus(40, 7900, raw=False)
+    scans = {name: count_calls(monkeypatch, reduce, name)
+             for name in ("find_cutvertex", "find_rule3", "find_bipath4")}
+    fired = Counter()
+    for d in corpus:
+        for calls in scans.values():
+            calls.clear()
+        _, trace = kernelize(d)
+        kinds = Counter(type(s) for s in trace.steps)
+        assert len(scans["find_cutvertex"]) == 1
+        assert len(scans["find_rule3"]) == kinds[Rule3Step] + 1
+        assert len(scans["find_bipath4"]) == kinds[Rule2Step] + 1
+        fired.update(kinds)
+    assert fired[Rule1Step] and fired[Rule2Step] and fired[Rule3Step]
 
 
 def test_kernelize_deterministic():
