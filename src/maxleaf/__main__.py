@@ -1,3 +1,4 @@
 from .cli import entry
 
-entry()
+if __name__ == "__main__":
+    entry()

@@ -17,8 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import (Outbranching, RootedDigraph, bfs_tree, classify,
-                      verify_outbranching)
+from .digraph import (Outbranching, RootedDigraph, WorkGraph, bfs_tree,
+                      classify, verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError
 from .bounds import bound1_tree, bound2_tree
 from .reduce import (ReductionTrace, kernel_numbering_tree, kernelize,
@@ -188,7 +188,8 @@ def approximate(d0):
     if not rule0(d0):
         raise InfeasibleError("some vertex is unreachable from the root")
     steps = []
-    core = strip_cutvertices(renormalize(d0, steps), steps)
+    work = strip_cutvertices(renormalize(WorkGraph(d0), steps), steps)
+    core = work.freeze() if steps else d0
     trace = ReductionTrace(tuple(steps))
     cls = classify(core)
     paths = weak_bipaths(core, cls)

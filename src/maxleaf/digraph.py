@@ -11,7 +11,9 @@ when it has no cut of size at most 1.  A cut of size 1 is a cutvertex.
 
 Vertex ids are stable across transformations: derived digraphs keep the ids
 of surviving vertices, so trees and reports always speak in the coordinates
-of the instance they started from.
+of the instance they started from.  Rewriting algorithms copy their input
+into one `WorkGraph`, rewrite that in place, and turn it back into a
+`RootedDigraph` once.
 """
 from __future__ import annotations
 
@@ -97,39 +99,116 @@ class RootedDigraph:
     def __repr__(self):
         return f"RootedDigraph(n={self.n}, m={self.m}, root={self.root})"
 
-    # -- derived digraphs ----------------------------------------------
+    # -- derived digraphs (each one rewrite of a WorkGraph copy) ------------
 
     def without_arcs(self, arcs):
-        drop = set(arcs)
-        return RootedDigraph(self.vertices, self.root,
-                             (a for a in self._arcset if a not in drop))
+        return WorkGraph(self).without_arcs(arcs).freeze()
 
     def with_arcs(self, arcs):
         return RootedDigraph(self.vertices, self.root,
                              list(self._arcset) + list(arcs))
 
     def without_vertex(self, v, extra_arcs=()):
+        return WorkGraph(self).without_vertex(v, extra_arcs).freeze()
+
+    def contracted(self, keep, absorb):
+        """Merge vertex `absorb` into `keep`, rewriting arcs and dropping loops."""
+        return WorkGraph(self).contracted(keep, absorb).freeze()
+
+
+class WorkGraph:
+    """Mutable copy of a rooted digraph for the rewriting algorithms.
+
+    It answers the read interface of `RootedDigraph` that the rules and
+    `normalize` use, with adjacency sets as the raw maps that traversals
+    read, and sorted tuples from `out_neighbors`, `in_neighbors` and
+    `root_out` for the choices that shape an output.  `vertices` stays
+    ascending: the copy keeps its source's order and only ever deletes.
+
+    `without_arcs`, `without_vertex` and `contracted` rewrite it in place,
+    in time linear in the arcs they touch, and return it, so code written
+    as `d = step.apply(d)` serves both classes; `RootedDigraph`'s own
+    derived digraphs are these rewrites applied to a fresh copy.
+    """
+
+    __slots__ = ("root", "_out", "_in")
+
+    def __init__(self, d):
+        self.root = d.root
+        self._out = {v: set(d._out[v]) for v in d.vertices}
+        self._in = {v: set(d._in[v]) for v in d.vertices}
+
+    def freeze(self):
+        return RootedDigraph(self._out, self.root,
+                             ((u, v) for u, out in self._out.items() for v in out))
+
+    @property
+    def vertices(self):
+        return self._out.keys()
+
+    @property
+    def n(self):
+        return len(self._out)
+
+    @property
+    def m(self):
+        return sum(map(len, self._out.values()))
+
+    def out_neighbors(self, v):
+        return tuple(sorted(self._out[v]))
+
+    def in_neighbors(self, v):
+        return tuple(sorted(self._in[v]))
+
+    def outdeg(self, v):
+        return len(self._out[v])
+
+    def indeg(self, v):
+        return len(self._in[v])
+
+    def has_arc(self, u, v):
+        return v in self._out.get(u, ())
+
+    def root_out(self):
+        return self.out_neighbors(self.root)
+
+    def _add_arc(self, u, v):
+        if u == v:
+            raise ValueError(f"loop arc ({u}, {v})")
+        if u not in self._out or v not in self._out:
+            raise ValueError(f"arc ({u}, {v}) uses an unknown vertex")
+        self._out[u].add(v)
+        self._in[v].add(u)
+
+    def without_arcs(self, arcs):
+        """Delete the given arcs that are present."""
+        for u, v in arcs:
+            if self.has_arc(u, v):
+                self._out[u].remove(v)
+                self._in[v].remove(u)
+        return self
+
+    def without_vertex(self, v, extra_arcs=()):
+        """Delete v with its arcs, then add `extra_arcs`."""
         if v == self.root:
             raise ValueError("cannot delete the root")
-        keep = [w for w in self.vertices if w != v]
-        arcs = [a for a in self._arcset if v not in a]
-        arcs.extend(extra_arcs)
-        return RootedDigraph(keep, self.root, arcs)
+        outs = self._out.pop(v)
+        ins = self._in.pop(v)
+        for z in outs:
+            self._in[z].remove(v)
+        for u in ins:
+            self._out[u].remove(v)
+        for u, z in extra_arcs:
+            self._add_arc(u, z)
+        return self
 
     def contracted(self, keep, absorb):
         """Merge vertex `absorb` into `keep`, rewriting arcs and dropping loops."""
         if absorb == self.root:
             raise ValueError("cannot absorb the root")
-        arcs = []
-        for u, v in self._arcset:
-            if u == absorb:
-                u = keep
-            if v == absorb:
-                v = keep
-            if u != v:
-                arcs.append((u, v))
-        keep_vs = [w for w in self.vertices if w != absorb]
-        return RootedDigraph(keep_vs, self.root, arcs)
+        arcs = [(keep, z) for z in self._out[absorb] if z != keep]
+        arcs += [(u, keep) for u in self._in[absorb] if u != keep]
+        return self.without_vertex(absorb, arcs)
 
 
 def build(n, root, arcs):
@@ -186,15 +265,16 @@ class NormMergeStep:
 def _illegal_arcs(d):
     """Arcs into r and arcs into a root outneighbor from anywhere but r, sorted."""
     r = d.root
-    bad = [(u, r) for u in d.in_neighbors(r)]
-    for v in d.root_out():
-        bad.extend((u, v) for u in d.in_neighbors(v) if u != r)
+    bad = [(u, r) for u in d._in[r]]
+    for v in d._out[r]:
+        bad.extend((u, v) for u in d._in[v] if u != r)
     return sorted(bad)
 
 
 def normalize(d):
     """Enforce the standing root assumptions; returns the digraph and the
     tuple of `NormDeleteStep` / `NormMergeStep` rewrites applied, in order.
+    A `WorkGraph` is rewritten in place and returned.
 
     Deletes arcs into r, deletes arcs into outneighbors of r coming from
     anywhere but r, and merges r with its unique outneighbor while the root
@@ -253,62 +333,78 @@ def is_connected(d):
 
 
 def immediate_dominators(d):
-    """Iterative immediate-dominator computation from the root.
+    """Immediate dominators from the root (`dominators_from_maps`).
 
     Returns a dict mapping every reachable vertex to its immediate dominator
-    (the root maps to itself).  Requires all vertices reachable.
+    (the root maps to itself).
     """
     return dominators_from_maps(d.root, d._out, d._in)
 
 
 def dominators_from_maps(root, out_map, in_map):
-    """Immediate dominators on adjacency maps (Cooper, Harvey and Kennedy's
-    iterative scheme over a reverse postorder).  The neighbor collections
-    may come in any order: the dominator tree is unique, and the visit order
-    only changes how fast the fixpoint converges."""
-    order = []
-    index = {}
-    seen = {root}
-    stack = [(root, iter(out_map[root]))]
+    """Immediate dominators of the vertices reachable from `root` on
+    adjacency maps: Lengauer and Tarjan's algorithm, simple version with
+    path compression ("A fast algorithm for finding dominators in a
+    flowgraph", TOPLAS 1(1), 1979), over one depth-first numbering.  The
+    neighbor collections may come in any order, since the dominator tree is
+    unique; unreachable in-neighbors are ignored."""
+    order = [root]  # vertices by depth-first number
+    num = {root: 0}
+    parent = [0]
+    stack = [(0, iter(out_map[root]))]
     while stack:
-        u, it = stack[-1]
-        advanced = False
+        k, it = stack[-1]
         for v in it:
-            if v not in seen:
-                seen.add(v)
-                stack.append((v, iter(out_map[v])))
-                advanced = True
+            if v not in num:
+                num[v] = len(order)
+                order.append(v)
+                parent.append(k)
+                stack.append((num[v], iter(out_map[v])))
                 break
-        if not advanced:
-            order.append(u)
+        else:
             stack.pop()
-    order.reverse()  # reverse postorder
-    for i, v in enumerate(order):
-        index[v] = i
-    idom = {root: root}
+    size = len(order)
+    semi = list(range(size))
+    label = list(range(size))
+    ancestor = [-1] * size  # the forest linked so far; -1 marks a tree root
+    idom = [0] * size
+    bucket = [[] for _ in range(size)]
 
-    def intersect(a, b):
-        while a != b:
-            while index[a] > index[b]:
-                a = idom[a]
-            while index[b] > index[a]:
-                b = idom[b]
-        return a
+    def evaluate(v):
+        """The vertex of least semidominator on v's forest path, below its
+        forest root, compressing that path."""
+        if ancestor[v] < 0:
+            return v
+        chain = []
+        u = v
+        while ancestor[ancestor[u]] >= 0:
+            chain.append(u)
+            u = ancestor[u]
+        for u in reversed(chain):
+            a = ancestor[u]
+            if semi[label[a]] < semi[label[u]]:
+                label[u] = label[a]
+            ancestor[u] = ancestor[a]
+        return label[v]
 
-    changed = True
-    while changed:
-        changed = False
-        for v in order:
-            if v == root:
-                continue
-            new = None
-            for p in in_map[v]:
-                if p in idom:
-                    new = p if new is None else intersect(p, new)
-            if new is not None and idom.get(v) != new:
-                idom[v] = new
-                changed = True
-    return idom
+    for w in range(size - 1, 0, -1):
+        for p in in_map[order[w]]:
+            k = num.get(p)
+            if k is not None:
+                s = semi[evaluate(k)]
+                if s < semi[w]:
+                    semi[w] = s
+        bucket[semi[w]].append(w)
+        p = parent[w]
+        ancestor[w] = p
+        for v in bucket[p]:
+            u = evaluate(v)
+            idom[v] = u if semi[u] < semi[v] else p
+        bucket[p] = []
+    for w in range(1, size):
+        if idom[w] != semi[w]:
+            idom[w] = idom[idom[w]]
+    return {v: order[idom[k]] for k, v in enumerate(order)}
 
 
 def cutvertices(d):

@@ -50,8 +50,27 @@ u, x and z, and only by renaming y to x.  So on a digraph with no cutvertex
 and no rule 3 arc, the contraction and the normalization after it create
 neither.
 
-Every rewrite is logged as a step that can both replay forward on a digraph
-and lift a tree backward, so vertex ids stay in input coordinates.
+Resuming rule 3.  With A = N-(x) - r, rule 3 deletes (y, x) exactly when
+y is unreachable while avoiding A - y, so its decisions depend only on the
+in-neighbors of heads and on the sets reachable while avoiding a vertex
+set.  By lemma A a deletion keeps every such set and changes the
+in-neighbors of its own head only.  The normalization after it deletes
+arcs only, which keeps those sets as shown above, and a head whose
+in-neighbors it changes is a root outneighbor, left with the root as its
+only in-neighbor.  So no head before the last deletion's head gains a
+deletion, and the phase resumes its scan at that head.
+
+Two in-neighbors.  The rule 3 phase runs without a cutvertex: rule 1 has
+run to exhaustion, and by lemma A neither a deletion nor the normalization
+after it creates one.  At a head x with exactly two non-root in-neighbors
+a and b, (a, x) goes only when a is unreachable while avoiding b, that is
+when b dominates a and so is a cutvertex.  Hence in that phase such a head
+keeps both arcs, and the resumed scans skip it without a search.
+
+The rewrites run on one `WorkGraph`: each costs time linear in the arcs
+it touches, and `RootedDigraph` is built once, for the kernel.  Every
+rewrite is logged as a step that can both replay forward on a digraph and
+lift a tree backward, so vertex ids stay in input coordinates.
 """
 from __future__ import annotations
 
@@ -59,8 +78,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import (NormMergeStep, Outbranching, RootedDigraph, bfs_tree,
-                      find_cutvertex, grow_tree, immediate_dominators,
+from .digraph import (NormMergeStep, Outbranching, RootedDigraph, WorkGraph,
+                      bfs_tree, find_cutvertex, grow_tree, immediate_dominators,
                       is_connected, normalize, reachable, verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .bounds import numbering_bound_tree
@@ -200,14 +219,14 @@ def _is_cutvertex(d, x):
         seen.add(start)
         queue = deque([start])
         while queue:
-            for v in d.out_neighbors(queue.popleft()):
+            for v in d._out[queue.popleft()]:
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
 
     sweep(d.root)
     avoiding = len(seen)
-    x_reached = any(w in seen for w in d.in_neighbors(x))
+    x_reached = any(w in seen for w in d._in[x])
     if x_reached:
         sweep(x)
     if not x_reached or len(seen) < d.n:
@@ -241,10 +260,10 @@ def _chain_partner_map(d):
     """v -> (a, b) when v's arcs are exactly the 2-circuits with a and b."""
     partners = {}
     for v in d.vertices:
-        if v == d.root:
+        if v == d.root or d.outdeg(v) != 2 or d.indeg(v) != 2:
             continue
         outs = d.out_neighbors(v)
-        if len(outs) == 2 and outs == d.in_neighbors(v):
+        if outs == d.in_neighbors(v):
             partners[v] = outs
     return partners
 
@@ -289,7 +308,7 @@ def _rule3_tails(d, x):
     if len(tails) < 2:
         return []
     seen = reachable(d, tails)
-    return [y for y in tails if not any(w in seen for w in d.in_neighbors(y))]
+    return [y for y in tails if not any(w in seen for w in d._in[y])]
 
 
 def _needs_search(d, tails, parent):
@@ -298,7 +317,7 @@ def _needs_search(d, tails, parent):
     tail, so each tail with one keeps its arc."""
     blocked = set(tails)
     for y in tails:
-        for w in d.in_neighbors(y):
+        for w in d._in[y]:
             while w not in blocked and w != d.root:
                 w = parent[w]
             if w == d.root:
@@ -308,24 +327,29 @@ def _needs_search(d, tails, parent):
     return False
 
 
-def iter_rule3(d):
+def iter_rule3(d, start=None):
     """Every arc (y, x) rule 3 deletes, as (x, y), by ascending head x and
     then tail y.
 
-    At the first head with two non-root in-neighbors, a breadth-first
-    spanning out-tree is grown once for the scan.  With A the non-root
-    in-neighbors of x, (y, x) stays when an in-neighbor of y has a tree path
-    from the root that meets no vertex of A.  Only a head with a tail
-    lacking such a certificate pays `_rule3_tails`' reachability pass, and
-    since the filter only keeps arcs, the result is that of the pass on
+    At the first head with enough non-root in-neighbors to search, a
+    breadth-first spanning out-tree is grown once for the scan.  With A the
+    non-root in-neighbors of x, (y, x) stays when an in-neighbor of y has a
+    tree path from the root that meets no vertex of A.  Only a head with a
+    tail lacking such a certificate pays `_rule3_tails`' reachability pass,
+    and since the filter only keeps arcs, the result is that of the pass on
     every head.  When the root does not reach every vertex, every head pays.
+
+    `start` resumes kernelize's rule 3 phase, where d has no cutvertex
+    (module docstring): the scan begins at head `start` and skips every
+    head with exactly two non-root in-neighbors, which then keeps both arcs.
     """
     parent = None
+    fewest = 2 if start is None else 3
     for x in d.vertices:
-        if x == d.root:
+        if x == d.root or (start is not None and x < start):
             continue
-        tails = [y for y in d.in_neighbors(x) if y != d.root]
-        if len(tails) < 2:
+        tails = [y for y in d._in[x] if y != d.root]
+        if len(tails) < fewest:
             continue
         if parent is None:
             parent = grow_tree(d).parent
@@ -337,13 +361,13 @@ def iter_rule3(d):
             yield x, y
 
 
-def find_rule3(d):
-    return next(iter_rule3(d), None)
+def find_rule3(d, start=None):
+    return next(iter_rule3(d, start), None)
 
 
 def apply_rule3(d, x, y):
     """Delete the arc (y, x) when the other in-neighbors of x cut y from r."""
-    if y not in d.in_neighbors(x):
+    if not d.has_arc(y, x):
         raise ValueError(f"{y} is not an in-neighbor of {x}")
     if y not in _rule3_tails(d, x):
         raise ValueError(f"in-neighbors of {x} other than {y} do not cut {y} from the root")
@@ -425,6 +449,8 @@ def kernelize(d):
     lemmas A and B (module docstring) leaves no rule applicable; returns the
     reduced digraph and trace.
 
+    The rewrites run on one `WorkGraph` copy of d, and the rule 3 phase
+    resumes its scan at the head of the last deletion (module docstring).
     A digraph on which no rule applies is returned unchanged, without
     normalization; normalization runs only after an actual rewrite, since
     shortcut arcs can violate the standing root assumptions.
@@ -432,20 +458,20 @@ def kernelize(d):
     if not rule0(d):
         raise InfeasibleError("some vertex is unreachable from the root")
     steps = []
-    work = strip_cutvertices(d, steps)
-    pair = find_rule3(work)
+    work = strip_cutvertices(WorkGraph(d), steps)
+    pair = find_rule3(work, start=min(work.vertices))
     while pair is not None:
         work, st = apply_rule3(work, *pair)
         steps.append(st)
         work = renormalize(work, steps)
-        pair = find_rule3(work)
+        pair = find_rule3(work, start=pair[0])
     p = find_bipath4(work)
     while p is not None:
         work, st = apply_rule2(work, p)
         steps.append(st)
         work = renormalize(work, steps)
         p = find_bipath4(work)
-    return work, ReductionTrace(tuple(steps))
+    return (work.freeze() if steps else d), ReductionTrace(tuple(steps))
 
 
 def kernel_numbering_tree(reduced):

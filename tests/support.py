@@ -5,13 +5,14 @@ import random
 from collections import defaultdict, deque
 from itertools import combinations
 
-from maxleaf.digraph import (RootedDigraph, build, find_cutvertex, is_2connected,
-                             normalize, reachable)
+from maxleaf.digraph import (NormDeleteStep, RootedDigraph, build, find_cutvertex,
+                             is_2connected, normalize, reachable)
 from maxleaf.errors import InfeasibleError, InternalInvariantError
 from maxleaf.gen import gen_random
-from maxleaf.reduce import (ReductionTrace, apply_rule1, apply_rule2, apply_rule3,
-                            find_bipath4, find_rule3, iter_bipath4, iter_rule3,
-                            renormalize, rule0, strip_cutvertices)
+from maxleaf.reduce import (ReductionTrace, Rule1Step, Rule2Step, Rule3Step,
+                            apply_rule1, apply_rule2, apply_rule3, find_bipath4,
+                            find_rule3, iter_bipath4, iter_rule3, renormalize,
+                            rule0, strip_cutvertices)
 from maxleaf.digraph import cutvertices as idom_cutvertices
 
 
@@ -184,6 +185,76 @@ def brute_idom(d):
         if v != d.root:
             idom[v] = max(doms[v] - {v}, key=lambda x: len(doms[x]))
     return idom
+
+
+def iterative_idom(root, out_map, in_map):
+    """Immediate dominators of the vertices reachable from `root` by Cooper,
+    Harvey and Kennedy's iterative scheme: intersect the dominator chains of
+    the processed in-neighbors over a reverse postorder until nothing
+    changes."""
+    order = []
+    seen = {root}
+    stack = [(root, iter(out_map[root]))]
+    while stack:
+        u, it = stack[-1]
+        for v in it:
+            if v not in seen:
+                seen.add(v)
+                stack.append((v, iter(out_map[v])))
+                break
+        else:
+            order.append(u)
+            stack.pop()
+    order.reverse()
+    index = {v: i for i, v in enumerate(order)}
+    idom = {root: root}
+
+    def intersect(a, b):
+        while a != b:
+            while index[a] > index[b]:
+                a = idom[a]
+            while index[b] > index[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for v in order[1:]:
+            new = None
+            for p in in_map[v]:
+                if p in idom:
+                    new = p if new is None else intersect(p, new)
+            if new is not None and idom.get(v) != new:
+                idom[v] = new
+                changed = True
+    return idom
+
+
+def rebuilt(d, step):
+    """The digraph after one trace step, rebuilt from d's arc list: the
+    immutable path that the in-place rewrites must agree with."""
+    arcs = d.arcs()
+    vertices = list(d.vertices)
+    if isinstance(step, (Rule3Step, NormDeleteStep)):
+        drop = {(step.y, step.x)} if isinstance(step, Rule3Step) else set(step.arcs)
+        return RootedDigraph(vertices, d.root, [a for a in arcs if a not in drop])
+    if isinstance(step, Rule1Step):
+        keep = [a for a in arcs if step.x not in a] + list(step.shortcuts)
+        return RootedDigraph([v for v in vertices if v != step.x], d.root, keep)
+    keep, absorb = ((step.x, step.y) if isinstance(step, Rule2Step)
+                    else (d.root, step.absorbed))
+    merged = [(keep if u == absorb else u, keep if v == absorb else v) for u, v in arcs]
+    return RootedDigraph([v for v in vertices if v != absorb], d.root,
+                         [(u, v) for u, v in merged if u != v])
+
+
+def relabelled(d, seed):
+    """d with its vertex ids shuffled, so that id order no longer follows
+    the construction order."""
+    ids = random.Random(seed).sample(range(d.n), d.n)
+    name = dict(zip(d.vertices, ids))
+    return RootedDigraph(ids, name[d.root], [(name[u], name[v]) for u, v in d.arcs()])
 
 
 def per_arc_rule3(d, x, y):

@@ -1,3 +1,4 @@
+import importlib
 import io
 
 import pytest
@@ -241,3 +242,8 @@ def test_exact_broken_invariant_is_internal(tmp_path, monkeypatch):
 def test_command_is_looked_up_per_call(monkeypatch):
     monkeypatch.setattr("maxleaf.cli.cmd_verify", lambda args, out, err: 7)
     assert run(["verify", "g.graph", "g.tree"])[0] == 7
+
+
+def test_importing_the_main_module_runs_nothing(capsys):
+    importlib.import_module("maxleaf.__main__")
+    assert capsys.readouterr() == ("", "")

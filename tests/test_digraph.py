@@ -13,7 +13,8 @@ from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.stnum import RootPathNetwork, two_disjoint_root_paths
 
-from support import brute_cutvertices, brute_idom, random_instances
+from support import (brute_cutvertices, brute_idom, iterative_idom,
+                     random_instances, raw_digraph, relabelled)
 
 
 def test_build_smallest_star():
@@ -221,3 +222,18 @@ def test_dominators_ignore_adjacency_order():
             out_sets = {v: set(out_map[v]) for v in keys}
             in_sets = {v: set(in_map[v]) for v in keys}
             assert dominators_from_maps(d.root, out_sets, in_sets) == expected
+
+
+def test_dominators_match_iterative_oracle():
+    corpus = [relabelled(gen_t_l(l), l) for l in range(3, 11)]
+    corpus += [relabelled(gen_boloney(k), k) for k in (5, 20, 60)]
+    corpus += random_instances(40, 50, 300, seed_base=6100, p_lo=0.005, p_hi=0.03)
+    corpus += [raw_digraph(seed) for seed in range(6200, 6400)]  # some partly unreachable
+    partial = 0
+    for d in corpus:
+        out_map = {v: d.out_neighbors(v) for v in d.vertices}
+        in_map = {v: d.in_neighbors(v) for v in d.vertices}
+        idom = dominators_from_maps(d.root, out_map, in_map)
+        assert idom == iterative_idom(d.root, out_map, in_map)
+        partial += len(idom) < d.n
+    assert partial > 10

@@ -27,6 +27,7 @@ from maxleaf.approx import approximate, sqrt_opt_tree
 from maxleaf.digraph import RootedDigraph, build, find_cutvertex, normalize
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
+from maxleaf.graphio import format_graph
 from maxleaf.reduce import apply_rule1, decide, kernelize, rule0
 from maxleaf.stnum import rr_numbering
 
@@ -196,6 +197,17 @@ def test_golden_corpus_matches():
         f"changed facets {bad_facets}; changed instances {bad_instances[:20]}"
         f" ({len(bad_instances)} in all)")
     assert got == want
+
+
+def test_kernelize_n3000_matches_pinned_digests():
+    # the corpus above stops near n = 600; this pins one kernel an order of
+    # magnitude larger, with its 156-step trace
+    red, trace = kernelize(gen_random(3000, 0.001, seed=1))
+    assert (red.n, red.m, len(trace)) == (2848, 14633, 156)
+    assert hashlib.sha256(format_graph(red).encode()).hexdigest() == (
+        "4ab7aced0cc345b201632c3f5321998000bd14b5998ff0cbdf3faefe836fd791")
+    assert hashlib.sha256(trace.to_text().encode()).hexdigest() == (
+        "5d6d79a0631ee26c6f09a6acff01b7ab24b7965cde0b4c735716e1e78a1cc7ec")
 
 
 if __name__ == "__main__":

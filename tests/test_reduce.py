@@ -4,8 +4,9 @@ from collections import Counter
 import pytest
 
 from maxleaf import digraph, reduce
-from maxleaf.digraph import (build, cutvertices, immediate_dominators,
-                             verify_outbranching)
+from maxleaf.digraph import (NormDeleteStep, RootedDigraph, WorkGraph, build,
+                             cutvertices, find_cutvertex, immediate_dominators,
+                             normalize, verify_outbranching)
 from maxleaf.errors import InfeasibleError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_dipath, gen_random, gen_star, gen_t_l
@@ -18,7 +19,8 @@ from maxleaf.reduce import (NormMergeStep, ReductionTrace, Rule1Step, Rule2Step,
 
 from support import (all_rule_applications, chain_planted_corpus,
                      fixpoint_kernelize, mixed_rule_corpus, per_arc_rule3,
-                     random_instances, raw_digraph, recomputing_strip)
+                     random_instances, raw_digraph, rebuilt, recomputing_strip,
+                     relabelled)
 
 
 def test_rule0():
@@ -114,9 +116,9 @@ def count_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -251,7 +253,7 @@ def test_kernelize_matches_fixpoint_loop():
         n = random.Random(seed).randint(10, 60)
         corpus.append(gen_random(n, random.Random(-seed).uniform(1.2 / n, 3 / n), seed))
     fired = Counter()
-    rule2_first = 0
+    raw_first = Counter()
     for i, d in enumerate(corpus):
         red, trace = kernelize(d)
         want, want_trace = fixpoint_kernelize(d)
@@ -260,9 +262,12 @@ def test_kernelize_matches_fixpoint_loop():
         kinds = [type(s) for s in trace.steps
                  if isinstance(s, (Rule1Step, Rule2Step, Rule3Step))]
         fired.update(kinds)
-        rule2_first += i < len(raw) and kinds[:1] == [Rule2Step]
+        if i < len(raw):
+            raw_first.update(kinds[:1])
     assert len(corpus) == 550 and fired[Rule2Step] > 1000 and fired[Rule3Step] > 200
-    assert rule2_first > 0
+    # a raw input whose first rewrite is rule 3 resumes the rule 3 scan on
+    # a digraph that is not yet normalized
+    assert raw_first[Rule2Step] > 0 and raw_first[Rule3Step] > 0
 
 
 def test_kernelize_runs_each_rule_once(monkeypatch):
@@ -281,6 +286,89 @@ def test_kernelize_runs_each_rule_once(monkeypatch):
         assert len(scans["find_bipath4"]) == kinds[Rule2Step] + 1
         fired.update(kinds)
     assert fired[Rule1Step] and fired[Rule2Step] and fired[Rule3Step]
+
+
+def test_kernelize_builds_one_digraph(monkeypatch):
+    d = gen_random(800, 1.5 / 800, seed=2)
+    builds = count_calls(monkeypatch, digraph.RootedDigraph, "__init__")
+    _, trace = kernelize(d)
+    assert len(trace) > 150 and len(builds) <= 1
+
+
+def assert_same_digraph(work, d):
+    """The WorkGraph answers every query exactly as the RootedDigraph d."""
+    assert work.freeze() == d
+    assert (list(work.vertices), work.root, work.n, work.m) == (list(d.vertices), d.root, d.n, d.m)
+    assert work.root_out() == d.root_out()
+    for v in d.vertices:
+        assert work.out_neighbors(v) == d.out_neighbors(v)
+        assert work.in_neighbors(v) == d.in_neighbors(v)
+        assert (work.outdeg(v), work.indeg(v)) == (d.outdeg(v), d.indeg(v))
+    assert all(work.has_arc(u, v) for u, v in d.arcs())
+
+
+def test_work_graph_rewrites_match_rebuilt_digraphs():
+    """Random sequences of rule 1, rule 2, rule 3 and normalization rewrites,
+    applied in place to one WorkGraph and rebuilt from the arc list."""
+    corpus = [d for d in map(raw_digraph, range(3000, 3300)) if rule0(d)]
+    corpus += chain_planted_corpus(80, 3300, raw=True)
+    # a new root whose one arc enters the old root: normalization merges
+    corpus += [RootedDigraph([*d.vertices, d.n], d.n, d.arcs() + [(d.n, d.root)])
+               for d in corpus[:60]]
+    kinds = Counter()
+    for i, d in enumerate(corpus):
+        rng = random.Random(i)
+        work, ref = WorkGraph(d), d
+        for _ in range(rng.randint(1, 12)):
+            apps = all_rule_applications(ref)
+            want_norm = normalize(ref)[1]
+            if not apps and not want_norm:
+                break
+            if not apps or want_norm and rng.random() < 0.3:
+                work, steps = normalize(work)
+                assert steps == want_norm
+            else:
+                kind, payload = rng.choice(apps)
+                if kind == "rule1":
+                    work, step = apply_rule1(work, payload)
+                elif kind == "rule3":
+                    work, step = apply_rule3(work, *payload)
+                else:
+                    work, step = apply_rule2(work, payload)
+                steps = (step,)
+            for step in steps:
+                ref = rebuilt(ref, step)
+                kinds[type(step)] += 1
+            assert_same_digraph(work, ref)
+    assert min(kinds[k] for k in (Rule1Step, Rule2Step, Rule3Step, NormDeleteStep)) > 100
+    assert kinds[NormMergeStep] > 40
+
+
+def test_rule3_resumed_scan_matches_full_scan(monkeypatch):
+    corpus = [strip_cutvertices(d, []) for d in map(raw_digraph, range(3500, 3800)) if rule0(d)]
+    corpus += [strip_cutvertices(d, []) for d in chain_planted_corpus(100, 3800, raw=False)]
+    corpus += [relabelled(gen_t_l(l), l) for l in range(3, 8)]
+    searched = []  # the number of non-root in-neighbors of each head searched
+    real = reduce._rule3_tails
+
+    def counted(d, x):
+        searched.append(sum(y != d.root for y in d.in_neighbors(x)))
+        return real(d, x)
+
+    monkeypatch.setattr(reduce, "_rule3_tails", counted)
+    pairs = two_tail_searches = 0
+    for i, d in enumerate(corpus):
+        assert find_cutvertex(d) is None
+        searched.clear()
+        full = list(iter_rule3(d))
+        two_tail_searches += searched.count(2)
+        searched.clear()
+        assert list(iter_rule3(d, start=min(d.vertices))) == full
+        start = random.Random(i).choice(sorted(d.vertices))
+        assert list(iter_rule3(d, start=start)) == [(x, y) for x, y in full if x >= start]
+        assert 2 not in searched  # a head with two non-root in-neighbors keeps both arcs
+        pairs += len(full)
+    assert pairs > 100 and two_tail_searches > 100
 
 
 def test_kernelize_deterministic():
