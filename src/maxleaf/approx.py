@@ -16,6 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .digraph import (Outbranching, RootedDigraph, WorkGraph, bfs_tree,
                       classify, verify_outbranching)
@@ -89,6 +90,26 @@ def weak_bipaths(d, classification=None):
     return paths
 
 
+def _path_to_pending(d, reached, pending, nonspecial):
+    """Breadth-first search from the reached vertices, expanded in
+    ascending order and walking only through non-special vertices, until
+    it meets a pending special; returns that special and the map of each
+    newly discovered vertex to the vertex it was discovered from."""
+    prev = {}
+    queue = deque(sorted(reached))
+    while queue:
+        a = queue.popleft()
+        for b in d.out_neighbors(a):
+            if b in reached or b in prev:
+                continue
+            prev[b] = a
+            if b in pending:
+                return b, prev
+            if b in nonspecial:
+                queue.append(b)
+    raise InternalInvariantError("unreached special vertex in a connected digraph")
+
+
 def majbound_tree(d, classification=None, paths=None):
     """Out-tree with at least h - l leaves (h chains, l special vertices).
 
@@ -96,34 +117,43 @@ def majbound_tree(d, classification=None, paths=None):
     one chain and gains one special, and the root's outneighbors come free,
     so at most l - 2 chains are consumed; every untouched chain hangs as a
     pendant path contributing a leaf.
+
+    Each step takes the pending special that `_path_to_pending`'s search
+    meets first.  The search expands the reached vertices, ascending,
+    before anything it discovers, so when some arc (a, b) leads from a
+    reached a to a pending b, it meets the least such pair, ordered by a
+    and then b, at its first level.  A heap frontier holds the arcs from
+    reached vertices to specials, pushed as their tails are reached and
+    dropped lazily once their heads are, so its minimum is that pair; the
+    search runs only when no pending special is one arc away.
     """
     if d.n <= 2:
         return bfs_tree(d)
     cls = classification or classify(d)
     paths = paths if paths is not None else weak_bipaths(d, cls)
-    specials = cls.special
     nonspecial = cls.nonspecial
 
     parent = {}
-    reached = {d.root}
-    pending = set(specials)
+    reached = set()
+    pending = set(cls.special)
+    frontier = []
+
+    def reach(w):
+        reached.add(w)
+        for b in d.out_neighbors(w):
+            if b in pending:
+                heappush(frontier, (w, b))
+
+    reach(d.root)
     while pending:
-        prev = {}
-        queue = deque(sorted(reached))
-        target = None
-        while queue and target is None:
-            a = queue.popleft()
-            for b in d.out_neighbors(a):
-                if b in reached or b in prev:
-                    continue
-                prev[b] = a
-                if b in pending:
-                    target = b
-                    break
-                if b in nonspecial:
-                    queue.append(b)
-        if target is None:
-            raise InternalInvariantError("unreached special vertex in a connected digraph")
+        while frontier and frontier[0][1] not in pending:
+            heappop(frontier)
+        if frontier:
+            a, target = heappop(frontier)
+            prev = {target: a}
+        else:
+            target, prev = _path_to_pending(d, reached, pending, nonspecial)
+        pending.discard(target)
         v = target
         chain = []
         while v not in reached:
@@ -131,8 +161,7 @@ def majbound_tree(d, classification=None, paths=None):
             v = prev[v]
         for w in reversed(chain):
             parent[w] = prev[w]
-            reached.add(w)
-        pending.discard(target)
+            reach(w)
 
     for p in paths:
         verts = p.vertices

@@ -99,10 +99,10 @@ class RootedDigraph:
     def __repr__(self):
         return f"RootedDigraph(n={self.n}, m={self.m}, root={self.root})"
 
-    # -- derived digraphs (each one rewrite of a WorkGraph copy) ------------
+    # -- derived digraphs (filtered arcs, or one rewrite of a WorkGraph copy) -
 
     def without_arcs(self, arcs):
-        return WorkGraph(self).without_arcs(arcs).freeze()
+        return RootedDigraph(self.vertices, self.root, self._arcset.difference(arcs))
 
     def with_arcs(self, arcs):
         return RootedDigraph(self.vertices, self.root,
@@ -128,7 +128,8 @@ class WorkGraph:
     `without_arcs`, `without_vertex` and `contracted` rewrite it in place,
     in time linear in the arcs they touch, and return it, so code written
     as `d = step.apply(d)` serves both classes; `RootedDigraph`'s own
-    derived digraphs are these rewrites applied to a fresh copy.
+    `without_vertex` and `contracted` are these rewrites applied to a fresh
+    copy, while its `without_arcs` builds once from the filtered arc set.
     """
 
     __slots__ = ("root", "_out", "_in")
@@ -283,18 +284,29 @@ def normalize(d):
     merged vertex is internal in every spanning out-tree.  Once the illegal
     arcs are gone the only arc into the merged outneighbor is the root's, so
     the merge is a plain contraction.
+
+    A `RootedDigraph` is rewritten by at most one filtered build, for the
+    deletions before the first merge, and one `WorkGraph` copy, made at
+    that merge and frozen once at the end; one that needs no rewrite comes
+    back as given.
     """
     steps = []
+    work = d
     while True:
-        bad = _illegal_arcs(d)
+        bad = _illegal_arcs(work)
         if bad:
             step = NormDeleteStep(tuple(bad))
-        elif d.n > 2 and d.outdeg(d.root) == 1:
-            step = NormMergeStep(d.root_out()[0])
+        elif work.n > 2 and work.outdeg(work.root) == 1:
+            step = NormMergeStep(work.root_out()[0])
+            if isinstance(work, RootedDigraph):
+                work = WorkGraph(work)
         else:
-            return d, tuple(steps)
+            break
         steps.append(step)
-        d = step.apply(d)
+        work = step.apply(work)
+    if isinstance(work, WorkGraph) and work is not d:
+        work = work.freeze()
+    return work, tuple(steps)
 
 
 def is_normalized(d):

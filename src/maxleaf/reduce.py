@@ -60,6 +60,15 @@ in-neighbors it changes is a root outneighbor, left with the root as its
 only in-neighbor.  So no head before the last deletion's head gains a
 deletion, and the phase resumes its scan at that head.
 
+One certificate tree.  A breadth-first tree T is a shortest-path tree,
+and the rule 3 phase never deletes one of its arcs.  When rule 3 deletes
+(y, x), every root path to y meets some a in A - y before y, so
+dist(a) < dist(y), and x's tree parent p has dist(p) = dist(x) - 1 <=
+dist(a): p is not y.  Normalization deletes arcs into r, which has no
+parent, and arcs into a root outneighbor from tails other than r, its
+parent.  Deleting arcs never shortens a distance and T's paths survive,
+so T stays a shortest-path tree, and one T certifies for the whole phase.
+
 Two in-neighbors.  The rule 3 phase runs without a cutvertex: rule 1 has
 run to exhaustion, and by lemma A neither a deletion nor the normalization
 after it creates one.  At a head x with exactly two non-root in-neighbors
@@ -165,8 +174,12 @@ class Rule3Step:
     y: int
     x: int
 
+    @property
+    def arcs(self):
+        return ((self.y, self.x),)
+
     def apply(self, d):
-        return d.without_arcs([(self.y, self.x)])
+        return d.without_arcs(self.arcs)
 
     def lift(self, tree):
         return tree
@@ -327,7 +340,7 @@ def _needs_search(d, tails, parent):
     return False
 
 
-def iter_rule3(d, start=None):
+def iter_rule3(d, start=None, tree=None):
     """Every arc (y, x) rule 3 deletes, as (x, y), by ascending head x and
     then tail y.
 
@@ -342,8 +355,15 @@ def iter_rule3(d, start=None):
     `start` resumes kernelize's rule 3 phase, where d has no cutvertex
     (module docstring): the scan begins at head `start` and skips every
     head with exactly two non-root in-neighbors, which then keeps both arcs.
+
+    `tree`, a dict, carries the certificate across the calls of that
+    phase: an empty one is filled with the parent map of the tree the scan
+    grows, and a filled one is used as it is.  Any spanning out-tree of d
+    certifies, so the caller empties it only when a deletion removes one
+    of its arcs.
     """
-    parent = None
+    parent = {} if tree is None else tree
+    grown = bool(parent)
     fewest = 2 if start is None else 3
     for x in d.vertices:
         if x == d.root or (start is not None and x < start):
@@ -351,18 +371,19 @@ def iter_rule3(d, start=None):
         tails = [y for y in d._in[x] if y != d.root]
         if len(tails) < fewest:
             continue
-        if parent is None:
-            parent = grow_tree(d).parent
+        if not grown:
+            grown = True
+            parent.update(grow_tree(d).parent)
             if len(parent) < d.n - 1:
-                parent = {}
+                parent.clear()
         if parent and not _needs_search(d, tails, parent):
             continue
         for y in _rule3_tails(d, x):
             yield x, y
 
 
-def find_rule3(d, start=None):
-    return next(iter_rule3(d, start), None)
+def find_rule3(d, start=None, tree=None):
+    return next(iter_rule3(d, start, tree), None)
 
 
 def apply_rule3(d, x, y):
@@ -451,6 +472,9 @@ def kernelize(d):
 
     The rewrites run on one `WorkGraph` copy of d, and the rule 3 phase
     resumes its scan at the head of the last deletion (module docstring).
+    That phase keeps one certificate tree, grown again only after a
+    deletion removes one of its arcs, which a breadth-first tree never
+    loses there (module docstring).
     A digraph on which no rule applies is returned unchanged, without
     normalization; normalization runs only after an actual rewrite, since
     shortcut arcs can violate the standing root assumptions.
@@ -459,12 +483,16 @@ def kernelize(d):
         raise InfeasibleError("some vertex is unreachable from the root")
     steps = []
     work = strip_cutvertices(WorkGraph(d), steps)
-    pair = find_rule3(work, start=min(work.vertices))
+    tree = {}
+    pair = find_rule3(work, start=min(work.vertices), tree=tree)
     while pair is not None:
+        mark = len(steps)
         work, st = apply_rule3(work, *pair)
         steps.append(st)
         work = renormalize(work, steps)
-        pair = find_rule3(work, start=pair[0])
+        if any(tree.get(v) == u for step in steps[mark:] for u, v in step.arcs):
+            tree.clear()
+        pair = find_rule3(work, start=pair[0], tree=tree)
     p = find_bipath4(work)
     while p is not None:
         work, st = apply_rule2(work, p)

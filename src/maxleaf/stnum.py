@@ -13,16 +13,28 @@ non-root vertex has indegree at most 2.  Each such vertex keeps the last
 arcs of two internally disjoint root paths, found by flow in one network
 per digraph; that alone keeps the digraph 2-connected (see
 `reduce_indegrees`), so only the result is checked.  It then repeatedly
-eliminates a vertex of outdegree 0 (delete) or 1 (contract into its
-outneighbor) from a working copy without the arcs into r, and finally
+eliminates the smallest vertex of outdegree 0 (delete) or 1 (contract into
+its outneighbor) from a working copy without the arcs into r, and finally
 reinserts the eliminated vertices in reverse order, each at the smallest
 gap where its own and its outneighbor's side constraints hold (see
 `rr_numbering`).
+
+Neither stage rescans the digraph per vertex.  Tree-arc lemma: in a
+network without flow, the first augmentation toward x stops on discovering
+x's in-node, so its path is x's path in the network's breadth-first tree
+T; the second augmentation stops on reaching that in-node and never
+expands it, so it cannot cancel the flow on the tree arc into x, which is
+therefore one of the two kept arcs.  The reduction deletes only arcs
+outside T, and deleting an arc that the search never used to discover a
+node leaves T as it is, so one T serves every vertex of a network (see
+`RootPathNetwork` and `reduce_indegrees`).  Elimination never raises an
+outdegree, so its candidates come from a heap (see `rr_numbering`).
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .digraph import RootedDigraph, is_2connected
 from .errors import InternalInvariantError
@@ -94,6 +106,11 @@ class RootPathNetwork:
     out(u) -> in(v) of capacity 1.  Edge e's residual twin is e ^ 1, so
     forward edges have even ids.  Every node's edge list is sorted by head
     once, which makes augmenting paths break ties by ascending vertex id.
+
+    `tree()` is the breadth-first tree of the network without flow, from
+    the root's out-node, as a map from each reached node to the edge that
+    discovered it.  It is built on first use and kept until `delete_arc`
+    removes one of its edges (tree-arc lemma, module docstring).
     """
 
     def __init__(self, d):
@@ -109,6 +126,7 @@ class RootPathNetwork:
                          for u, v in d.arc_set()}
         for edges in self.edges:
             edges.sort()
+        self._tree = None
 
     def _add(self, a, b, capacity):
         e = len(self.head)
@@ -118,8 +136,39 @@ class RootPathNetwork:
         self.edges[b].append((a, e + 1))
         return e
 
+    def tree(self):
+        if self._tree is None:
+            cap, edges = self.cap, self.edges
+            s = self.node[self.root] + 1
+            via = {s: None}
+            queue = deque([s])
+            while queue:
+                for b, e in edges[queue.popleft()]:
+                    if cap[e] and b not in via:
+                        via[b] = e
+                        queue.append(b)
+            self._tree = via
+        return self._tree
+
     def delete_arc(self, u, v):
-        self.cap[self.arc_edge[(u, v)]] = 0
+        e = self.arc_edge[(u, v)]
+        self.cap[e] = 0
+        if self._tree is not None and self._tree.get(self.node[v]) == e:
+            self._tree = None
+
+
+def _augment(network, via, t, saved):
+    """Push one unit along the path to node t recorded in `via`, saving the
+    capacities it changes."""
+    cap, head = network.cap, network.head
+    b = t
+    while via[b] is not None:
+        e = via[b]
+        saved.setdefault(e, cap[e])
+        saved.setdefault(e ^ 1, cap[e ^ 1])
+        cap[e] -= 1
+        cap[e ^ 1] += 1
+        b = head[e ^ 1]
 
 
 def two_disjoint_root_paths(network, target):
@@ -129,38 +178,36 @@ def two_disjoint_root_paths(network, target):
     Two breadth-first augmentations on the network's capacities with the
     target's split edge at 2, each stopping when it reaches the target; the
     paths are then walked from the root along the flow, smallest first.
-    Only the entries those augmentations touched are saved, and they are
+    The first augmentation's path is the target's path in `network.tree()`
+    (tree-arc lemma, module docstring), so only the second one searches.
+    Only the entries the augmentations touched are saved, and they are
     restored before returning, so the network is left as it was.
     """
     if target == network.root:
         raise ValueError("target must differ from the root")
     cap = network.cap
-    edges, head = network.edges, network.head
+    edges = network.edges
     s, t = network.node[network.root] + 1, network.node[target]
+    tree = network.tree()
+    if t not in tree:
+        return None
     saved = {t: cap[t]}
     cap[t] = 2  # the split edge of the vertex with in-node t has id t
     try:
-        for _ in range(2):
-            via = {s: None}
-            queue = deque([s])
-            while queue and t not in via:
-                a = queue.popleft()
-                for b, e in edges[a]:
-                    if cap[e] and b not in via:
-                        via[b] = e
-                        if b == t:
-                            break
-                        queue.append(b)
-            if t not in via:
-                return None
-            b = t
-            while via[b] is not None:
-                e = via[b]
-                saved.setdefault(e, cap[e])
-                saved.setdefault(e ^ 1, cap[e ^ 1])
-                cap[e] -= 1
-                cap[e ^ 1] += 1
-                b = head[e ^ 1]
+        _augment(network, tree, t, saved)
+        via = {s: None}
+        queue = deque([s])
+        while queue and t not in via:
+            a = queue.popleft()
+            for b, e in edges[a]:
+                if cap[e] and b not in via:
+                    via[b] = e
+                    if b == t:
+                        break
+                    queue.append(b)
+        if t not in via:
+            return None
+        _augment(network, via, t, saved)
 
         def flow_heads(a):
             return [b for b, e in edges[a] if not e & 1 and cap[e ^ 1]]
@@ -191,6 +238,13 @@ def reduce_indegrees(d):
     kept path to x avoids w too, so together they reach z again.  Deleting
     arcs never repairs a cut, so one 2-connectivity check of the result
     guards all deletions.  Returns `d` itself when nothing is deleted.
+
+    One breadth-first tree of the network serves every vertex.  The first
+    path of x's pair is x's path in that tree, and the second augmentation
+    stops on reaching x's in-node without expanding it, so it never cancels
+    the flow on the tree arc into x: that arc is always kept.  Every
+    deleted arc thus lies outside the tree, and since the search never used
+    it to discover a node, the tree of the network without it is the same.
     """
     if not is_2connected(d):
         raise ValueError("indegree reduction requires a 2-connected digraph")
@@ -228,6 +282,15 @@ def _working_maps(g):
     return out, inn
 
 
+def _elimination_state(out, inn, r):
+    """The heap of elimination candidates (non-root vertices of outdegree
+    at most 1) and the number of non-root vertices without a root
+    in-arc."""
+    candidates = [w for w in inn if len(out[w]) <= 1]
+    heapify(candidates)
+    return candidates, sum(r not in inn[w] for w in inn)
+
+
 def _smallest_valid_gap(sigma, v_in, v_exempt, u, u_others, u_exempt):
     """Smallest index of sigma at which inserting v gives v a non-root
     in-neighbor on each side, unless v_exempt, and lands v after u when u is
@@ -263,6 +326,18 @@ def rr_numbering(d):
     the working digraph is reduced again.  The loop stops once every
     remaining vertex is a root outneighbor, which any order numbers.
 
+    Bookkeeping without rescans.  No step raises an outdegree: eliminating
+    v takes v out of its in-neighbors' out-sets and puts u into each at
+    most once, and a reduction only deletes arcs.  So a vertex of outdegree
+    at most 1 stays a candidate until it is eliminated, and a min-heap of
+    candidates, pushed when an outdegree falls to 1 and skipping eliminated
+    vertices when popped, yields the smallest candidate of every step.  A
+    count of the vertices without a root in-arc replaces the scan of the
+    loop test; it falls when such a vertex is eliminated or u gains the
+    root as an in-neighbor.  A reduction rebuilds the working maps, so the
+    heap and the count are rebuilt with them, at a cost below the
+    reduction's own.
+
     Reinsertion runs in reverse.  Let sigma number the working digraph G'
     that v's elimination left, and G the one before it.  A numbering stays
     valid when the arcs a reduction deleted come back, and in G only v and,
@@ -283,15 +358,19 @@ def rr_numbering(d):
     """
     r = d.root
     out, inn = _working_maps(reduce_indegrees(d))
+    candidates, unexempt = _elimination_state(out, inn, r)
     records = []
-    while any(r not in inn[v] for v in inn):
-        candidates = [w for w in inn if len(out[w]) <= 1]
+    while unexempt:
+        while candidates and candidates[0] not in inn:
+            heappop(candidates)
         if not candidates:
             work = RootedDigraph(out, r, [(y, v) for v in inn for y in inn[v]])
             out, inn = _working_maps(reduce_indegrees(work))
+            candidates, unexempt = _elimination_state(out, inn, r)
             continue
-        v = min(candidates)
+        v = heappop(candidates)
         v_out, v_in = out.pop(v), inn.pop(v)
+        unexempt -= r not in v_in
         for y in v_in:
             out[y].discard(v)
         u, u_others, u_exempt = None, (), False
@@ -302,6 +381,10 @@ def rr_numbering(d):
             for y in v_in - {u}:
                 out[y].add(u)
                 inn[u].add(y)
+            unexempt -= not u_exempt and r in v_in
+        for y in v_in - {r}:
+            if len(out[y]) <= 1:
+                heappush(candidates, y)
         records.append((v, v_in - {r}, r in v_in, u, u_others, u_exempt))
 
     sigma = sorted(inn)

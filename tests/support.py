@@ -5,8 +5,9 @@ import random
 from collections import defaultdict, deque
 from itertools import combinations
 
-from maxleaf.digraph import (NormDeleteStep, RootedDigraph, build, find_cutvertex,
-                             is_2connected, normalize, reachable)
+from maxleaf import stnum
+from maxleaf.digraph import (NormDeleteStep, Outbranching, RootedDigraph, build,
+                             find_cutvertex, is_2connected, normalize, reachable)
 from maxleaf.errors import InfeasibleError, InternalInvariantError
 from maxleaf.gen import gen_random
 from maxleaf.reduce import (ReductionTrace, Rule1Step, Rule2Step, Rule3Step,
@@ -309,6 +310,121 @@ def flow_disjoint_root_paths(d, target):
             path.append(flow_out[path[-1]].pop(0))
         paths.append(path)
     return paths
+
+
+def rescanning_disjoint_root_paths(network, target):
+    """`two_disjoint_root_paths` with both augmentations searched afresh on
+    every call: two breadth-first searches on the network's capacities
+    with the target's split edge at 2, each stopping at the target, the
+    paths walked along the flow, and every capacity restored."""
+    cap, edges, head = network.cap, network.edges, network.head
+    s, t = network.node[network.root] + 1, network.node[target]
+    saved = list(cap)
+    cap[t] = 2
+    try:
+        for _ in range(2):
+            via = {s: None}
+            queue = deque([s])
+            while queue and t not in via:
+                a = queue.popleft()
+                for b, e in edges[a]:
+                    if cap[e] and b not in via:
+                        via[b] = e
+                        if b == t:
+                            break
+                        queue.append(b)
+            if t not in via:
+                return None
+            b = t
+            while via[b] is not None:
+                e = via[b]
+                cap[e] -= 1
+                cap[e ^ 1] += 1
+                b = head[e ^ 1]
+
+        def flow_heads(a):
+            return [b for b, e in edges[a] if not e & 1 and cap[e ^ 1]]
+
+        paths = []
+        for b in flow_heads(s):
+            path = [network.root]
+            while True:
+                path.append(network.vertices[b // 2])
+                if b == t:
+                    break
+                (b,) = flow_heads(b + 1)
+            paths.append(path)
+        return paths
+    finally:
+        cap[:] = saved
+
+
+def rescanning_rr_numbering(d):
+    """`rr_numbering` with the elimination loop rescanning every vertex per
+    step: the loop test scans for a vertex without a root in-arc, and the
+    candidate is the minimum of a fresh scan for outdegree at most 1."""
+    r = d.root
+    out, inn = stnum._working_maps(stnum.reduce_indegrees(d))
+    records = []
+    while any(r not in inn[v] for v in inn):
+        candidates = [w for w in inn if len(out[w]) <= 1]
+        if not candidates:
+            work = RootedDigraph(out, r, [(y, v) for v in inn for y in inn[v]])
+            out, inn = stnum._working_maps(stnum.reduce_indegrees(work))
+            continue
+        v = min(candidates)
+        v_out, v_in = out.pop(v), inn.pop(v)
+        for y in v_in:
+            out[y].discard(v)
+        u, u_others, u_exempt = None, (), False
+        if v_out:
+            (u,) = v_out
+            inn[u].discard(v)
+            u_others, u_exempt = inn[u] - {r}, r in inn[u]
+            for y in v_in - {u}:
+                out[y].add(u)
+                inn[u].add(y)
+        records.append((v, v_in - {r}, r in v_in, u, u_others, u_exempt))
+    sigma = sorted(inn)
+    for v, *constraints in reversed(records):
+        sigma.insert(stnum._smallest_valid_gap(sigma, *constraints), v)
+    return tuple(sigma)
+
+
+def rescanning_majbound_tree(d, cls, paths):
+    """`majbound_tree` with a breadth-first search from every reached
+    vertex, in ascending order, for each special it connects."""
+    parent = {}
+    reached = {d.root}
+    pending = set(cls.special)
+    while pending:
+        prev = {}
+        queue = deque(sorted(reached))
+        target = None
+        while queue and target is None:
+            a = queue.popleft()
+            for b in d.out_neighbors(a):
+                if b in reached or b in prev:
+                    continue
+                prev[b] = a
+                if b in pending:
+                    target = b
+                    break
+                if b in cls.nonspecial:
+                    queue.append(b)
+        v = target
+        while v not in reached:
+            parent[v] = prev[v]
+            reached.add(v)
+            v = prev[v]
+        pending.discard(target)
+    for p in paths:
+        verts = p.vertices
+        for i, v in enumerate(verts):
+            if v not in reached:
+                parent[v] = verts[i - 1] if i else p.anchors[0]
+                reached.add(v)
+    return Outbranching(d.root, parent)
 
 
 def checked_reduce_indegrees(d):

@@ -1,18 +1,23 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from maxleaf import approx
 from maxleaf.approx import (approximate, approximate_each_root, majbound_tree,
                             sqrt_opt_tree, weak_bipaths)
 from maxleaf.digraph import build, classify, normalize, verify_outbranching
 from maxleaf.errors import InfeasibleError
 from maxleaf.exact import maxleaf_exact
-from maxleaf.gen import gen_dipath, gen_random, gen_star, gen_t_l
-from maxleaf.reduce import kernelize
+from maxleaf.gen import gen_boloney, gen_dipath, gen_random, gen_star, gen_t_l
+from maxleaf.graphio import format_tree
+from maxleaf.reduce import kernelize, renormalize, rule0, strip_cutvertices
 from maxleaf.stnum import rr_numbering
 
-from support import random_instances, two_connected_instances
+from support import (chain_planted_corpus, random_instances, relabelled,
+                     rescanning_majbound_tree, two_connected_instances)
 
 
 def anchored_chains(chains, chain_len=1):
@@ -91,6 +96,76 @@ def test_majbound_against_exact_on_corpus():
         assert verify_outbranching(d, t).ok
         assert t.leaf_count >= len(paths) - len(cls.special)
         assert t.leaf_count <= maxleaf_exact(d).maxleaf
+
+
+def chain_skeleton(seed):
+    """Specials joined only through chains: 5 to 12 skeleton vertices, each
+    on at least 3 skeleton edges, every edge a chain of 1 to 3 vertices
+    with 2-circuits, and root arcs to skeleton vertices 1 and 2."""
+    rng = random.Random(seed)
+    k = rng.randint(5, 12)
+    edges = set()
+    for v in range(1, k + 1):
+        while sum(v in e for e in edges) < 3:
+            w = rng.randint(1, k)
+            if w != v:
+                edges.add((min(v, w), max(v, w)))
+    arcs = [(0, 1), (0, 2)]
+    nxt = k + 1
+    for a, b in sorted(edges):
+        prev = a
+        for _ in range(rng.randint(1, 3)):
+            arcs += [(prev, nxt), (nxt, prev)]
+            prev, nxt = nxt, nxt + 1
+        arcs += [(prev, b), (b, prev)]
+    return build(nxt, 0, arcs)
+
+
+def test_majbound_matches_rescanning_reference(monkeypatch):
+    corpus = [d for d in map(chain_skeleton, range(40)) if rule0(d)]
+    corpus += chain_planted_corpus(60, 9100, raw=False)
+    for seed in range(30):
+        n = random.Random(seed).randint(20, 80)
+        corpus.append(gen_random(n, 4 / n, 9200 + seed))
+        corpus.append(gen_random(n, 2 / n, 9300 + seed))
+    corpus += [relabelled(gen_t_l(l), l) for l in range(3, 9)]
+    corpus += [relabelled(gen_boloney(k), k) for k in (3, 5, 8, 13)]
+    searches = []
+    real_search = approx._path_to_pending
+
+    def counted_search(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    monkeypatch.setattr(approx, "_path_to_pending", counted_search)
+    steps = 0
+    for d in corpus:
+        core = strip_cutvertices(renormalize(d, []), [])
+        if core.n <= 2:
+            continue
+        cls = classify(core)
+        paths = weak_bipaths(core, cls)
+        assert majbound_tree(core, cls, paths) == rescanning_majbound_tree(core, cls, paths)
+        steps += len(cls.special)
+    # both the heap frontier and the search fallback pick specials
+    assert len(searches) > 100 and steps - len(searches) > 1000
+
+
+APPROX_PINS = {
+    # sha256 of the report, the lifted tree and the three candidate trees
+    "t_l(40)": (lambda: gen_t_l(40),
+                "932633c782e315ba5cbcdca509e4364a58a61bb69e37b83c05be6900da002cc6"),
+    "random(800)": (lambda: gen_random(800, 4 / 800, seed=1),
+                    "df698373a3a2345a38aeab923397be7afe35d7390ca34cdadd65c04286fedca5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(APPROX_PINS))
+def test_approximate_output_pinned_at_scale(name):
+    make, digest = APPROX_PINS[name]
+    tree, report = approximate(make())
+    text = report.format() + "".join(format_tree(t) for t in (tree, *report.trees.values()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_approximate_star_is_optimal():

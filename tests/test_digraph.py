@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
                              dominators_from_maps, find_cutvertex,
                              immediate_dominators, is_2connected, is_connected,
-                             is_normalized, normalize, NormMergeStep,
-                             Outbranching, reachable, verify_outbranching)
+                             is_normalized, normalize, NormDeleteStep,
+                             NormMergeStep, Outbranching, RootedDigraph,
+                             WorkGraph, reachable, verify_outbranching)
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.stnum import RootPathNetwork, two_disjoint_root_paths
@@ -56,6 +57,40 @@ def test_normalize_merges_single_outneighbor():
     assert [s.absorbed for s in steps if isinstance(s, NormMergeStep)] == [1]
     assert d.root_out() == (2, 3)
     assert maxleaf_exact(raw).maxleaf == maxleaf_exact(d).maxleaf == 2
+
+
+def test_normalize_rewrites_a_frozen_digraph_in_one_copy(monkeypatch):
+    copies, builds = [], []
+    real_copy, real_build = WorkGraph.__init__, RootedDigraph.__init__
+
+    def counted_copy(self, *args):
+        copies.append(args)
+        real_copy(self, *args)
+
+    def counted_build(self, *args):
+        builds.append(args)
+        real_build(self, *args)
+
+    multi = 0
+    for d in [raw_digraph(seed) for seed in range(400, 700)] + [gen_t_l(4)]:
+        ref = d
+        for step in normalize(d)[1]:
+            ref = step.apply(ref)  # one copy and one freeze per step
+        monkeypatch.setattr(WorkGraph, "__init__", counted_copy)
+        monkeypatch.setattr(RootedDigraph, "__init__", counted_build)
+        copies.clear()
+        builds.clear()
+        got, steps = normalize(d)
+        monkeypatch.undo()
+        assert got == ref and isinstance(got, RootedDigraph)
+        # deletions before the first merge: one filtered build; from the
+        # merge on: one copy, frozen once
+        merges = any(isinstance(s, NormMergeStep) for s in steps)
+        first_deletes = bool(steps) and isinstance(steps[0], NormDeleteStep)
+        assert (len(copies), len(builds)) == (merges, merges + first_deletes)
+        assert steps or got is d
+        multi += merges and len(steps) >= 3
+    assert multi > 10
 
 
 def test_normalize_invariants_on_corpus():

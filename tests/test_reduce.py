@@ -295,6 +295,47 @@ def test_kernelize_builds_one_digraph(monkeypatch):
     assert len(trace) > 150 and len(builds) <= 1
 
 
+def depth_first_tree(d):
+    """Depth-first spanning out-tree: its root paths are not shortest, so
+    rule 3 can delete its arcs."""
+    parent = {}
+    stack = [(d.root, iter(sorted(d._out[d.root])))]
+    while stack:
+        u, it = stack[-1]
+        for v in it:
+            if v != d.root and v not in parent:
+                parent[v] = u
+                stack.append((v, iter(sorted(d._out[v]))))
+                break
+        else:
+            stack.pop()
+    return digraph.Outbranching(d.root, parent)
+
+
+def test_kernelize_keeps_one_certificate_tree(monkeypatch):
+    corpus = chain_planted_corpus(60, 8100, raw=True)
+    corpus += [gen_random(n, 1.5 / n, 8200 + n) for n in range(40, 100, 2)]
+    results = [kernelize(d) for d in corpus]
+    grown = count_calls(monkeypatch, reduce, "grow_tree")
+    deletions = 0
+    for d, (red, trace) in zip(corpus, results):
+        grown.clear()
+        assert kernelize(d)[0] == red
+        assert len(grown) <= 1  # a breadth-first tree loses no arc (module docstring)
+        deletions += sum(isinstance(s, Rule3Step) for s in trace.steps)
+    assert deletions > 100
+    # any spanning out-tree certifies; one that loses arcs is grown again
+    monkeypatch.setattr(reduce, "grow_tree", depth_first_tree)
+    grown = count_calls(monkeypatch, reduce, "grow_tree")
+    regrown = 0
+    for d, (red, trace) in zip(corpus, results):
+        grown.clear()
+        got, got_trace = kernelize(d)
+        assert got == red and got_trace.to_text() == trace.to_text()
+        regrown += max(len(grown) - 1, 0)
+    assert regrown > 20
+
+
 def assert_same_digraph(work, d):
     """The WorkGraph answers every query exactly as the RootedDigraph d."""
     assert work.freeze() == d

@@ -11,7 +11,8 @@ from maxleaf.stnum import (RootPathNetwork, reduce_indegrees, rr_numbering,
                            split, two_disjoint_root_paths, validate_numbering)
 from maxleaf.bounds import bound1_tree, bound2_tree, topological_order
 
-from support import (checked_reduce_indegrees, flow_disjoint_root_paths,
+from support import (checked_reduce_indegrees, flow_disjoint_root_paths, relabelled,
+                     rescanning_disjoint_root_paths, rescanning_rr_numbering,
                      two_connected_instances)
 
 
@@ -265,3 +266,62 @@ def test_rr_numbering_reduces_again_and_checks_only_inside_reduction(monkeypatch
     assert validate_numbering(d, num.order)
     assert len(reductions) == 2
     assert outside == []
+
+
+def rescanning_corpus():
+    """`oracle_corpus` plus relabelled t_l and boloney, whose vertex ids no
+    longer follow the construction order."""
+    out = oracle_corpus()
+    out += [relabelled(normalize(gen_t_l(l))[0], l) for l in range(3, 9)]
+    out += [relabelled(gen_boloney(k), k) for k in (3, 5, 8, 13)]
+    return out
+
+
+def test_disjoint_root_paths_match_rescanning_search():
+    rebuilt = 0
+    for i, d in enumerate(rescanning_corpus()):
+        network = RootPathNetwork(d)
+        targets = [v for v in d.vertices if v != d.root]
+        for v in targets:
+            assert (two_disjoint_root_paths(network, v)
+                    == rescanning_disjoint_root_paths(network, v))
+        # delete tree arcs, which drops the tree, and compare on the rebuilt one
+        rng = random.Random(i)
+        for v in rng.sample(targets, min(3, len(targets))):
+            e = network.tree().get(network.node[v])
+            if e is None:
+                continue
+            u = network.vertices[network.head[e ^ 1] // 2]
+            network.delete_arc(u, v)
+            assert network._tree is None
+            rebuilt += 1
+            for w in targets:
+                assert (two_disjoint_root_paths(network, w)
+                        == rescanning_disjoint_root_paths(network, w))
+    assert rebuilt > 300
+
+
+def test_reduce_indegrees_and_numbering_match_rescanning_search(monkeypatch):
+    corpus = rescanning_corpus()
+    tree_arcs_deleted = []
+    real_delete = RootPathNetwork.delete_arc
+
+    def watched_delete(network, u, v):
+        tree = network._tree or {}
+        tree_arcs_deleted.append(tree.get(network.node[v]) == network.arc_edge[(u, v)])
+        real_delete(network, u, v)
+
+    monkeypatch.setattr(RootPathNetwork, "delete_arc", watched_delete)
+    reduced = [reduce_indegrees(d) for d in corpus]
+    orders = [rr_numbering(d).order for d in corpus]
+    assert len(tree_arcs_deleted) > 1000 and not any(tree_arcs_deleted)
+    monkeypatch.setattr(stnum, "two_disjoint_root_paths", rescanning_disjoint_root_paths)
+    assert [reduce_indegrees(d) for d in corpus] == reduced
+    assert [rr_numbering(d).order for d in corpus] == orders
+
+
+def test_numbering_matches_rescanning_elimination():
+    corpus = rescanning_corpus()
+    corpus.append(cutvertex_free_core(gen_random(148, 3 / 148, seed=5208)))
+    for d in corpus:
+        assert rr_numbering(d).order == rescanning_rr_numbering(d)
