@@ -10,29 +10,71 @@ in both families, each would close a cycle.
 
 Construction first deletes in-arcs of high-indegree vertices until every
 non-root vertex has indegree at most 2.  Each such vertex keeps the last
-arcs of two internally disjoint root paths, found by flow in one network
-per digraph; that alone keeps the digraph 2-connected (see
-`reduce_indegrees`), so only the result is checked.  It then repeatedly
-eliminates the smallest vertex of outdegree 0 (delete) or 1 (contract into
-its outneighbor) from a working copy without the arcs into r, and finally
-reinserts the eliminated vertices in reverse order, each at the smallest
-gap where its own and its outneighbor's side constraints hold (see
-`rr_numbering`).
+arcs of two internally disjoint root paths; that alone keeps the digraph
+2-connected (see `reduce_indegrees`), so only the result is checked.  It
+then repeatedly eliminates the smallest vertex of outdegree 0 (delete) or
+1 (contract into its outneighbor) from a working copy without the arcs
+into r, and finally reinserts the eliminated vertices in reverse order,
+each at the smallest gap where its own and its outneighbor's side
+constraints hold (see `rr_numbering`).
 
-Neither stage rescans the digraph per vertex.  Tree-arc lemma: in a
-network without flow, the first augmentation toward x stops on discovering
-x's in-node, so its path is x's path in the network's breadth-first tree
-T; the second augmentation stops on reaching that in-node and never
-expands it, so it cannot cancel the flow on the tree arc into x, which is
-therefore one of the two kept arcs.  The reduction deletes only arcs
-outside T, and deleting an arc that the search never used to discover a
-node leaves T as it is, so one T serves every vertex of a network (see
-`RootPathNetwork` and `reduce_indegrees`).  Elimination never raises an
-outdegree, so its candidates come from a heap (see `rr_numbering`).
+Neither stage rescans the digraph per vertex.  The path pairs are those of
+two breadth-first augmentations in the node-split unit network (vertex v
+becomes in(v) -> out(v) of capacity 1, 2 for r, arc (u, v) becomes
+out(u) -> in(v), every edge list sorted by vertex), each stopping when it
+discovers in(t) for the target t.  They are found on the digraph's own
+sorted arc lists, without the arcs into r, which lead to in(r) and end
+there.
+
+Tree-arc lemma.  Without flow, in(v) leads only to out(v), so the network
+search is a breadth-first search of the out-lists, and the first
+augmentation's path is t's path P = r, v1, ..., vk, t in their
+breadth-first tree T.  The second augmentation stops on reaching in(t)
+without expanding it, so it never cancels the flow on the arc of P into
+t, which is always kept.  The reduction thus deletes only arcs outside T,
+and deleting an arc that the search never used to discover a vertex leaves
+T as it is, so one T serves every vertex until a deletion removes a tree
+arc (see `RootPathState` and `reduce_indegrees`).
+
+Search lemma.  Take the network with one unit of flow on P.  Every
+out-node has exactly one in-edge with residual capacity: the split edge
+from its own in-node, or for vi the reversed arc from in(vi+1).  Every
+in-node off P has exactly one usable out-edge, its split edge; in(vi)
+has only the reversed arc to out(vi-1).  So the residual search dequeues
+out-nodes in the order in which their in-nodes are discovered, and it is
+a breadth-first search of the out-lists from r in which the arc of P out
+of each vi (and out of r) is skipped, entering vi continues at vi-1 (a
+dead end for v1), vi's reversed split edge sits at vi's own place in its
+sorted out-list, and the search stops when it discovers t.  The flow is
+then P plus the arcs this search used forward, minus the arcs of P it
+reversed (see `two_disjoint_root_paths`).
+
+Shortcut lemma.  Let S be T's subtree at v1.  Augmenting along a shortest
+path brings no node closer to the source, so the second search reaches no
+vertex at a smaller depth than T; call a vertex on time when it reaches it
+at its depth in T.  A vertex outside S keeps its tree path, which avoids
+P, so it is on time.  By induction on the depth, (a) every vertex b
+outside S is discovered from its tree parent, and (b) an on-time vertex a
+that the second search reaches before such a b comes before b in T too.
+For (b): a's discoverer is on time (one expanded late, such as out(vi),
+would give a a smaller depth in T), by induction T reached it before b's
+tree parent unless it is that parent, and T discovered a no later.  For
+(a): a vertex expanded before b's tree parent with b in its out-list is
+either late, and then T reached it at a smaller depth, or on time, and
+then T reached it first by (b); either way T would have discovered b from
+it.  Now let y be the in-neighbor of t other than vk that T reaches
+first.  out(vk) never expands, so when y lies outside S the same argument
+shows that no other in-neighbor of t expands before y: the second search
+discovers t from y, its path is y's tree path, and no search is needed.
+On `gen_random(1600, 4/1600, seed=1)` that holds for 1,357 of the 1,404
+vertices that `reduce_indegrees` visits.
+
+Elimination never raises an outdegree, so its candidates come from a heap
+(see `rr_numbering`).
 """
 from __future__ import annotations
 
-from collections import deque
+from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -98,133 +140,142 @@ def split(d, numbering):
 # -- indegree reduction -------------------------------------------------
 
 
-class RootPathNetwork:
-    """Node-split unit-capacity flow network of a rooted digraph.
+class RootPathState:
+    """The live arc lists of a rooted digraph and their breadth-first tree.
 
-    The i-th vertex becomes an in-node 2i and an out-node 2i + 1 joined by
-    edge 2i of capacity 1 (2 for the root); each arc (u, v) becomes an edge
-    out(u) -> in(v) of capacity 1.  Edge e's residual twin is e ^ 1, so
-    forward edges have even ids.  Every node's edge list is sorted by head
-    once, which makes augmenting paths break ties by ascending vertex id.
-
-    `tree()` is the breadth-first tree of the network without flow, from
-    the root's out-node, as a map from each reached node to the edge that
-    discovered it.  It is built on first use and kept until `delete_arc`
-    removes one of its edges (tree-arc lemma, module docstring).
+    `out[v]` and `inn[v]` list v's out- and in-neighbors in ascending
+    order, without the arcs into the root and without the arcs `delete_arc`
+    removed.  `tree()` is the breadth-first tree of the out-lists from the
+    root, as a map from each reached vertex to its parent (None for the
+    root).  It is built on first use, together with each reached vertex's
+    place in the search (`_rank`), and kept until `delete_arc` removes one
+    of its arcs (tree-arc lemma, module docstring).
     """
 
     def __init__(self, d):
-        self.root = d.root
-        self.vertices = d.vertices
-        self.node = {v: 2 * i for i, v in enumerate(d.vertices)}
-        self.head = []
-        self.cap = []
-        self.edges = [[] for _ in range(2 * d.n)]
-        for v in d.vertices:
-            self._add(self.node[v], self.node[v] + 1, 2 if v == d.root else 1)
-        self.arc_edge = {(u, v): self._add(self.node[u] + 1, self.node[v], 1)
-                         for u, v in d.arc_set()}
-        for edges in self.edges:
-            edges.sort()
+        r = self.root = d.root
+        self.out = {v: [w for w in d.out_neighbors(v) if w != r] for v in d.vertices}
+        self.inn = {v: [] if v == r else list(d.in_neighbors(v)) for v in d.vertices}
         self._tree = None
-
-    def _add(self, a, b, capacity):
-        e = len(self.head)
-        self.head += [b, a]
-        self.cap += [capacity, 0]
-        self.edges[a].append((b, e))
-        self.edges[b].append((a, e + 1))
-        return e
 
     def tree(self):
         if self._tree is None:
-            cap, edges = self.cap, self.edges
-            s = self.node[self.root] + 1
-            via = {s: None}
-            queue = deque([s])
-            while queue:
-                for b, e in edges[queue.popleft()]:
-                    if cap[e] and b not in via:
-                        via[b] = e
-                        queue.append(b)
-            self._tree = via
+            out = self.out
+            parent = {self.root: None}
+            queue = [self.root]
+            for u in queue:
+                for v in out[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        queue.append(v)
+            self._tree = parent
+            self._rank = {v: i for i, v in enumerate(queue)}
         return self._tree
 
     def delete_arc(self, u, v):
-        e = self.arc_edge[(u, v)]
-        self.cap[e] = 0
-        if self._tree is not None and self._tree.get(self.node[v]) == e:
+        self.out[u].remove(v)
+        self.inn[v].remove(u)
+        if self._tree is not None and self._tree.get(v) == u:
             self._tree = None
 
 
-def _augment(network, via, t, saved):
-    """Push one unit along the path to node t recorded in `via`, saving the
-    capacities it changes."""
-    cap, head = network.cap, network.head
-    b = t
-    while via[b] is not None:
-        e = via[b]
-        saved.setdefault(e, cap[e])
-        saved.setdefault(e ^ 1, cap[e ^ 1])
-        cap[e] -= 1
-        cap[e ^ 1] += 1
-        b = head[e ^ 1]
+def _tree_path(parent, v):
+    path = []
+    while v is not None:
+        path.append(v)
+        v = parent[v]
+    path.reverse()
+    return path
 
 
-def two_disjoint_root_paths(network, target):
-    """Two internally vertex-disjoint paths from the root to `target` in a
-    `RootPathNetwork`, or None.
+def _second_search(out, parent, succ, r, target):
+    """The second augmentation's search (search lemma, module docstring):
+    a map from each vertex z it discovered to the vertex y whose out-node
+    discovered in(z), y == z standing for a reversed split edge, or None
+    when it never discovers `target`.  `succ` maps each vertex of P but
+    `target` to its successor on P."""
+    via = {}
+    queue = [r]
+    for y in queue:
+        heads = out[y]
+        if y in succ:
+            skip = succ[y]
+            heads = [z for z in heads if z != skip]
+            if y != r:
+                insort(heads, y)
+        for z in heads:
+            if z in via:
+                continue
+            via[z] = y
+            if z == target:
+                return via
+            if z not in succ:
+                queue.append(z)
+            elif parent[z] != r:
+                queue.append(parent[z])
+    return None
 
-    Two breadth-first augmentations on the network's capacities with the
-    target's split edge at 2, each stopping when it reaches the target; the
-    paths are then walked from the root along the flow, smallest first.
-    The first augmentation's path is the target's path in `network.tree()`
-    (tree-arc lemma, module docstring), so only the second one searches.
-    Only the entries the augmentations touched are saved, and they are
-    restored before returning, so the network is left as it was.
+
+def two_disjoint_root_paths(state, target):
+    """Two internally vertex-disjoint paths from the root to `target` over
+    the live arc lists of a `RootPathState`, or None.
+
+    These are the paths of two breadth-first augmentations in the
+    digraph's node-split unit network, read from the flow smallest first,
+    and found without that network (module docstring).  The first is
+    `target`'s path P = r, v1, ..., target in `state.tree()` (tree-arc
+    lemma).  When the in-neighbor y of `target` that the tree's search
+    reached first, other than its parent, lies outside v1's subtree, the
+    second is y's tree path and `target` (shortcut lemma).  Otherwise a
+    breadth-first search of the out-lists finds it: the search skips the
+    arc of P out of each vertex of P, continues at v(i-1) on entering
+    v(i), and offers v(i) itself at its own place in v(i)'s out-list
+    (search lemma).  The flow is then P plus the arcs that search used
+    forward, minus the arcs of P it reversed.  Nothing in `state` changes,
+    also when the result is None.
     """
-    if target == network.root:
+    r = state.root
+    if target == r:
         raise ValueError("target must differ from the root")
-    cap = network.cap
-    edges = network.edges
-    s, t = network.node[network.root] + 1, network.node[target]
-    tree = network.tree()
-    if t not in tree:
+    parent = state.tree()
+    if target not in parent:
         return None
-    saved = {t: cap[t]}
-    cap[t] = 2  # the split edge of the vertex with in-node t has id t
-    try:
-        _augment(network, tree, t, saved)
-        via = {s: None}
-        queue = deque([s])
-        while queue and t not in via:
-            a = queue.popleft()
-            for b, e in edges[a]:
-                if cap[e] and b not in via:
-                    via[b] = e
-                    if b == t:
-                        break
-                    queue.append(b)
-        if t not in via:
-            return None
-        _augment(network, via, t, saved)
+    first = _tree_path(parent, target)
+    others = [y for y in state.inn[target] if y in parent and y != parent[target]]
+    if not others:
+        return None  # out(parent) never expands, so nothing discovers in(target)
+    second = _tree_path(parent, min(others, key=state._rank.__getitem__))
+    if second[1] != first[1]:
+        return sorted([first, second + [target]])
 
-        def flow_heads(a):
-            return [b for b, e in edges[a] if not e & 1 and cap[e ^ 1]]
-
-        paths = []
-        for b in flow_heads(s):
-            path = [network.root]
-            while True:
-                path.append(network.vertices[b // 2])
-                if b == t:
-                    break
-                (b,) = flow_heads(b + 1)
-            paths.append(path)
-        return paths
-    finally:
-        for e, c in saved.items():
-            cap[e] = c
+    succ = dict(zip(first, first[1:]))
+    via = _second_search(state.out, parent, succ, r, target)
+    if via is None:
+        return None
+    # walk the second path back: out(y) was entered from in(y), or for y on
+    # P over the reversed arc from in(succ[y])
+    flow = set(succ.items())
+    x = target
+    while True:
+        y = via[x]
+        if y != x:
+            flow.add((y, x))
+        if y == r:
+            break
+        if y in succ:
+            flow.discard((y, succ[y]))
+            x = succ[y]
+        else:
+            x = y
+    nxt = {u: v for u, v in flow if u != r}
+    paths = []
+    for v in sorted(v for u, v in flow if u == r):
+        path = [r, v]
+        while v != target:
+            v = nxt[v]
+            path.append(v)
+        paths.append(path)
+    return paths
 
 
 def reduce_indegrees(d):
@@ -239,29 +290,30 @@ def reduce_indegrees(d):
     arcs never repairs a cut, so one 2-connectivity check of the result
     guards all deletions.  Returns `d` itself when nothing is deleted.
 
-    One breadth-first tree of the network serves every vertex.  The first
-    path of x's pair is x's path in that tree, and the second augmentation
-    stops on reaching x's in-node without expanding it, so it never cancels
-    the flow on the tree arc into x: that arc is always kept.  Every
-    deleted arc thus lies outside the tree, and since the search never used
-    it to discover a node, the tree of the network without it is the same.
+    One `RootPathState` serves every vertex, and its breadth-first tree is
+    never rebuilt.  The first path of x's pair is x's path in that tree,
+    and the second search stops on discovering x without continuing from
+    it, so it never reverses the tree arc into x: that arc is always kept.
+    Every deleted arc thus lies outside the tree, and since the search
+    never used it to discover a vertex, the tree without it is the same
+    (tree-arc lemma, module docstring).
     """
     if not is_2connected(d):
         raise ValueError("indegree reduction requires a 2-connected digraph")
-    network = None
+    state = None
     deleted = []
     for x in d.vertices:
         if x == d.root or d.indeg(x) <= 2:
             continue
-        if network is None:
-            network = RootPathNetwork(d)
-        paths = two_disjoint_root_paths(network, x)
+        if state is None:
+            state = RootPathState(d)
+        paths = two_disjoint_root_paths(state, x)
         if paths is None:
             raise InternalInvariantError(f"no disjoint path pair to {x} in a 2-connected digraph")
         keep = {p[-2] for p in paths}
         for y in d.in_neighbors(x):
             if y not in keep:
-                network.delete_arc(y, x)
+                state.delete_arc(y, x)
                 deleted.append((y, x))
     if not deleted:
         return d

@@ -312,11 +312,51 @@ def flow_disjoint_root_paths(d, target):
     return paths
 
 
+class RootPathNetwork:
+    """Node-split unit-capacity flow network of a rooted digraph, the oracle
+    that `stnum.two_disjoint_root_paths` replaces.
+
+    The i-th vertex becomes an in-node 2i and an out-node 2i + 1 joined by
+    edge 2i of capacity 1 (2 for the root); each arc (u, v), also one into
+    the root, becomes an edge out(u) -> in(v) of capacity 1.  Edge e's
+    residual twin is e ^ 1, so forward edges have even ids.  Every node's
+    edge list is sorted by head, which makes augmenting paths break ties by
+    ascending vertex id.  `delete_arc` sets an arc's capacity to 0, so the
+    network stands in for a `stnum.RootPathState`.
+    """
+
+    def __init__(self, d):
+        self.root = d.root
+        self.vertices = d.vertices
+        self.node = {v: 2 * i for i, v in enumerate(d.vertices)}
+        self.head = []
+        self.cap = []
+        self.edges = [[] for _ in range(2 * d.n)]
+        for v in d.vertices:
+            self._add(self.node[v], self.node[v] + 1, 2 if v == d.root else 1)
+        self.arc_edge = {(u, v): self._add(self.node[u] + 1, self.node[v], 1)
+                         for u, v in d.arc_set()}
+        for edges in self.edges:
+            edges.sort()
+
+    def _add(self, a, b, capacity):
+        e = len(self.head)
+        self.head += [b, a]
+        self.cap += [capacity, 0]
+        self.edges[a].append((b, e))
+        self.edges[b].append((a, e + 1))
+        return e
+
+    def delete_arc(self, u, v):
+        self.cap[self.arc_edge[(u, v)]] = 0
+
+
 def rescanning_disjoint_root_paths(network, target):
-    """`two_disjoint_root_paths` with both augmentations searched afresh on
-    every call: two breadth-first searches on the network's capacities
-    with the target's split edge at 2, each stopping at the target, the
-    paths walked along the flow, and every capacity restored."""
+    """Two internally vertex-disjoint root paths to `target` in a
+    `RootPathNetwork`, or None: two breadth-first augmentations on the
+    network's capacities with the target's split edge at 2, each stopping
+    when it reaches the target, the paths walked from the root along the
+    flow, smallest first, and every capacity restored."""
     cap, edges, head = network.cap, network.edges, network.head
     s, t = network.node[network.root] + 1, network.node[target]
     saved = list(cap)

@@ -12,7 +12,7 @@ from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
                              WorkGraph, reachable, verify_outbranching)
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
-from maxleaf.stnum import RootPathNetwork, two_disjoint_root_paths
+from maxleaf.stnum import RootPathState, two_disjoint_root_paths
 
 from support import (brute_cutvertices, brute_idom, iterative_idom,
                      random_instances, raw_digraph, relabelled)
@@ -156,9 +156,9 @@ def test_is_2connected_examples():
 
 def test_is_2connected_matches_disjoint_paths():
     for d in random_instances(25, 4, 10, seed_base=501):
-        network = RootPathNetwork(d)
+        state = RootPathState(d)
         expected = is_connected(d) and all(
-            two_disjoint_root_paths(network, v) is not None
+            two_disjoint_root_paths(state, v) is not None
             for v in d.vertices if v != d.root and v not in d.root_out())
         assert is_2connected(d) == expected
 

@@ -1,18 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxleaf import stnum
 from maxleaf.digraph import (RootedDigraph, build, is_2connected, normalize, reachable,
                              verify_outbranching)
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.reduce import renormalize, strip_cutvertices
-from maxleaf.stnum import (RootPathNetwork, reduce_indegrees, rr_numbering,
+from maxleaf.stnum import (RootPathState, reduce_indegrees, rr_numbering,
                            split, two_disjoint_root_paths, validate_numbering)
 from maxleaf.bounds import bound1_tree, bound2_tree, topological_order
 
-from support import (checked_reduce_indegrees, flow_disjoint_root_paths, relabelled,
-                     rescanning_disjoint_root_paths, rescanning_rr_numbering,
+from support import (RootPathNetwork, checked_reduce_indegrees, flow_disjoint_root_paths,
+                     relabelled, rescanning_disjoint_root_paths, rescanning_rr_numbering,
                      two_connected_instances)
 
 
@@ -73,13 +75,26 @@ def test_reduce_indegrees_rejects_cut():
 
 def test_two_disjoint_root_paths():
     d = sandwich_example()
-    paths = two_disjoint_root_paths(RootPathNetwork(d), 3)
+    paths = two_disjoint_root_paths(RootPathState(d), 3)
     assert paths is not None
     a, b = paths
     assert a[0] == b[0] == 0 and a[-1] == b[-1] == 3
     assert not (set(a[1:-1]) & set(b[1:-1]))
     path = build(3, 0, [(0, 1), (1, 2)])
-    assert two_disjoint_root_paths(RootPathNetwork(path), 2) is None
+    assert two_disjoint_root_paths(RootPathState(path), 2) is None
+
+
+def test_second_search_walks_back_along_the_tree_path():
+    # the tree path to 4 is 0, 1, 2, 5, 4; the second search enters 5 from 7,
+    # reverses the arcs (2, 5) and (1, 2) through 2's split edge, and leaves 1
+    # for 9: 2 drops out of both paths
+    d = build(10, 0, [(0, 1), (0, 6), (1, 2), (1, 9), (2, 5), (3, 7), (5, 4), (6, 3),
+                      (7, 5), (8, 4), (9, 8)])
+    state = RootPathState(d)
+    assert [state.tree()[v] for v in (4, 5, 2, 1)] == [5, 2, 1, 0]
+    expected = [[0, 1, 9, 8, 4], [0, 6, 3, 7, 5, 4]]
+    assert two_disjoint_root_paths(state, 4) == expected
+    assert rescanning_disjoint_root_paths(RootPathNetwork(d), 4) == expected
 
 
 def test_numbering_on_families():
@@ -195,24 +210,30 @@ def test_reduce_indegrees_matches_checked_oracle(monkeypatch):
 
 def test_disjoint_root_paths_match_fresh_flow():
     for d in oracle_corpus()[::3]:
-        network = RootPathNetwork(d)
+        state = RootPathState(d)
         for v in d.vertices:
             if v != d.root:
-                assert two_disjoint_root_paths(network, v) == flow_disjoint_root_paths(d, v)
+                assert two_disjoint_root_paths(state, v) == flow_disjoint_root_paths(d, v)
 
 
-def test_disjoint_root_paths_leave_the_network_unchanged():
+def test_disjoint_root_paths_leave_the_state_unchanged():
     checked = missing = 0
     for d in oracle_corpus()[::4] + raw_two_connected_with_root_in_arcs(20, seed_base=3300):
-        network = RootPathNetwork(d)
-        cut = min(d.vertices, key=lambda v: (-d.indeg(v), v))
+        state = RootPathState(d)
+        cut = min((v for v in d.vertices if v != d.root), key=lambda v: (-d.indeg(v), v))
         for y in d.in_neighbors(cut)[1:]:
-            network.delete_arc(y, cut)  # leaves cut one in-arc: no path pair
-        before = list(network.cap)
+            state.delete_arc(y, cut)  # leaves cut one in-arc: no path pair
+        tree = state.tree()
+
+        def snapshot():
+            return ([{u: list(ws) for u, ws in lists.items()} for lists in (state.out, state.inn)]
+                    + [dict(tree), dict(state._rank)])
+
+        before = snapshot()
         for v in d.vertices:
             if v != d.root:
-                missing += two_disjoint_root_paths(network, v) is None
-                assert network.cap == before
+                missing += two_disjoint_root_paths(state, v) is None
+                assert state.tree() is tree and snapshot() == before
                 checked += 1
     assert checked > 500 and missing > 0
 
@@ -220,8 +241,9 @@ def test_disjoint_root_paths_leave_the_network_unchanged():
 def test_reduce_indegrees_checks_once(monkeypatch):
     d = cutvertex_free_core(gen_random(200, 4 / 200, seed=1))
     assert any(d.indeg(v) > 2 for v in d.vertices)
-    checks, builds = [], []
+    checks, builds, trees = [], [], []
     real_check, real_init = stnum.is_2connected, RootedDigraph.__init__
+    real_tree = RootPathState.tree
 
     def counted_check(g):
         checks.append(g)
@@ -231,12 +253,19 @@ def test_reduce_indegrees_checks_once(monkeypatch):
         builds.append(self)
         real_init(self, *args, **kwargs)
 
+    def counted_tree(state):
+        if state._tree is None:
+            trees.append(state)
+        return real_tree(state)
+
     monkeypatch.setattr(stnum, "is_2connected", counted_check)
     monkeypatch.setattr(RootedDigraph, "__init__", counted_init)
+    monkeypatch.setattr(RootPathState, "tree", counted_tree)
     red = reduce_indegrees(d)
     assert red != d
     assert len(checks) <= 2
     assert len(builds) <= 1
+    assert len(trees) == 1  # one state, whose tree no deletion drops
 
 
 def test_rr_numbering_reduces_again_and_checks_only_inside_reduction(monkeypatch):
@@ -277,44 +306,92 @@ def rescanning_corpus():
     return out
 
 
-def test_disjoint_root_paths_match_rescanning_search():
-    rebuilt = 0
-    for i, d in enumerate(rescanning_corpus()):
-        network = RootPathNetwork(d)
+def differential_corpus():
+    """`rescanning_corpus`, raw 2-connected digraphs with arcs into the root,
+    and the approx-dense benchmark's cores, `gen_random(n, 4/n)` for n
+    86-115."""
+    out = rescanning_corpus()
+    out += raw_two_connected_with_root_in_arcs(150, seed_base=3100)
+    out += [cutvertex_free_core(gen_random(n, 4 / n, seed=n)) for n in range(86, 116)]
+    return out
+
+
+def test_disjoint_root_paths_match_rescanning_search(monkeypatch):
+    searches = []
+    real_search = stnum._second_search
+
+    def counted_search(*args):
+        searches.append(args[-1])
+        return real_search(*args)
+
+    monkeypatch.setattr(stnum, "_second_search", counted_search)
+    calls = rebuilt = missing = 0
+    for i, d in enumerate(differential_corpus()):
+        state, network = RootPathState(d), RootPathNetwork(d)
         targets = [v for v in d.vertices if v != d.root]
-        for v in targets:
-            assert (two_disjoint_root_paths(network, v)
-                    == rescanning_disjoint_root_paths(network, v))
-        # delete tree arcs, which drops the tree, and compare on the rebuilt one
         rng = random.Random(i)
-        for v in rng.sample(targets, min(3, len(targets))):
-            e = network.tree().get(network.node[v])
-            if e is None:
-                continue
-            u = network.vertices[network.head[e ^ 1] // 2]
-            network.delete_arc(u, v)
-            assert network._tree is None
-            rebuilt += 1
-            for w in targets:
-                assert (two_disjoint_root_paths(network, w)
-                        == rescanning_disjoint_root_paths(network, w))
-    assert rebuilt > 300
+        for round_ in range(4):
+            for v in targets:
+                paths = two_disjoint_root_paths(state, v)
+                assert paths == rescanning_disjoint_root_paths(network, v)
+                missing += paths is None
+                calls += 1
+            if round_ == 3:
+                break
+            # three rounds of deletions, each with a tree arc, which drops
+            # the tree, and two arcs drawn from all live ones
+            tree = state.tree()
+            tree_arcs = [(tree[v], v) for v in targets if v in tree]
+            arcs = [(u, v) for u in sorted(state.out) for v in state.out[u]]
+            deletions = set(rng.sample(arcs, min(2, len(arcs))))
+            if tree_arcs:
+                deletions.add(rng.choice(tree_arcs))
+            for u, v in sorted(deletions):
+                state.delete_arc(u, v)
+                network.delete_arc(u, v)
+            if tree_arcs:
+                assert state._tree is None
+                rebuilt += 1
+    # both the shortcut and the search answer thousands of the calls
+    assert rebuilt > 600 and missing > 1000
+    assert 2000 < len(searches) < calls - missing - 2000
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 9), st.data())
+def test_disjoint_root_paths_exist_exactly_when_the_network_has_them(n, data):
+    root = data.draw(st.integers(0, n - 1))
+    arcs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda a: a[0] != a[1]),
+        max_size=30))
+    arcs += [(v, root) for v in data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+             if v != root]
+    d = build(n, root, arcs)
+    state, network = RootPathState(d), RootPathNetwork(d)
+    for v in d.vertices:
+        if v != root:
+            paths = two_disjoint_root_paths(state, v)
+            assert (paths is None) == (rescanning_disjoint_root_paths(network, v) is None)
+            if paths is not None:
+                assert all(p[0] == root and p[-1] == v for p in paths)
+                assert not set(paths[0][1:-1]) & set(paths[1][1:-1])
+                assert all(d.has_arc(a, b) for p in paths for a, b in zip(p, p[1:]))
 
 
 def test_reduce_indegrees_and_numbering_match_rescanning_search(monkeypatch):
     corpus = rescanning_corpus()
     tree_arcs_deleted = []
-    real_delete = RootPathNetwork.delete_arc
+    real_delete = RootPathState.delete_arc
 
-    def watched_delete(network, u, v):
-        tree = network._tree or {}
-        tree_arcs_deleted.append(tree.get(network.node[v]) == network.arc_edge[(u, v)])
-        real_delete(network, u, v)
+    def watched_delete(state, u, v):
+        tree_arcs_deleted.append((state._tree or {}).get(v) == u)
+        real_delete(state, u, v)
 
-    monkeypatch.setattr(RootPathNetwork, "delete_arc", watched_delete)
+    monkeypatch.setattr(RootPathState, "delete_arc", watched_delete)
     reduced = [reduce_indegrees(d) for d in corpus]
     orders = [rr_numbering(d).order for d in corpus]
     assert len(tree_arcs_deleted) > 1000 and not any(tree_arcs_deleted)
+    monkeypatch.setattr(stnum, "RootPathState", RootPathNetwork)
     monkeypatch.setattr(stnum, "two_disjoint_root_paths", rescanning_disjoint_root_paths)
     assert [reduce_indegrees(d) for d in corpus] == reduced
     assert [rr_numbering(d).order for d in corpus] == orders
