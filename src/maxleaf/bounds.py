@@ -15,10 +15,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import (Outbranching, RootedDigraph, classify, euler_intervals,
-                      grow_tree, is_connected)
+from .digraph import (Outbranching, RootedDigraph, euler_intervals, grow_tree,
+                      is_connected)
 from .errors import InternalInvariantError
-from .stnum import RRNumbering, rr_numbering, split
+from .stnum import RRNumbering, in_sides, rr_numbering, side_digraph
 
 
 # -- covers and domination ----------------------------------------------
@@ -166,17 +166,15 @@ def many_leaves_bound(d):
 def bound1_tree(d, numbering=None):
     """Out-tree with at least l/6 leaves, l = number of indegree->=3 vertices.
 
-    Takes the numbering-induced acyclic cover with more indegree-2 vertices
-    and extracts a many-leaves tree from it.
+    Takes the numbering-induced acyclic cover with more indegree-2 vertices,
+    ties to the forward one, and extracts a many-leaves tree from it.
     """
-    num = numbering or rr_numbering(d)
-    parts = split(d, num)
-    best, best_count = None, -1
-    for part in (parts.forward, parts.backward):
-        count = sum(1 for v in part.vertices if part.indeg(v) >= 2)
-        if count > best_count:
-            best, best_count = part, count
-    return acyclic_many_leaves(best)
+    fwd, bwd = in_sides(d, numbering or rr_numbering(d))
+
+    def joins(side):
+        return sum(len(ins) >= 2 for ins in side.values())
+
+    return acyclic_many_leaves(side_digraph(d, bwd if joins(bwd) > joins(fwd) else fwd))
 
 
 # -- transverse arcs and the second tree bound --------------------------
@@ -184,11 +182,16 @@ def bound1_tree(d, numbering=None):
 
 @dataclass(frozen=True)
 class TransverseDecomposition:
-    """Forward/backward spanning trees of the indegree-trimmed digraph, their
-    transverse arcs, and the left/right split of the chosen tree's arcs."""
+    """Forward/backward spanning trees of the numbered digraph, their
+    transverse arcs, and the left/right split of the chosen tree's arcs.
+
+    Every non-root vertex that is not a root outneighbor takes one parent
+    from each side of `stnum.in_sides`, its smallest in-neighbor there;
+    a nice vertex instead takes its smallest simple in-neighbor on that
+    in-neighbor's side.  Root outneighbors take the root in both trees.
+    """
 
     numbering: RRNumbering
-    trimmed: RootedDigraph
     t_f: Outbranching
     t_b: Outbranching
     transverse_f: frozenset
@@ -199,53 +202,21 @@ class TransverseDecomposition:
     union: RootedDigraph  # opposite tree plus the larger transverse side
 
 
-def _trim_one_forward_one_backward(d, num):
-    """One incoming forward and one incoming backward arc per non-root vertex,
-    keeping a simple in-arc for every nice vertex."""
-    simple = classify(d).simple_arcs
-    pos = num.position
-    root_out = set(d.root_out())
-    arcs = [(d.root, y) for y in root_out]
-    for v in d.vertices:
-        if v == d.root or v in root_out:
-            continue
-        fwd = [u for u in d.in_neighbors(v) if pos[u] < pos[v]]
-        bwd = [u for u in d.in_neighbors(v) if pos[u] > pos[v]]
-        simple_in = [u for u in d.in_neighbors(v) if (u, v) in simple]
-        if simple_in:
-            anchor = simple_in[0]
-            if pos[anchor] < pos[v]:
-                keep_f, keep_b = anchor, bwd[0]
-            else:
-                keep_f, keep_b = fwd[0], anchor
-        else:
-            keep_f, keep_b = fwd[0], bwd[0]
-        arcs.append((keep_f, v))
-        arcs.append((keep_b, v))
-    return RootedDigraph(d.vertices, d.root, arcs)
-
-
 def transverse_decomposition(d, numbering=None):
     num = numbering or rr_numbering(d)
-    trimmed = _trim_one_forward_one_backward(d, num)
-    pos = num.position
-    root_out = set(trimmed.root_out())
-
+    r, pos = d.root, num.position
+    fwd, bwd = in_sides(d, num)
     parent_f, parent_b = {}, {}
-    for v in trimmed.vertices:
-        if v == trimmed.root:
+    for v in fwd:
+        if d.has_arc(r, v):
+            parent_f[v] = parent_b[v] = r
             continue
-        if v in root_out:
-            parent_f[v] = trimmed.root
-            parent_b[v] = trimmed.root
-            continue
-        for u in trimmed.in_neighbors(v):
-            if pos[u] < pos[v]:
-                parent_f[v] = u
-            else:
-                parent_b[v] = u
-    t_f = Outbranching(trimmed.root, parent_f)
-    t_b = Outbranching(trimmed.root, parent_b)
+        parent_f[v], parent_b[v] = fwd[v][0], bwd[v][0]
+        anchor = next((u for u in d.in_neighbors(v) if not d.has_arc(v, u)), None)
+        if anchor is not None:
+            (parent_f if pos[anchor] < pos[v] else parent_b)[v] = anchor
+    t_f = Outbranching(r, parent_f)
+    t_b = Outbranching(r, parent_b)
 
     tin_f, tout_f = euler_intervals(t_f)
     tin_b, tout_b = euler_intervals(t_b)
@@ -254,9 +225,9 @@ def transverse_decomposition(d, numbering=None):
         return tout[v] < tin[u] or tout[u] < tin[v]
 
     transverse_f = frozenset((u, v) for v, u in parent_f.items()
-                             if u != trimmed.root and incomparable(u, v, tin_b, tout_b))
+                             if u != r and incomparable(u, v, tin_b, tout_b))
     transverse_b = frozenset((u, v) for v, u in parent_b.items()
-                             if u != trimmed.root and incomparable(u, v, tin_f, tout_f))
+                             if u != r and incomparable(u, v, tin_f, tout_f))
 
     if len(transverse_f) >= len(transverse_b):
         chosen, trans, t_opp, tin, tout = "forward", transverse_f, t_b, tin_b, tout_b
@@ -267,17 +238,15 @@ def transverse_decomposition(d, numbering=None):
     s_right = frozenset((u, v) for u, v in trans if tout[u] < tin[v])
     side = s_left if len(s_left) >= len(s_right) else s_right
     union_arcs = list(side) + [(p, c) for c, p in t_opp.parent.items()]
-    union = RootedDigraph(trimmed.vertices, trimmed.root, union_arcs)
-    return TransverseDecomposition(num, trimmed, t_f, t_b, transverse_f,
-                                   transverse_b, chosen, s_left, s_right, union)
+    union = RootedDigraph(d.vertices, r, union_arcs)
+    return TransverseDecomposition(num, t_f, t_b, transverse_f, transverse_b,
+                                   chosen, s_left, s_right, union)
 
 
 def bound2_tree(d, numbering=None):
-    """Out-tree with at least l/24 leaves, l = number of nice vertices."""
-    decomp = transverse_decomposition(d, numbering)
-    if topological_order(decomp.union) is None:
-        raise InternalInvariantError("tree plus one-sided transverse arcs must be acyclic")
-    return acyclic_many_leaves(decomp.union)
+    """Out-tree with at least l/24 leaves, l = number of nice vertices; the
+    union it grows from is acyclic (`acyclic_many_leaves` checks)."""
+    return acyclic_many_leaves(transverse_decomposition(d, numbering).union)
 
 
 def numbering_bound_tree(d):

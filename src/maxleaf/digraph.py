@@ -213,16 +213,12 @@ class WorkGraph:
 
 
 def build(n, root, arcs):
-    """Build a rooted digraph on vertices 0..n-1; rejects loops, collapses duplicates."""
+    """Build a rooted digraph on vertices 0..n-1; rejects loops and arcs on
+    unknown vertices (`RootedDigraph`), collapses duplicates."""
     if n < 1:
         raise ValueError("need at least one vertex")
     if not 0 <= root < n:
         raise ValueError(f"root {root} out of range for n={n}")
-    for u, v in arcs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"loop arc ({u}, {v})")
     return RootedDigraph(range(n), root, arcs)
 
 

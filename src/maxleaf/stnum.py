@@ -6,7 +6,8 @@ the arcs into the increasing (forward) and decreasing (backward) families,
 each together with the out-arcs of r, gives two acyclic connected spanning
 subdigraphs that share exactly the out-arcs of r.  Arcs into r belong to
 neither family: they constrain no vertex, and since r reaches every vertex
-in both families, each would close a cycle.
+in both families, each would close a cycle.  `in_sides` is the one place
+that decides an arc's family; both bound trees read it.
 
 Construction first deletes in-arcs of high-indegree vertices until every
 non-root vertex has indegree at most 2.  Each such vertex keeps the last
@@ -117,24 +118,34 @@ def validate_numbering(d, order):
     return True
 
 
+def in_sides(d, numbering):
+    """The forward and backward in-neighbor lists of every non-root vertex,
+    ascending: u is a forward in-neighbor of v when it comes before v in the
+    numbering and a backward one when it comes after, and r is on both
+    sides.  Arcs into r are on neither side.  Does not check the numbering."""
+    r, pos = d.root, numbering.position
+    fwd, bwd = {}, {}
+    for v in d.vertices:
+        if v == r:
+            continue
+        p = pos[v]
+        ins = d.in_neighbors(v)
+        fwd[v] = [u for u in ins if u == r or pos[u] < p]
+        bwd[v] = [u for u in ins if u == r or pos[u] > p]
+    return fwd, bwd
+
+
+def side_digraph(d, side):
+    """The spanning subdigraph of d with the arcs of one `in_sides` side."""
+    return RootedDigraph(d.vertices, d.root, [(u, v) for v, ins in side.items() for u in ins])
+
+
 def split(d, numbering):
     """Forward and backward subdigraphs induced by a valid numbering."""
     if not validate_numbering(d, numbering.order):
         raise ValueError("numbering is not valid for this digraph")
-    pos = numbering.position
-    fwd, bwd = [], []
-    for u, v in d.arc_set():
-        if v == d.root:
-            continue
-        if u == d.root:
-            fwd.append((u, v))
-            bwd.append((u, v))
-        elif pos[u] < pos[v]:
-            fwd.append((u, v))
-        else:
-            bwd.append((u, v))
-    return NumberingSplit(RootedDigraph(d.vertices, d.root, fwd),
-                          RootedDigraph(d.vertices, d.root, bwd))
+    fwd, bwd = in_sides(d, numbering)
+    return NumberingSplit(side_digraph(d, fwd), side_digraph(d, bwd))
 
 
 # -- indegree reduction -------------------------------------------------

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict, deque
+from dataclasses import dataclass
 from itertools import combinations
 
 from maxleaf import stnum
-from maxleaf.digraph import (NormDeleteStep, Outbranching, RootedDigraph, build,
-                             find_cutvertex, is_2connected, normalize, reachable)
+from maxleaf.bounds import acyclic_many_leaves
+from maxleaf.digraph import (NormDeleteStep, Outbranching, RootedDigraph, build, classify,
+                             euler_intervals, find_cutvertex, is_2connected, normalize,
+                             reachable)
 from maxleaf.errors import InfeasibleError, InternalInvariantError
 from maxleaf.gen import gen_random
 from maxleaf.reduce import (ReductionTrace, Rule1Step, Rule2Step, Rule3Step,
@@ -15,6 +18,20 @@ from maxleaf.reduce import (ReductionTrace, Rule1Step, Rule2Step, Rule3Step,
                             find_rule3, iter_bipath4, iter_rule3, renormalize,
                             rule0, strip_cutvertices)
 from maxleaf.digraph import cutvertices as idom_cutvertices
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch `module.name` to record the arguments of every call; returns
+    the list it appends to."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def random_instances(count, n_lo, n_hi, seed_base, p_lo=0.15, p_hi=0.5):
@@ -465,6 +482,113 @@ def rescanning_majbound_tree(d, cls, paths):
                 parent[v] = verts[i - 1] if i else p.anchors[0]
                 reached.add(v)
     return Outbranching(d.root, parent)
+
+
+def splitting_bound1_tree(d, numbering=None):
+    """`bound1_tree` building both numbering-induced covers with
+    `stnum.split`, which validates the numbering again, and keeping the one
+    with more indegree-2 vertices."""
+    num = numbering or stnum.rr_numbering(d)
+    parts = stnum.split(d, num)
+    best, best_count = None, -1
+    for part in (parts.forward, parts.backward):
+        count = sum(1 for v in part.vertices if part.indeg(v) >= 2)
+        if count > best_count:
+            best, best_count = part, count
+    return acyclic_many_leaves(best)
+
+
+@dataclass(frozen=True)
+class TrimmedDecomposition:
+    """`bounds.TransverseDecomposition` with the indegree-trimmed digraph
+    its trees were read from."""
+
+    numbering: stnum.RRNumbering
+    trimmed: RootedDigraph
+    t_f: Outbranching
+    t_b: Outbranching
+    transverse_f: frozenset
+    transverse_b: frozenset
+    chosen: str
+    s_left: frozenset
+    s_right: frozenset
+    union: RootedDigraph
+
+
+def _trim_one_forward_one_backward(d, num):
+    """One incoming forward and one incoming backward arc per non-root vertex,
+    keeping a simple in-arc for every nice vertex."""
+    simple = classify(d).simple_arcs
+    pos = num.position
+    root_out = set(d.root_out())
+    arcs = [(d.root, y) for y in root_out]
+    for v in d.vertices:
+        if v == d.root or v in root_out:
+            continue
+        fwd = [u for u in d.in_neighbors(v) if pos[u] < pos[v]]
+        bwd = [u for u in d.in_neighbors(v) if pos[u] > pos[v]]
+        simple_in = [u for u in d.in_neighbors(v) if (u, v) in simple]
+        if simple_in:
+            anchor = simple_in[0]
+            if pos[anchor] < pos[v]:
+                keep_f, keep_b = anchor, bwd[0]
+            else:
+                keep_f, keep_b = fwd[0], anchor
+        else:
+            keep_f, keep_b = fwd[0], bwd[0]
+        arcs.append((keep_f, v))
+        arcs.append((keep_b, v))
+    return RootedDigraph(d.vertices, d.root, arcs)
+
+
+def trimming_transverse_decomposition(d, numbering=None):
+    """`transverse_decomposition` reading both trees from a trimmed digraph
+    with one forward and one backward in-arc per vertex, built from its own
+    forward/backward test and its own classification."""
+    num = numbering or stnum.rr_numbering(d)
+    trimmed = _trim_one_forward_one_backward(d, num)
+    pos = num.position
+    root_out = set(trimmed.root_out())
+
+    parent_f, parent_b = {}, {}
+    for v in trimmed.vertices:
+        if v == trimmed.root:
+            continue
+        if v in root_out:
+            parent_f[v] = trimmed.root
+            parent_b[v] = trimmed.root
+            continue
+        for u in trimmed.in_neighbors(v):
+            if pos[u] < pos[v]:
+                parent_f[v] = u
+            else:
+                parent_b[v] = u
+    t_f = Outbranching(trimmed.root, parent_f)
+    t_b = Outbranching(trimmed.root, parent_b)
+
+    tin_f, tout_f = euler_intervals(t_f)
+    tin_b, tout_b = euler_intervals(t_b)
+
+    def incomparable(u, v, tin, tout):
+        return tout[v] < tin[u] or tout[u] < tin[v]
+
+    transverse_f = frozenset((u, v) for v, u in parent_f.items()
+                             if u != trimmed.root and incomparable(u, v, tin_b, tout_b))
+    transverse_b = frozenset((u, v) for v, u in parent_b.items()
+                             if u != trimmed.root and incomparable(u, v, tin_f, tout_f))
+
+    if len(transverse_f) >= len(transverse_b):
+        chosen, trans, t_opp, tin, tout = "forward", transverse_f, t_b, tin_b, tout_b
+    else:
+        chosen, trans, t_opp, tin, tout = "backward", transverse_b, t_f, tin_f, tout_f
+
+    s_left = frozenset((u, v) for u, v in trans if tout[v] < tin[u])
+    s_right = frozenset((u, v) for u, v in trans if tout[u] < tin[v])
+    side = s_left if len(s_left) >= len(s_right) else s_right
+    union_arcs = list(side) + [(p, c) for c, p in t_opp.parent.items()]
+    union = RootedDigraph(trimmed.vertices, trimmed.root, union_arcs)
+    return TrimmedDecomposition(num, trimmed, t_f, t_b, transverse_f,
+                                transverse_b, chosen, s_left, s_right, union)
 
 
 def checked_reduce_indegrees(d):

@@ -1,11 +1,12 @@
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from maxleaf import approx
+from maxleaf import approx, digraph, stnum
 from maxleaf.approx import (approximate, approximate_each_root, majbound_tree,
                             sqrt_opt_tree, weak_bipaths)
 from maxleaf.digraph import build, classify, normalize, verify_outbranching
@@ -16,7 +17,7 @@ from maxleaf.graphio import format_tree
 from maxleaf.reduce import kernelize, renormalize, rule0, strip_cutvertices
 from maxleaf.stnum import rr_numbering
 
-from support import (chain_planted_corpus, random_instances, relabelled,
+from support import (chain_planted_corpus, count_calls, random_instances, relabelled,
                      rescanning_majbound_tree, two_connected_instances)
 
 
@@ -166,6 +167,27 @@ def test_approximate_output_pinned_at_scale(name):
     tree, report = approximate(make())
     text = report.format() + "".join(format_tree(t) for t in (tree, *report.trees.values()))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_approximate_numbers_and_classifies_once(monkeypatch):
+    validated = count_calls(monkeypatch, stnum, "validate_numbering")
+    classified = [count_calls(monkeypatch, module, "classify")
+                  for name, module in list(sys.modules.items())
+                  if name.startswith("maxleaf") and getattr(module, "classify", None) is classify]
+    builds = count_calls(monkeypatch, digraph.RootedDigraph, "__init__")
+    bound_builds = []
+    for name in ("bound1_tree", "bound2_tree"):
+        def counted(*args, real=getattr(approx, name)):
+            before = len(builds)
+            tree = real(*args)
+            bound_builds.append(len(builds) - before)
+            return tree
+
+        monkeypatch.setattr(approx, name, counted)
+    approximate(gen_random(800, 4 / 800, seed=1))
+    assert len(validated) == 1 and sum(map(len, classified)) == 1
+    # the chosen cover and its indegree-2 trim for bound 1, the union for bound 2
+    assert bound_builds == [2, 1]
 
 
 def test_approximate_star_is_optimal():

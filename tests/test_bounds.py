@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxleaf.digraph import build, classify, normalize, verify_outbranching
+from maxleaf.digraph import (RootedDigraph, build, classify, normalize,
+                            verify_outbranching)
 from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree,
                             dominate_bipartite, domination_scaffold,
                             many_leaves_bound, topological_order,
@@ -210,7 +211,7 @@ def test_transverse_incomparability_and_acyclicity():
 def test_every_nice_vertex_touches_a_transverse_arc():
     for d in two_connected_instances(15, 5, 12, seed_base=2800):
         dec = transverse_decomposition(d)
-        trimmed = dec.trimmed
+        trimmed = RootedDigraph(d.vertices, d.root, dec.t_f.arcs() + dec.t_b.arcs())
         nice = classify(trimmed).nice
         root_out = set(trimmed.root_out())
         touched = set()

@@ -17,7 +17,7 @@ from maxleaf.reduce import (NormMergeStep, ReductionTrace, Rule1Step, Rule2Step,
                             large_indegree_witness, lift, rule0,
                             strip_cutvertices)
 
-from support import (all_rule_applications, chain_planted_corpus,
+from support import (all_rule_applications, chain_planted_corpus, count_calls,
                      fixpoint_kernelize, mixed_rule_corpus, per_arc_rule3,
                      random_instances, raw_digraph, rebuilt, recomputing_strip,
                      relabelled)
@@ -110,18 +110,6 @@ def test_strip_traces_match_recomputing_strip():
         assert steps == want
         total += len(steps)
     assert total > 500
-
-
-def count_calls(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def test_strip_and_first_rule3_scan_pass_counts(monkeypatch):

@@ -11,10 +11,12 @@ from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.reduce import renormalize, strip_cutvertices
 from maxleaf.stnum import (RootPathState, reduce_indegrees, rr_numbering,
                            split, two_disjoint_root_paths, validate_numbering)
-from maxleaf.bounds import bound1_tree, bound2_tree, topological_order
+from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree, topological_order,
+                            transverse_decomposition)
 
 from support import (RootPathNetwork, checked_reduce_indegrees, flow_disjoint_root_paths,
                      relabelled, rescanning_disjoint_root_paths, rescanning_rr_numbering,
+                     splitting_bound1_tree, trimming_transverse_decomposition,
                      two_connected_instances)
 
 
@@ -402,3 +404,20 @@ def test_numbering_matches_rescanning_elimination():
     corpus.append(cutvertex_free_core(gen_random(148, 3 / 148, seed=5208)))
     for d in corpus:
         assert rr_numbering(d).order == rescanning_rr_numbering(d)
+
+
+def test_bound_trees_match_split_and_trim_oracles():
+    corpus = differential_corpus()
+    corpus += two_connected_instances(40, 5, 14, seed_base=2600)
+    corpus += two_connected_instances(20, 5, 14, seed_base=50, oriented=True, p_lo=0.1, p_hi=0.3)
+    anchored = 0
+    for d in corpus:
+        num = rr_numbering(d)
+        assert bound1_tree(d, num).parent == splitting_bound1_tree(d, num).parent
+        dec, old = transverse_decomposition(d, num), trimming_transverse_decomposition(d, num)
+        for field in ("t_f", "t_b", "transverse_f", "transverse_b", "chosen", "s_left", "s_right"):
+            assert getattr(dec, field) == getattr(old, field), field
+        assert dec.union.arcs() == old.union.arcs()
+        assert bound2_tree(d, num).parent == acyclic_many_leaves(old.union).parent
+        anchored += any(not d.has_arc(v, u) for u, v in d.arc_set() if u != d.root)
+    assert len(corpus) > 350 and anchored > 100
