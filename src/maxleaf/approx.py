@@ -13,13 +13,12 @@ size m.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
 from .digraph import (Outbranching, RootedDigraph, WorkGraph, bfs_tree,
-                      classify, verify_outbranching)
+                      classify, search, verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError
 from .bounds import bound1_tree, bound2_tree
 from .reduce import (ReductionTrace, kernel_numbering_tree, kernelize,
@@ -92,22 +91,14 @@ def weak_bipaths(d, classification=None):
 
 def _path_to_pending(d, reached, pending, nonspecial):
     """Breadth-first search from the reached vertices, expanded in
-    ascending order and walking only through non-special vertices, until
-    it meets a pending special; returns that special and the map of each
-    newly discovered vertex to the vertex it was discovered from."""
-    prev = {}
-    queue = deque(sorted(reached))
-    while queue:
-        a = queue.popleft()
-        for b in d.out_neighbors(a):
-            if b in reached or b in prev:
-                continue
-            prev[b] = a
-            if b in pending:
-                return b, prev
-            if b in nonspecial:
-                queue.append(b)
-    raise InternalInvariantError("unreached special vertex in a connected digraph")
+    ascending order and walking only through non-special vertices; returns
+    the first pending special it discovers and its `search` map, from each
+    discovered vertex to the vertex it was discovered from."""
+    prev = search(d._out, sorted(reached), expand=nonspecial)
+    target = next((b for b in prev if b in pending), None)
+    if target is None:
+        raise InternalInvariantError("unreached special vertex in a connected digraph")
+    return target, prev
 
 
 def majbound_tree(d, classification=None, paths=None):

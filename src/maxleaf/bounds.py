@@ -167,14 +167,17 @@ def bound1_tree(d, numbering=None):
     """Out-tree with at least l/6 leaves, l = number of indegree->=3 vertices.
 
     Takes the numbering-induced acyclic cover with more indegree-2 vertices,
-    ties to the forward one, and extracts a many-leaves tree from it.
+    ties to the forward one, and extracts a many-leaves tree from it.  The
+    side's ascending in-lists are cut to their first two before its one
+    build, as `trim_to_indegree_two` would cut them.
     """
     fwd, bwd = in_sides(d, numbering or rr_numbering(d))
 
     def joins(side):
         return sum(len(ins) >= 2 for ins in side.values())
 
-    return acyclic_many_leaves(side_digraph(d, bwd if joins(bwd) > joins(fwd) else fwd))
+    side = bwd if joins(bwd) > joins(fwd) else fwd
+    return acyclic_many_leaves(side_digraph(d, {v: ins[:2] for v, ins in side.items()}))
 
 
 # -- transverse arcs and the second tree bound --------------------------

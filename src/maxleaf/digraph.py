@@ -9,6 +9,11 @@ Connectivity notions are rooted: a cut is a set S of non-root vertices whose
 removal leaves some vertex unreachable from r, and the digraph is 2-connected
 when it has no cut of size at most 1.  A cut of size 1 is a cutvertex.
 
+`search` is the one breadth-first search: reachability, `grow_tree`, the
+tree check, rule 1's check, `stnum.RootPathState` and `majbound_tree`'s
+path search all read it; only `stnum`'s residual second-path search keeps
+its own loop.
+
 Vertex ids are stable across transformations: derived digraphs keep the ids
 of surviving vertices, so trees and reports always speak in the coordinates
 of the instance they started from.  Rewriting algorithms copy their input
@@ -17,7 +22,6 @@ into one `WorkGraph`, rewrite that in place, and turn it back into a
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -316,24 +320,34 @@ def is_normalized(d):
 # -- reachability and cuts ---------------------------------------------
 
 
-def _reach(root, out_map, removed=()):
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
+def search(out_map, sources, expand=None, avoid=()):
+    """One breadth-first search of the adjacency map `out_map` from
+    `sources`, taken in the given order.
+
+    Returns a dict from each discovered vertex to the vertex that discovered
+    it, the sources mapping to None, in discovery order.  Vertices in
+    `avoid` are never discovered.  Sources are always expanded; any other
+    vertex outside `expand` (when given) is discovered but not expanded.
+    Each out-list is read in its own order.
+    """
+    found = dict.fromkeys(sources)
+    queue = list(found)
+    for u in queue:
         for v in out_map[u]:
-            if v not in seen and v not in removed:
-                seen.add(v)
-                queue.append(v)
-    return seen
+            if v not in found and v not in avoid:
+                found[v] = u
+                if expand is None or v in expand:
+                    queue.append(v)
+    return found
 
 
 def reachable(d, removed=()):
-    """Vertices reachable from the root in d minus `removed`."""
+    """Vertices reachable from the root in d minus `removed`, as a set-like
+    view."""
     removed = set(removed)
     if d.root in removed:
         raise ValueError("cannot remove the root")
-    return _reach(d.root, d._out, removed)
+    return search(d._out, [d.root], avoid=removed).keys()
 
 
 def is_connected(d):
@@ -439,7 +453,7 @@ def is_2connected(d):
     """No cut of size at most 1: every vertex reachable from the root, then
     one dominator pass, since a vertex is a cutvertex exactly when it is the
     immediate dominator of another."""
-    if len(_reach(d.root, d._out)) != d.n:
+    if len(search(d._out, [d.root])) != d.n:
         return False
     return all(p == d.root for p in dominators_from_maps(d.root, d._out, d._in).values())
 
@@ -527,43 +541,30 @@ def verify_outbranching(d, t):
     for c, p in t.parent.items():
         if not d.has_arc(p, c):
             return VerifyResult(False, None, f"tree arc ({p}, {c}) is not an arc of the digraph")
-    children = {}
+    children = {v: [] for v in d.vertices}
     for c, p in t.parent.items():
-        children.setdefault(p, []).append(c)
-    seen = {d.root}
-    queue = deque([d.root])
-    while queue:
-        u = queue.popleft()
-        for c in children.get(u, ()):
-            seen.add(c)
-            queue.append(c)
+        children[p].append(c)
+    seen = search(children, [d.root])
     if len(seen) != d.n:
-        stray = sorted(set(d.vertices) - seen)
+        stray = sorted(v for v in d.vertices if v not in seen)
         return VerifyResult(False, None, f"vertices {stray} not reachable inside the tree")
     return VerifyResult(True, t.leaf_count)
 
 
 def grow_tree(d, internal=None, parent=None):
     """Breadth-first out-tree grown from the root, or from the partial tree
-    given by the parent map `parent`.
+    given by the parent map `parent`: one `search` of d's out-lists.
 
     The root and the vertices of `parent` are expanded in ascending id order,
     then every newly reached vertex that lies in `internal` (every one when
     `internal` is None), so only those can become internal.  Callers check
     that the result spans.
     """
-    parent = dict(parent or {})
-    queue = deque(sorted({d.root, *parent}))
-    placed = set(queue)
-    while queue:
-        u = queue.popleft()
-        for v in d._out[u]:
-            if v not in placed:
-                placed.add(v)
-                parent[v] = u
-                if internal is None or v in internal:
-                    queue.append(v)
-    return Outbranching(d.root, parent)
+    parent = parent or {}
+    found = search(d._out, sorted({d.root, *parent}), expand=internal)
+    del found[d.root]
+    found.update(parent)
+    return Outbranching(d.root, found)
 
 
 def bfs_tree(d):

@@ -83,13 +83,13 @@ lift a tree backward, so vertex ids stay in input coordinates.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 from .digraph import (NormMergeStep, Outbranching, RootedDigraph, WorkGraph,
                       bfs_tree, find_cutvertex, grow_tree, immediate_dominators,
-                      is_connected, normalize, reachable, verify_outbranching)
+                      is_connected, normalize, reachable, search,
+                      verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .bounds import numbering_bound_tree
 
@@ -226,25 +226,14 @@ def _is_cutvertex(d, x):
     ValueError when d is not connected from the root."""
     if x == d.root or x not in d.vertices:
         return False
-    seen = {x}
-
-    def sweep(start):
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            for v in d._out[queue.popleft()]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-
-    sweep(d.root)
-    avoiding = len(seen)
-    x_reached = any(w in seen for w in d._in[x])
-    if x_reached:
-        sweep(x)
-    if not x_reached or len(seen) < d.n:
+    seen = search(d._out, [d.root], avoid={x})
+    if not any(w in seen for w in d._in[x]):
         raise ValueError("digraph is not connected from the root")
-    return avoiding < d.n
+    if len(seen) == d.n - 1:
+        return False
+    if len(seen) + len(search(d._out, [x], avoid=seen)) < d.n:
+        raise ValueError("digraph is not connected from the root")
+    return True
 
 
 def apply_rule1(d, x):
@@ -534,8 +523,8 @@ def large_indegree_witness(d, x):
     for u in in_nbrs:
         if u == root or u in placed:
             continue
-        blocked = (set(in_nbrs) - {u}) - {root}
-        bfs = grow_tree(d, internal=set(d.vertices) - blocked).parent
+        blocked = set(in_nbrs) - {u, root}
+        bfs = search(d._out, [root], avoid=blocked)
         if u not in bfs:
             raise ValueError(
                 f"in-neighbors of {x} other than {u} cut {u} from the root; "

@@ -79,7 +79,7 @@ from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .digraph import RootedDigraph, is_2connected
+from .digraph import RootedDigraph, is_2connected, search
 from .errors import InternalInvariantError
 
 
@@ -157,10 +157,10 @@ class RootPathState:
     `out[v]` and `inn[v]` list v's out- and in-neighbors in ascending
     order, without the arcs into the root and without the arcs `delete_arc`
     removed.  `tree()` is the breadth-first tree of the out-lists from the
-    root, as a map from each reached vertex to its parent (None for the
-    root).  It is built on first use, together with each reached vertex's
-    place in the search (`_rank`), and kept until `delete_arc` removes one
-    of its arcs (tree-arc lemma, module docstring).
+    root, the `search` map from each reached vertex to its parent (None for
+    the root).  It is built on first use, together with each reached
+    vertex's place in the search (`_rank`, the map's order), and kept until
+    `delete_arc` removes one of its arcs (tree-arc lemma, module docstring).
     """
 
     def __init__(self, d):
@@ -171,16 +171,8 @@ class RootPathState:
 
     def tree(self):
         if self._tree is None:
-            out = self.out
-            parent = {self.root: None}
-            queue = [self.root]
-            for u in queue:
-                for v in out[u]:
-                    if v not in parent:
-                        parent[v] = u
-                        queue.append(v)
-            self._tree = parent
-            self._rank = {v: i for i, v in enumerate(queue)}
+            self._tree = search(self.out, [self.root])
+            self._rank = {v: i for i, v in enumerate(self._tree)}
         return self._tree
 
     def delete_arc(self, u, v):

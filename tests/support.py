@@ -8,9 +8,9 @@ from itertools import combinations
 
 from maxleaf import stnum
 from maxleaf.bounds import acyclic_many_leaves
-from maxleaf.digraph import (NormDeleteStep, Outbranching, RootedDigraph, build, classify,
-                             euler_intervals, find_cutvertex, is_2connected, normalize,
-                             reachable)
+from maxleaf.digraph import (NormDeleteStep, Outbranching, RootedDigraph, VerifyResult, build,
+                             classify, euler_intervals, find_cutvertex, is_2connected,
+                             normalize, reachable)
 from maxleaf.errors import InfeasibleError, InternalInvariantError
 from maxleaf.gen import gen_random
 from maxleaf.reduce import (ReductionTrace, Rule1Step, Rule2Step, Rule3Step,
@@ -718,3 +718,156 @@ def tree_ancestors(tree, v):
 
 def is_ancestor(tree, a, v):
     return a in tree_ancestors(tree, v)
+
+
+# -- the hand-written searches that `digraph.search` replaced ----------------
+
+
+def looped_reach(root, out_map, removed=()):
+    """`digraph.reachable`'s search before `digraph.search`."""
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in out_map[u]:
+            if v not in seen and v not in removed:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
+def looped_grow_tree(d, internal=None, parent=None):
+    """`digraph.grow_tree` before `digraph.search`."""
+    parent = dict(parent or {})
+    queue = deque(sorted({d.root, *parent}))
+    placed = set(queue)
+    while queue:
+        u = queue.popleft()
+        for v in d._out[u]:
+            if v not in placed:
+                placed.add(v)
+                parent[v] = u
+                if internal is None or v in internal:
+                    queue.append(v)
+    return Outbranching(d.root, parent)
+
+
+def looped_verify_outbranching(d, t):
+    """`digraph.verify_outbranching` before `digraph.search`."""
+    expected = set(d.vertices) - {d.root}
+    if t.root != d.root:
+        return VerifyResult(False, None, f"tree root {t.root} != digraph root {d.root}")
+    if set(t.parent) != expected:
+        missing = expected - set(t.parent)
+        extra = set(t.parent) - expected
+        if missing:
+            return VerifyResult(False, None, f"no parent for vertices {sorted(missing)}")
+        return VerifyResult(False, None, f"unexpected tree vertices {sorted(extra)}")
+    for c, p in t.parent.items():
+        if not d.has_arc(p, c):
+            return VerifyResult(False, None, f"tree arc ({p}, {c}) is not an arc of the digraph")
+    children = {}
+    for c, p in t.parent.items():
+        children.setdefault(p, []).append(c)
+    seen = {d.root}
+    queue = deque([d.root])
+    while queue:
+        u = queue.popleft()
+        for c in children.get(u, ()):
+            seen.add(c)
+            queue.append(c)
+    if len(seen) != d.n:
+        stray = sorted(set(d.vertices) - seen)
+        return VerifyResult(False, None, f"vertices {stray} not reachable inside the tree")
+    return VerifyResult(True, t.leaf_count)
+
+
+def looped_is_cutvertex(d, x):
+    """`reduce._is_cutvertex` before `digraph.search`."""
+    if x == d.root or x not in d.vertices:
+        return False
+    seen = {x}
+
+    def sweep(start):
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for v in d._out[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+
+    sweep(d.root)
+    avoiding = len(seen)
+    x_reached = any(w in seen for w in d._in[x])
+    if x_reached:
+        sweep(x)
+    if not x_reached or len(seen) < d.n:
+        raise ValueError("digraph is not connected from the root")
+    return avoiding < d.n
+
+
+def looped_root_path_tree(state):
+    """`stnum.RootPathState.tree` before `digraph.search`, as (tree, rank)."""
+    out = state.out
+    parent = {state.root: None}
+    queue = [state.root]
+    for u in queue:
+        for v in out[u]:
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent, {v: i for i, v in enumerate(queue)}
+
+
+def looped_path_to_pending(d, reached, pending, nonspecial):
+    """`approx._path_to_pending` before `digraph.search`."""
+    prev = {}
+    queue = deque(sorted(reached))
+    while queue:
+        a = queue.popleft()
+        for b in d.out_neighbors(a):
+            if b in reached or b in prev:
+                continue
+            prev[b] = a
+            if b in pending:
+                return b, prev
+            if b in nonspecial:
+                queue.append(b)
+    raise InternalInvariantError("unreached special vertex in a connected digraph")
+
+
+def looped_large_indegree_witness(d, x):
+    """`reduce.large_indegree_witness` before `digraph.search`: one
+    `looped_grow_tree` per in-neighbor."""
+    in_nbrs = d.in_neighbors(x)
+    if not in_nbrs:
+        raise ValueError(f"vertex {x} has no in-neighbors")
+    root = d.root
+    parent = {}
+    placed = {root}
+
+    for u in in_nbrs:
+        if u == root or u in placed:
+            continue
+        blocked = (set(in_nbrs) - {u}) - {root}
+        bfs = looped_grow_tree(d, internal=set(d.vertices) - blocked).parent
+        if u not in bfs:
+            raise ValueError(
+                f"in-neighbors of {x} other than {u} cut {u} from the root; "
+                "digraph is not reduced under rule 3")
+        v = u
+        while v != root:
+            if v not in placed:
+                parent[v] = bfs[v]
+                placed.add(v)
+            v = bfs[v]
+
+    if root in in_nbrs and x not in placed:
+        parent[x] = root
+        placed.add(x)
+
+    tree = looped_grow_tree(d, parent=parent)
+    if len(tree.parent) != d.n - 1:
+        raise InternalInvariantError("witness tree failed to span the digraph")
+    return tree

@@ -186,8 +186,8 @@ def test_approximate_numbers_and_classifies_once(monkeypatch):
         monkeypatch.setattr(approx, name, counted)
     approximate(gen_random(800, 4 / 800, seed=1))
     assert len(validated) == 1 and sum(map(len, classified)) == 1
-    # the chosen cover and its indegree-2 trim for bound 1, the union for bound 2
-    assert bound_builds == [2, 1]
+    # the chosen cover, cut to indegree 2, for bound 1; the union for bound 2
+    assert bound_builds == [1, 1]
 
 
 def test_approximate_star_is_optimal():

@@ -118,6 +118,16 @@ def test_verify_rejects_foreign_tree(tmp_path):
     assert out.startswith("INVALID")
 
 
+def test_verify_rejects_tree_with_a_cycle(tmp_path):
+    g = tmp_path / "g.graph"
+    t = tmp_path / "t.tree"
+    g.write_text("4 5 0\n0 1\n1 2\n2 3\n3 2\n3 1\n")
+    t.write_text("4 0\n1 0\n2 3\n3 2\n")
+    code, out, _ = run(["verify", str(g), str(t)])
+    assert code == 1
+    assert out == "INVALID: vertices [2, 3] not reachable inside the tree\n"
+
+
 def test_bench_csv(tmp_path):
     code, out, err = run(["bench", "--family", "random", "--n", "8",
                           "--count", "6", "--seed", "7"])

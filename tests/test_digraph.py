@@ -206,9 +206,12 @@ def test_verify_outbranching_rejects_missing_arc():
 
 
 def test_verify_outbranching_rejects_cycle_and_gaps():
-    d = build(4, 0, [(0, 1), (1, 2), (2, 3), (3, 1)])
+    # every tree arc is an arc of d, so only the reachability check rejects
+    d = build(4, 0, [(0, 1), (1, 2), (2, 3), (3, 2), (3, 1)])
     bad = Outbranching(0, {1: 0, 2: 3, 3: 2})
-    assert not verify_outbranching(d, bad).ok
+    check = verify_outbranching(d, bad)
+    assert not check.ok
+    assert check.reason == "vertices [2, 3] not reachable inside the tree"
     assert not verify_outbranching(d, Outbranching(0, {1: 0})).ok
 
 
