@@ -14,6 +14,15 @@ tree check, rule 1's check, `stnum.RootPathState` and `majbound_tree`'s
 path search all read it; only `stnum`'s residual second-path search keeps
 its own loop.
 
+Local renormalization.  Take a digraph that was normalized and has been
+rewritten since.  An illegal arc in it is new, or it enters a new root
+outneighbor z, so that (r, z) is new: at the normalization no arc entered
+r, and an arc into z from anywhere but r was legal only because z was no
+root outneighbor then.  So every illegal arc enters the head of an arc
+added since the last normalization; a `WorkGraph` records those heads, and
+`normalize` reads only their in-lists.  A digraph never normalized gets
+the full walk.
+
 Vertex ids are stable across transformations: derived digraphs keep the ids
 of surviving vertices, so trees and reports always speak in the coordinates
 of the instance they started from.  Rewriting algorithms copy their input
@@ -134,14 +143,25 @@ class WorkGraph:
     as `d = step.apply(d)` serves both classes; `RootedDigraph`'s own
     `without_vertex` and `contracted` are these rewrites applied to a fresh
     copy, while its `without_arcs` builds once from the filtered arc set.
+
+    From its first normalization on, it records the heads of the arcs
+    added since the last one, so that `normalize` reads only their
+    in-lists (module docstring); the record is None before that.
     """
 
-    __slots__ = ("root", "_out", "_in")
+    __slots__ = ("root", "_out", "_in", "_new_heads")
 
     def __init__(self, d):
         self.root = d.root
         self._out = {v: set(d._out[v]) for v in d.vertices}
         self._in = {v: set(d._in[v]) for v in d.vertices}
+        self._new_heads = None
+
+    def take_new_heads(self):
+        """The heads recorded since the last call, None on the first call;
+        starts a new, empty record."""
+        heads, self._new_heads = self._new_heads, set()
+        return heads
 
     def freeze(self):
         return RootedDigraph(self._out, self.root,
@@ -184,6 +204,8 @@ class WorkGraph:
             raise ValueError(f"arc ({u}, {v}) uses an unknown vertex")
         self._out[u].add(v)
         self._in[v].add(u)
+        if self._new_heads is not None:
+            self._new_heads.add(v)
 
     def without_arcs(self, arcs):
         """Delete the given arcs that are present."""
@@ -236,9 +258,6 @@ class NormDeleteStep:
     def apply(self, d):
         return d.without_arcs(self.arcs)
 
-    def lift(self, tree):
-        return tree
-
     def __str__(self):
         pairs = " ".join(f"{u}>{v}" for u, v in self.arcs)
         return f"norm-del {pairs}"
@@ -253,22 +272,24 @@ class NormMergeStep:
             raise InternalInvariantError("merge replay does not match the recorded digraph")
         return d.contracted(d.root, self.absorbed)
 
-    def lift(self, tree):
-        root = tree.root
-        parent = {c: (self.absorbed if p == root else p) for c, p in tree.parent.items()}
-        parent[self.absorbed] = root
-        return Outbranching(root, parent)
-
     def __str__(self):
         return f"norm-merge {self.absorbed}"
 
 
-def _illegal_arcs(d):
-    """Arcs into r and arcs into a root outneighbor from anywhere but r, sorted."""
+def _illegal_arcs(d, heads=None):
+    """Arcs into r and arcs into a root outneighbor from anywhere but r,
+    sorted, among the arcs that enter `heads` (which may name deleted
+    vertices); every head by default."""
     r = d.root
-    bad = [(u, r) for u in d._in[r]]
-    for v in d._out[r]:
-        bad.extend((u, v) for u in d._in[v] if u != r)
+    if heads is None:
+        heads = (r, *d._out[r])
+    bad = []
+    for v in heads:
+        ins = d._in.get(v, ())
+        if v == r:
+            bad.extend((u, r) for u in ins)
+        elif r in ins:
+            bad.extend((u, v) for u in ins if u != r)
     return sorted(bad)
 
 
@@ -288,12 +309,15 @@ def normalize(d):
     A `RootedDigraph` is rewritten by at most one filtered build, for the
     deletions before the first merge, and one `WorkGraph` copy, made at
     that merge and frozen once at the end; one that needs no rewrite comes
-    back as given.
+    back as given.  A `WorkGraph` normalized before is checked only at the
+    heads of the arcs added since (module docstring); any other digraph
+    gets the full walk of the root's in-list and its outneighbors' ones.
     """
     steps = []
     work = d
     while True:
-        bad = _illegal_arcs(work)
+        heads = work.take_new_heads() if isinstance(work, WorkGraph) else None
+        bad = _illegal_arcs(work, heads)
         if bad:
             step = NormDeleteStep(tuple(bad))
         elif work.n > 2 and work.outdeg(work.root) == 1:
@@ -431,9 +455,9 @@ def dominators_from_maps(root, out_map, in_map):
 
 def cutvertices(d):
     """All non-root vertices whose removal makes something unreachable, ascending."""
-    if not is_connected(d):
+    idom = immediate_dominators(d)  # maps the reachable vertices only
+    if len(idom) != d.n:
         raise ValueError("digraph is not connected from the root")
-    idom = immediate_dominators(d)
     cuts = {idom[v] for v in d.vertices if v != d.root}
     cuts.discard(d.root)
     return sorted(cuts)

@@ -16,7 +16,8 @@ tree: an arc into r lies on no simple root path, and a root path through an
 arc into a root outneighbor z has the shortcut (r, z) on a subset of its
 vertices, so neither kind of deletion changes a dominator; a root merge
 absorbs the root's only outneighbor u, whose idom is r, which is the same
-splice.
+splice.  The tree certifies each cutvertex that a strip rewrites, and one
+fresh pass after the strip's last rewrite checks that it missed none.
 
 Rule 3 is decided once per head x: with A the non-root in-neighbors of x
 (at least two of them), (y, x) goes exactly when no in-neighbor of y is
@@ -27,10 +28,11 @@ a tree path meeting no vertex of A, (y, x) stays.  A scan builds one such
 tree and pays the reachability pass only for heads with a tail it does not
 certify; the filter only keeps arcs, so every decision is the pass's own.
 
-The kernelizer applies rule 1 to exhaustion, then rule 3 to exhaustion, then
-rule 2 to exhaustion, re-normalizing after every rewrite, and each phase
-runs once.  An untouched input is returned exactly as given.  No phase
-re-enables an earlier rule:
+The kernelizer applies rule 1 to exhaustion, then rule 3 to exhaustion,
+then rule 2 to exhaustion, re-normalizing after every rewrite, and each
+phase runs once; the renormalization reads only the heads of the new arcs
+(`digraph` module docstring).  An untouched input is returned exactly as
+given.  No phase re-enables an earlier rule:
 
 Lemma A (rule 3).  Say rule 3 deletes (y, x), with A = N-(x) - r.  Every
 simple root path to y meets some a in A - y before y, so replacing a
@@ -76,14 +78,33 @@ a and b, (a, x) goes only when a is unreachable while avoiding b, that is
 when b dominates a and so is a cutvertex.  Hence in that phase such a head
 keeps both arcs, and the resumed scans skip it without a search.
 
+Lemma C (rule 2).  Call v != r paired when its arcs are exactly the
+2-circuits with two vertices, its partners, and call y a middle when its
+partners x and z are paired and the bipath (u, x, y, z, t) through their
+other partners has five distinct vertices.  A contraction creates no
+middle.  Contracting (u, x, y, z, t) drops y, gives x the partners u and z
+and z the partners x and t, and changes no other pair, so only u, x, z and
+t can change status.  Before it, x was a middle exactly when u was paired:
+its bipath (u', u, x, y, z) could repeat a vertex only as u' = y or u' = z,
+making u a partner of y or z, that is u = z or u = t, both excluded.  A
+paired u with partners a and x had the bipath (a', a, u, x, y), which could
+repeat a vertex only as a' = y (u is no partner of y, which rules out a = y
+and a' = x), making a = z and so u = t, excluded.  Each of x and u, and
+likewise z and t, needs the same paired partner to be a middle after the
+contraction, so it was one before.  Hence the rule 2 phase walks the
+middles of one scan in ascending order, checking each as its turn comes,
+since a contraction can end a middle.
+
 The rewrites run on one `WorkGraph`: each costs time linear in the arcs
 it touches, and `RootedDigraph` is built once, for the kernel.  Every
-rewrite is logged as a step that can both replay forward on a digraph and
-lift a tree backward, so vertex ids stay in input coordinates.
+rewrite is logged as a step that replays forward on a digraph, so vertex
+ids stay in input coordinates, and `lift` carries a tree back through the
+steps on one parent map.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop
 from typing import Optional
 
 from .digraph import (NormMergeStep, Outbranching, RootedDigraph, WorkGraph,
@@ -106,34 +127,6 @@ class Rule1Step:
     def apply(self, d):
         return d.without_vertex(self.x, extra_arcs=self.shortcuts)
 
-    def lift(self, tree):
-        children = {}
-        for c, p in tree.parent.items():
-            children.setdefault(p, []).append(c)
-        non_leaves = [y for y in self.in_nbrs if children.get(y)]
-        if not non_leaves:
-            raise InternalInvariantError(
-                f"no non-leaf in-neighbor of {self.x} to re-attach it to")
-
-        def ancestors(v):
-            anc = set()
-            while v in tree.parent:
-                v = tree.parent[v]
-                anc.add(v)
-            return anc
-
-        blockers = set(non_leaves)
-        minimal = [y for y in non_leaves if not (ancestors(y) & blockers)]
-        y_i = min(minimal)
-        parent = dict(tree.parent)
-        out_set = set(self.out_nbrs)
-        for y in non_leaves:
-            for z in children[y]:
-                if z in out_set:
-                    parent[z] = self.x
-        parent[self.x] = y_i
-        return Outbranching(tree.root, parent)
-
     def __str__(self):
         adds = " ".join(f"{u}>{v}" for u, v in self.shortcuts)
         return f"rule1 x={self.x} add {adds}"
@@ -150,21 +143,6 @@ class Rule2Step:
     def apply(self, d):
         return d.contracted(self.x, self.y)
 
-    def lift(self, tree):
-        parent = dict(tree.parent)
-        p = parent.get(self.x)
-        if p == self.z:
-            parent[self.y] = self.z
-            parent[self.x] = self.y
-        elif p == self.u:
-            parent[self.y] = self.x
-            if parent.get(self.z) == self.x:
-                parent[self.z] = self.y
-        else:
-            raise InternalInvariantError(
-                f"merged vertex {self.x} has parent {p}, expected {self.u} or {self.z}")
-        return Outbranching(tree.root, parent)
-
     def __str__(self):
         return f"rule2 contract {self.x}+{self.y} in ({self.u},{self.x},{self.y},{self.z},{self.t})"
 
@@ -180,9 +158,6 @@ class Rule3Step:
 
     def apply(self, d):
         return d.without_arcs(self.arcs)
-
-    def lift(self, tree):
-        return tree
 
     def __str__(self):
         return f"rule3 del {self.y}>{self.x}"
@@ -205,10 +180,76 @@ class ReductionTrace:
 
 
 def lift(tree, trace):
-    """Lift an out-tree of the reduced digraph back through the trace."""
-    for step in reversed(trace.steps):
-        tree = step.lift(tree)
-    return tree
+    """Lift an out-tree of the reduced digraph back through the trace.
+
+    One parent map and one children map are rewritten in place, from the
+    last step to the first, and turned into one `Outbranching` at the end.
+    A rule 3 step or an arc deletion keeps the tree.  A rule 1 step hangs
+    x below the smallest non-leaf in-neighbor that has no other non-leaf
+    in-neighbor above it, and moves below x every outneighbor of x whose
+    parent is an in-neighbor of x.  A rule 2 step puts y back next to x on
+    the tree path through the merged vertex.  A root merge hangs the
+    absorbed vertex below the root and the root's children below it.  Each
+    step costs time linear in its in- and outneighbors, plus the tree
+    paths that rule 1 climbs.
+    """
+    steps = [s for s in trace.steps if isinstance(s, (Rule1Step, Rule2Step, NormMergeStep))]
+    if not steps:
+        return tree
+    root = tree.root
+    parent = dict(tree.parent)
+    children = {}
+    for c, p in parent.items():
+        children.setdefault(p, set()).add(c)
+
+    def attach(v, p):
+        old = parent.get(v)
+        if old is not None:
+            children[old].discard(v)
+        parent[v] = p
+        children.setdefault(p, set()).add(v)
+
+    for step in reversed(steps):
+        if isinstance(step, Rule1Step):
+            x = step.x
+            non_leaves = [y for y in step.in_nbrs if children.get(y)]
+            if not non_leaves:
+                raise InternalInvariantError(
+                    f"no non-leaf in-neighbor of {x} to re-attach it to")
+            blockers = set(non_leaves)
+
+            def below_blocker(v):
+                while v in parent:
+                    v = parent[v]
+                    if v in blockers:
+                        return True
+                return False
+
+            y_i = min(y for y in non_leaves if not below_blocker(y))
+            for z in step.out_nbrs:
+                if parent.get(z) in blockers:
+                    attach(z, x)
+            attach(x, y_i)
+        elif isinstance(step, Rule2Step):
+            u, x, y, z = step.u, step.x, step.y, step.z
+            p = parent.get(x)
+            if p == z:
+                attach(y, z)
+                attach(x, y)
+            elif p == u:
+                attach(y, x)
+                if parent.get(z) == x:
+                    attach(z, y)
+            else:
+                raise InternalInvariantError(
+                    f"merged vertex {x} has parent {p}, expected {u} or {z}")
+        elif isinstance(step, NormMergeStep):
+            kids = children.pop(root, set())
+            for c in kids:
+                parent[c] = step.absorbed
+            children[step.absorbed] = kids
+            attach(step.absorbed, root)
+    return Outbranching(root, parent)
 
 
 # -- the rules -----------------------------------------------------------
@@ -236,9 +277,16 @@ def _is_cutvertex(d, x):
     return True
 
 
-def apply_rule1(d, x):
-    """Delete cutvertex x, adding (v, z) for every v in N-(x), z in N+(x)-v."""
-    if not _is_cutvertex(d, x):
+def apply_rule1(d, x, tree=None):
+    """Delete cutvertex x, adding (v, z) for every v in N-(x), z in N+(x)-v.
+
+    `tree`, a `_DominatorTree` of d, certifies x by giving it a child;
+    without one, `_is_cutvertex` checks x with one traversal."""
+    if tree is not None:
+        certified = x != d.root and x in tree.children
+    else:
+        certified = _is_cutvertex(d, x)
+    if not certified:
         raise ValueError(f"vertex {x} is not a cutvertex")
     in_nbrs = d.in_neighbors(x)
     out_nbrs = d.out_neighbors(x)
@@ -258,9 +306,10 @@ def is_bipath4(d, p):
     return True
 
 
-def _chain_partner_map(d):
-    """v -> (a, b) when v's arcs are exactly the 2-circuits with a and b."""
-    partners = {}
+def _chain_partner_map(d, partners=None):
+    """v -> (a, b) when v's arcs are exactly the 2-circuits with a and b,
+    filled into `partners` when given."""
+    partners = {} if partners is None else partners
     for v in d.vertices:
         if v == d.root or d.outdeg(v) != 2 or d.indeg(v) != 2:
             continue
@@ -270,24 +319,34 @@ def _chain_partner_map(d):
     return partners
 
 
-def iter_bipath4(d):
-    """All length-4 bipaths, one orientation each, by ascending middle vertex."""
-    partners = _chain_partner_map(d)
+def _bipath_at(partners, y):
+    """The length-4 bipath with middle y in the chain partner map, or None."""
+    pair = partners.get(y)
+    if pair is None:
+        return None
+    x, z = pair
+    if x not in partners or z not in partners:
+        return None
+    ux = [w for w in partners[x] if w != y]
+    tz = [w for w in partners[z] if w != y]
+    if not ux or not tz:
+        return None
+    p = (ux[0], x, y, z, tz[0])
+    return p if len(set(p)) == 5 else None
+
+
+def iter_bipath4(d, partners=None):
+    """All length-4 bipaths, one orientation each, by ascending middle
+    vertex; `partners`, a dict, is filled with d's chain partner map."""
+    partners = _chain_partner_map(d, partners)
     for y in sorted(partners):
-        x, z = partners[y]
-        if x not in partners or z not in partners:
-            continue
-        ux = [w for w in partners[x] if w != y]
-        tz = [w for w in partners[z] if w != y]
-        if not ux or not tz:
-            continue
-        p = (ux[0], x, y, z, tz[0])
-        if len(set(p)) == 5:
+        p = _bipath_at(partners, y)
+        if p is not None:
             yield p
 
 
-def find_bipath4(d):
-    return next(iter_bipath4(d), None)
+def find_bipath4(d, partners=None):
+    return next(iter_bipath4(d, partners), None)
 
 
 def apply_rule2(d, p):
@@ -397,15 +456,22 @@ def renormalize(d, steps):
 
 class _DominatorTree:
     """The dominator tree of a digraph connected from the root, following
-    the rule 1 rewrites and normalization events of a strip."""
+    the rule 1 rewrites and normalization events of a strip.
+
+    A splice never gives a child to a vertex without one, so the
+    cutvertices only ever leave: they sit in a min-heap that
+    `smallest_cutvertex` cleans lazily."""
 
     def __init__(self, d):
         self.root = d.root
         self.idom = immediate_dominators(d)
+        if len(self.idom) != d.n:
+            raise ValueError("digraph is not connected from the root")
         self.children = {}
         for v, p in self.idom.items():
             if v != d.root:
                 self.children.setdefault(p, set()).add(v)
+        self.heap = sorted(v for v in self.children if v != d.root)
 
     def splice(self, x):
         """Drop x, handing its children to idom(x)."""
@@ -426,31 +492,43 @@ class _DominatorTree:
             self.splice(step.absorbed)
 
     def smallest_cutvertex(self):
-        return min((v for v in self.children if v != self.root), default=None)
+        heap = self.heap
+        while heap and heap[0] not in self.children:
+            heappop(heap)
+        return heap[0] if heap else None
 
 
 def strip_cutvertices(d, steps):
     """Apply rule 1 until no cutvertex is left, re-normalizing after every
     rewrite and appending the steps; d itself comes back when it has none.
+    Raises ValueError when d is not connected from the root.
 
     Each rewrite takes the smallest cutvertex, as `find_cutvertex` would.
     One dominator pass serves the whole strip: by the splice lemma (module
     docstring) a rule 1 rewrite of x and a root merge of u each splice that
     vertex out of the tree, handing its children to its parent, and
-    normalization's arc deletions leave it as it is.
+    normalization's arc deletions leave it as it is.  The tree certifies
+    each cutvertex it hands to `apply_rule1`, so no rewrite pays a
+    traversal.  After the last rewrite one `find_cutvertex` pass checks the
+    spliced tree: a cutvertex it missed raises InternalInvariantError.  A
+    digraph without a cutvertex costs the tree's pass alone.
     """
-    x = find_cutvertex(d)
+    tree = _DominatorTree(d)
+    x = tree.smallest_cutvertex()
     if x is None:
         return d
-    tree = _DominatorTree(d)
     while x is not None:
         mark = len(steps)
-        d, st = apply_rule1(d, x)
+        d, st = apply_rule1(d, x, tree)
         steps.append(st)
         d = renormalize(d, steps)
         for step in steps[mark:]:
             tree.follow(step)
         x = tree.smallest_cutvertex()
+    left = find_cutvertex(d)
+    if left is not None:
+        raise InternalInvariantError(
+            f"vertex {left} is still a cutvertex after the strip")
     return d
 
 
@@ -463,7 +541,8 @@ def kernelize(d):
     resumes its scan at the head of the last deletion (module docstring).
     That phase keeps one certificate tree, grown again only after a
     deletion removes one of its arcs, which a breadth-first tree never
-    loses there (module docstring).
+    loses there (module docstring).  The rule 2 phase takes its bipaths
+    from one scan (lemma C).
     A digraph on which no rule applies is returned unchanged, without
     normalization; normalization runs only after an actual rewrite, since
     shortcut arcs can violate the standing root assumptions.
@@ -482,13 +561,42 @@ def kernelize(d):
         if any(tree.get(v) == u for step in steps[mark:] for u, v in step.arcs):
             tree.clear()
         pair = find_rule3(work, start=pair[0], tree=tree)
-    p = find_bipath4(work)
+    work = _contract_bipaths(work, steps)
+    return (work.freeze() if steps else d), ReductionTrace(tuple(steps))
+
+
+def _contract_bipaths(work, steps):
+    """Rule 2 to exhaustion on the `WorkGraph` work, re-normalizing after
+    every contraction and appending the steps, taking the bipaths that
+    repeated `find_bipath4` scans would take.
+
+    One `find_bipath4` scan fills the chain partner map.  By lemma C
+    (module docstring) the later middles are among those of that scan, so
+    they are taken in ascending order, each checked against the partner
+    map as its turn comes; a contraction rewrites the partner pairs of x
+    and z and drops y.  A renormalization that rewrites anything, which
+    happens only on raw input, calls for a new scan.
+    """
+    partners = {}
+    p = find_bipath4(work, partners)
+    if p is None:
+        return work
+    middles = iter([v for v in sorted(partners) if v > p[2]])
     while p is not None:
+        mark = len(steps)
         work, st = apply_rule2(work, p)
         steps.append(st)
         work = renormalize(work, steps)
-        p = find_bipath4(work)
-    return (work.freeze() if steps else d), ReductionTrace(tuple(steps))
+        if len(steps) > mark + 1:
+            partners = _chain_partner_map(work)
+            middles = iter(sorted(partners))
+        else:
+            u, x, y, z, t = p
+            del partners[y]
+            partners[x] = (u, z) if u < z else (z, u)
+            partners[z] = (x, t) if x < t else (t, x)
+        p = next(filter(None, (_bipath_at(partners, v) for v in middles)), None)
+    return work
 
 
 def kernel_numbering_tree(reduced):

@@ -8,9 +8,9 @@ from itertools import combinations
 
 from maxleaf import stnum
 from maxleaf.bounds import acyclic_many_leaves
-from maxleaf.digraph import (NormDeleteStep, Outbranching, RootedDigraph, VerifyResult, build,
-                             classify, euler_intervals, find_cutvertex, is_2connected,
-                             normalize, reachable)
+from maxleaf.digraph import (NormDeleteStep, NormMergeStep, Outbranching, RootedDigraph,
+                             VerifyResult, build, classify, euler_intervals, find_cutvertex,
+                             is_2connected, normalize, reachable)
 from maxleaf.errors import InfeasibleError, InternalInvariantError
 from maxleaf.gen import gen_random
 from maxleaf.reduce import (ReductionTrace, Rule1Step, Rule2Step, Rule3Step,
@@ -660,6 +660,18 @@ def recomputing_strip(d, steps):
         d = renormalize(d, steps)
 
 
+def rescanning_rule2_phase(d, steps):
+    """Rule 2 to exhaustion with a fresh `find_bipath4` scan before every
+    contraction, re-normalizing after each."""
+    p = find_bipath4(d)
+    while p is not None:
+        d, st = apply_rule2(d, p)
+        steps.append(st)
+        d = renormalize(d, steps)
+        p = find_bipath4(d)
+    return d
+
+
 def fixpoint_kernelize(d):
     """Rule 1 to exhaustion, rule 3 to exhaustion, then one rule 2
     contraction, re-normalizing after every rewrite, in a loop that repeats
@@ -686,6 +698,78 @@ def fixpoint_kernelize(d):
         if len(steps) == before:
             break
     return work, ReductionTrace(tuple(steps))
+
+
+def walked_illegal_arcs(d):
+    """`digraph._illegal_arcs` before the recorded heads: the root's in-list
+    and every root outneighbor's in-list, walked in full."""
+    r = d.root
+    bad = [(u, r) for u in d._in[r]]
+    for v in d._out[r]:
+        bad.extend((u, v) for u in d._in[v] if u != r)
+    return sorted(bad)
+
+
+def _lift_rule1(step, tree):
+    children = {}
+    for c, p in tree.parent.items():
+        children.setdefault(p, []).append(c)
+    non_leaves = [y for y in step.in_nbrs if children.get(y)]
+    if not non_leaves:
+        raise InternalInvariantError(
+            f"no non-leaf in-neighbor of {step.x} to re-attach it to")
+
+    def ancestors(v):
+        anc = set()
+        while v in tree.parent:
+            v = tree.parent[v]
+            anc.add(v)
+        return anc
+
+    blockers = set(non_leaves)
+    minimal = [y for y in non_leaves if not (ancestors(y) & blockers)]
+    y_i = min(minimal)
+    parent = dict(tree.parent)
+    out_set = set(step.out_nbrs)
+    for y in non_leaves:
+        for z in children[y]:
+            if z in out_set:
+                parent[z] = step.x
+    parent[step.x] = y_i
+    return Outbranching(tree.root, parent)
+
+
+def _lift_rule2(step, tree):
+    parent = dict(tree.parent)
+    p = parent.get(step.x)
+    if p == step.z:
+        parent[step.y] = step.z
+        parent[step.x] = step.y
+    elif p == step.u:
+        parent[step.y] = step.x
+        if parent.get(step.z) == step.x:
+            parent[step.z] = step.y
+    else:
+        raise InternalInvariantError(
+            f"merged vertex {step.x} has parent {p}, expected {step.u} or {step.z}")
+    return Outbranching(tree.root, parent)
+
+
+def _lift_merge(step, tree):
+    root = tree.root
+    parent = {c: (step.absorbed if p == root else p) for c, p in tree.parent.items()}
+    parent[step.absorbed] = root
+    return Outbranching(root, parent)
+
+
+def stepwise_lift(tree, trace):
+    """`reduce.lift` before the one map: each step copies the tree and
+    lifts it on its own, from the last step to the first."""
+    lifts = {Rule1Step: _lift_rule1, Rule2Step: _lift_rule2, NormMergeStep: _lift_merge}
+    for step in reversed(trace.steps):
+        if type(step) in lifts:
+            tree = lifts[type(step)](step, tree)
+    return tree
 
 
 def brute_min_vertex_cover(vertices, edges):

@@ -3,11 +3,12 @@ from collections import Counter
 
 import pytest
 
-from maxleaf import digraph, reduce
-from maxleaf.digraph import (NormDeleteStep, RootedDigraph, WorkGraph, build,
+from maxleaf import approx, digraph, reduce
+from maxleaf.approx import approximate
+from maxleaf.digraph import (NormDeleteStep, RootedDigraph, WorkGraph, bfs_tree, build,
                              cutvertices, find_cutvertex, immediate_dominators,
                              normalize, verify_outbranching)
-from maxleaf.errors import InfeasibleError
+from maxleaf.errors import InfeasibleError, InternalInvariantError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_dipath, gen_random, gen_star, gen_t_l
 from maxleaf.reduce import (NormMergeStep, ReductionTrace, Rule1Step, Rule2Step,
@@ -20,7 +21,8 @@ from maxleaf.reduce import (NormMergeStep, ReductionTrace, Rule1Step, Rule2Step,
 from support import (all_rule_applications, chain_planted_corpus, count_calls,
                      fixpoint_kernelize, mixed_rule_corpus, per_arc_rule3,
                      random_instances, raw_digraph, rebuilt, recomputing_strip,
-                     relabelled)
+                     relabelled, rescanning_rule2_phase, stepwise_lift,
+                     walked_illegal_arcs)
 
 
 def test_rule0():
@@ -67,6 +69,41 @@ def test_rule1_check_matches_cutvertices():
                 with pytest.raises(ValueError, match=match):
                     apply_rule1(d, x)
     assert disconnected > 0 and accepted > 0
+
+
+def test_rule1_certificate_from_the_dominator_tree():
+    checked = 0
+    for d in map(raw_digraph, range(1100, 1200)):
+        if not rule0(d):
+            continue
+        cuts = cutvertices(d)
+        tree = reduce._DominatorTree(d)
+        for x in d.vertices:
+            if x in cuts:
+                assert apply_rule1(d, x, tree) == apply_rule1(d, x)
+                checked += 1
+            else:
+                with pytest.raises(ValueError, match="cutvertex"):
+                    apply_rule1(d, x, tree)
+    assert checked > 50
+
+
+def test_strip_checks_its_dominator_tree(monkeypatch):
+    # 3 dominates 4 and 5, and 4 dominates 5: a tree that hangs 5 below 3
+    # hides the cutvertex 4, and the strip must not return it as a kernel
+    d = build(6, 0, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    assert cutvertices(d) == [3, 4]
+    real = reduce.immediate_dominators
+    monkeypatch.setattr(reduce, "immediate_dominators", lambda g: {**real(g), 5: 3})
+    with pytest.raises(InternalInvariantError, match="4 is still a cutvertex"):
+        strip_cutvertices(d, [])
+    with pytest.raises(InternalInvariantError, match="4 is still a cutvertex"):
+        kernelize(d)
+
+
+def test_strip_rejects_input_not_connected_from_the_root():
+    with pytest.raises(ValueError, match="not connected"):
+        strip_cutvertices(build(4, 0, [(0, 1), (1, 2)]), [])
 
 
 def spliced_trees(d):
@@ -156,6 +193,27 @@ def test_rule2_chain_reaches_fixpoint():
         contractions += 1
     assert contractions == 3  # chain of 7 shrinks to 4 double-linked vertices
     assert len(list(iter_bipath4(d))) == 0
+
+
+def test_rule2_phase_matches_rescanning():
+    # a ring of 2-circuits entered only at 1: contracting the middle 3
+    # leaves 4 with the bipath (1, 2, 4, 5, 1), which is no longer one
+    ring = build(8, 0, [(0, 6), (0, 7), (6, 1), (7, 1)]
+                 + [a for v, w in ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1))
+                    for a in ((v, w), (w, v))])
+    corpus = [ring] + chain_planted_corpus(60, 4100, raw=True)
+    corpus += chain_planted_corpus(60, 4100, raw=False)
+    corpus += [strip_cutvertices(d, []) for d in corpus[-60:]]
+    contractions = []
+    rescans = 0
+    for d in corpus:
+        steps, want = [], []
+        got = reduce._contract_bipaths(WorkGraph(d), steps).freeze()
+        assert got == rescanning_rule2_phase(d, want)
+        assert steps == want
+        contractions.append(sum(isinstance(s, Rule2Step) for s in steps))
+        rescans += any(isinstance(s, (NormDeleteStep, NormMergeStep)) for s in steps)
+    assert contractions[0] == 1 and sum(contractions) > 500 and rescans > 50
 
 
 def test_rule3_example():
@@ -263,15 +321,18 @@ def test_kernelize_runs_each_rule_once(monkeypatch):
     corpus += chain_planted_corpus(40, 7900, raw=False)
     scans = {name: count_calls(monkeypatch, reduce, name)
              for name in ("find_cutvertex", "find_rule3", "find_bipath4")}
+    passes = count_calls(monkeypatch, digraph, "dominators_from_maps")
     fired = Counter()
     for d in corpus:
-        for calls in scans.values():
+        for calls in [*scans.values(), passes]:
             calls.clear()
         _, trace = kernelize(d)
         kinds = Counter(type(s) for s in trace.steps)
-        assert len(scans["find_cutvertex"]) == 1
+        # the strip's dominator tree, then one check when rule 1 fired
+        assert len(scans["find_cutvertex"]) == (1 if kinds[Rule1Step] else 0)
+        assert len(passes) == (2 if kinds[Rule1Step] else 1)
         assert len(scans["find_rule3"]) == kinds[Rule3Step] + 1
-        assert len(scans["find_bipath4"]) == kinds[Rule2Step] + 1
+        assert len(scans["find_bipath4"]) == 1  # later middles come from that scan
         fired.update(kinds)
     assert fired[Rule1Step] and fired[Rule2Step] and fired[Rule3Step]
 
@@ -322,6 +383,66 @@ def test_kernelize_keeps_one_certificate_tree(monkeypatch):
         assert got == red and got_trace.to_text() == trace.to_text()
         regrown += max(len(grown) - 1, 0)
     assert regrown > 20
+
+
+def test_recorded_heads_match_the_full_illegal_arc_walk(monkeypatch):
+    """After every rewrite of kernelize and approximate, normalize reads
+    only the heads of the arcs added since the last normalization, and
+    finds every illegal arc there."""
+    corpus = chain_planted_corpus(60, 9100, raw=True)
+    corpus += chain_planted_corpus(60, 9100, raw=False)
+    corpus += [d for d in map(raw_digraph, range(9300, 9500)) if rule0(d)]
+    # a new root whose one arc enters the old root: normalization merges
+    corpus += [RootedDigraph([*d.vertices, d.n], d.n, d.arcs() + [(d.n, d.root)])
+               for d in corpus[:60]]
+    corpus.append(gen_random(800, 1.5 / 800, seed=2))
+    real = digraph._illegal_arcs
+    found = Counter()
+
+    def checked(d, heads=None):
+        got = real(d, heads)
+        assert got == walked_illegal_arcs(d)
+        if heads is not None:
+            found["reads"] += 1
+            found["arcs"] += len(got)
+        return got
+
+    monkeypatch.setattr(digraph, "_illegal_arcs", checked)
+    merges = 0
+    for d in corpus:
+        merges += sum(isinstance(s, NormMergeStep) for s in kernelize(d)[1].steps)
+        approximate(d)
+    assert found["reads"] > 3000 and found["arcs"] > 3000 and merges > 15
+
+
+def test_lift_matches_stepwise_lift(monkeypatch):
+    """Every tree that kernelize, decide and approximate lift, and two
+    spanning trees of each kernel, lift as the step-by-step copies do."""
+    corpus = chain_planted_corpus(60, 9600, raw=True)
+    corpus += chain_planted_corpus(40, 9600, raw=False)
+    corpus += [d for d in map(raw_digraph, range(9700, 9900)) if rule0(d)]
+    corpus += mixed_rule_corpus(40, seed_base=9900)
+    corpus += [RootedDigraph([*d.vertices, d.n], d.n, d.arcs() + [(d.n, d.root)])
+               for d in corpus[:60]]
+    corpus.append(gen_random(800, 1.5 / 800, seed=2))
+    real = reduce.lift
+    lifted = Counter()
+
+    def checked(tree, trace):
+        got = real(tree, trace)
+        assert got == stepwise_lift(tree, trace)
+        lifted.update(type(s) for s in trace.steps)
+        return got
+
+    monkeypatch.setattr(reduce, "lift", checked)
+    monkeypatch.setattr(approx, "lift", checked)
+    for d in corpus:
+        red, trace = kernelize(d)
+        for tree in (bfs_tree(red), depth_first_tree(red)):
+            checked(tree, trace)
+        decide(d, 2)
+        approximate(d)
+    assert lifted[Rule1Step] > 2000 and lifted[Rule2Step] > 2000 and lifted[NormMergeStep] > 100
 
 
 def assert_same_digraph(work, d):
