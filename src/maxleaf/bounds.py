@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .digraph import (Outbranching, RootedDigraph, euler_intervals, grow_tree,
                       is_connected)
@@ -152,12 +151,6 @@ def acyclic_many_leaves(d):
     if len(tree.parent) != d.n - 1:
         raise InternalInvariantError("dominating set did not span the digraph")
     return tree
-
-
-def many_leaves_bound(d):
-    """The leaf count acyclic_many_leaves guarantees on input d, as a Fraction."""
-    l = sum(1 for v in d.vertices if d.indeg(v) >= 2)
-    return Fraction(l + d.outdeg(d.root) - 1, 3) + 1
 
 
 # -- first tree bound ---------------------------------------------------

@@ -117,10 +117,6 @@ class RootedDigraph:
     def without_arcs(self, arcs):
         return RootedDigraph(self.vertices, self.root, self._arcset.difference(arcs))
 
-    def with_arcs(self, arcs):
-        return RootedDigraph(self.vertices, self.root,
-                             list(self._arcset) + list(arcs))
-
     def without_vertex(self, v, extra_arcs=()):
         return WorkGraph(self).without_vertex(v, extra_arcs).freeze()
 
@@ -331,14 +327,6 @@ def normalize(d):
     if isinstance(work, WorkGraph) and work is not d:
         work = work.freeze()
     return work, tuple(steps)
-
-
-def is_normalized(d):
-    if d.indeg(d.root) != 0:
-        return False
-    if _illegal_arcs(d):
-        return False
-    return d.n <= 2 or d.outdeg(d.root) >= 2
 
 
 # -- reachability and cuts ---------------------------------------------

@@ -4,8 +4,21 @@ A spanning out-tree with k leaves exists exactly when there is a set I
 containing r with n - k vertices such that every other vertex has an
 in-neighbor in I and the subgraph induced on I is connected from r (the
 internal vertices of an out-tree form such a set, and from such a set a tree
-whose internal vertices all lie in I can be grown).  The oracle enumerates
-candidate internal sets in increasing size with bitmask arithmetic.
+whose internal vertices all lie in I can be grown).  Call such a set valid.
+The oracle tries the sets I - {r} by increasing size, each size in
+lexicographic order, with bitmask arithmetic; the first valid one gives the
+maximum and the witness.  Three lemmas shrink the search but keep that set:
+
+A. The only in-neighbor u != r of a non-root vertex of indegree 1 lies in
+   every valid set, which must cover that vertex: u is forced.
+B. A vertex x with no out-arc to a non-root vertex lies in no smallest
+   valid set: I - {x} still covers every non-root vertex (x covered none,
+   and has an in-neighbor other than itself in I), and no path from r
+   inside I passes through x.
+C. Two k-subsets compare lexicographically by the smallest element of their
+   symmetric difference, which adding a set disjoint from both leaves as it
+   is.  So the forced vertices joined to the subsets of the vertices left
+   by A and B come in the old order, and the first valid set is the same.
 """
 from __future__ import annotations
 
@@ -45,22 +58,28 @@ def maxleaf_exact(d, limit=DEFAULT_LIMIT):
     for u, v in d.arc_set():
         out_mask[idx[u]] |= bit[idx[v]]
     root_i = idx[d.root]
-    nonroot = [i for i in range(len(verts)) if i != root_i]
-    nonroot_mask = 0
-    for i in nonroot:
-        nonroot_mask |= bit[i]
+    nonroot_mask = (1 << len(verts)) - 1 - bit[root_i]
     out_lists = {i: [idx[w] for w in d.out_neighbors(verts[i])] for i in range(len(verts))}
+    forced = sorted({idx[d.in_neighbors(v)[0]] for v in verts
+                     if v != d.root and d.indeg(v) == 1} - {root_i})
+    free = [i for i in range(len(verts)) if i != root_i and i not in forced
+            and out_mask[i] & nonroot_mask]
+    base_cover = out_mask[root_i]
+    base_imask = bit[root_i]
+    for i in forced:
+        base_cover |= out_mask[i]
+        base_imask |= bit[i]
 
     explored = 0
-    for size in range(len(nonroot) + 1):
-        for comb in combinations(nonroot, size):
+    for extra in range(len(free) + 1):
+        for comb in combinations(free, extra):
             explored += 1
-            cover = out_mask[root_i]
+            cover = base_cover
             for i in comb:
                 cover |= out_mask[i]
             if cover & nonroot_mask != nonroot_mask:
                 continue
-            imask = bit[root_i]
+            imask = base_imask
             for i in comb:
                 imask |= bit[i]
             # connectivity of the induced subgraph on I, from the root
@@ -75,8 +94,8 @@ def maxleaf_exact(d, limit=DEFAULT_LIMIT):
                         stack.append(w)
             if reached != imask:
                 continue
-            witness = grow_tree(d, internal={verts[i] for i in comb})
-            maxleaf = d.n - 1 - size
+            witness = grow_tree(d, internal={verts[i] for i in (*forced, *comb)})
+            maxleaf = d.n - 1 - len(forced) - extra
             if witness.leaf_count != maxleaf:
                 raise InternalInvariantError("optimal internal set produced a suboptimal tree")
             return ExactResult(maxleaf, witness, explored)

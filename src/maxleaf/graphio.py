@@ -2,6 +2,9 @@
 
 Graph format: first data line is `n m r`, followed by m lines `u v` with
 0-based vertex ids.  Lines starting with `#` and blank lines are ignored.
+`parse_graph` first reads the whole text in one scan, which accepts only
+the layout `format_graph` writes for dense ids; any other text, and every
+malformed one, goes to the line-by-line reading, which raises the errors.
 
 Tree format: first data line is `n r`, followed by n-1 lines `child parent`.
 """
@@ -29,7 +32,31 @@ def _ints(line_no, line, count, what):
         raise GraphFormatError(line_no, f"non-integer field in {what!r} line: {line!r}") from None
 
 
+def _scan_graph(text):
+    """The digraph of a text in `format_graph`'s dense layout, read in one
+    scan of the whole text; None for any other text and for any text that
+    the line-by-line reading rejects."""
+    head, _, body = text.partition("\n")
+    try:
+        n, m, r = map(int, head.split(" "))
+        ids = list(map(int, body.split()))
+    except ValueError:
+        return None
+    it = iter(ids)
+    if (head != f"{n} {m} {r}" or not 0 <= r < n or len(ids) != 2 * m
+            or body != "".join(map("{} {}\n".format, it, it))):
+        return None
+    if ids and (min(ids) < 0 or max(ids) >= n or any(map(int.__eq__, ids[::2], ids[1::2]))):
+        return None
+    it = iter(ids)
+    return build(n, r, zip(it, it))
+
+
 def parse_graph(text):
+    return _scan_graph(text) or _parse_graph_lines(text)
+
+
+def _parse_graph_lines(text):
     lines = _data_lines(text)
     try:
         line_no, header = next(lines)

@@ -93,12 +93,6 @@ class RRNumbering:
         return RRNumbering(order, {v: i for i, v in enumerate(order)})
 
 
-@dataclass(frozen=True)
-class NumberingSplit:
-    forward: RootedDigraph
-    backward: RootedDigraph
-
-
 def validate_numbering(d, order):
     """True when `order` lists the non-root vertices once and every vertex
     that is not an outneighbor of r has in-neighbors on both sides."""
@@ -138,14 +132,6 @@ def in_sides(d, numbering):
 def side_digraph(d, side):
     """The spanning subdigraph of d with the arcs of one `in_sides` side."""
     return RootedDigraph(d.vertices, d.root, [(u, v) for v, ins in side.items() for u in ins])
-
-
-def split(d, numbering):
-    """Forward and backward subdigraphs induced by a valid numbering."""
-    if not validate_numbering(d, numbering.order):
-        raise ValueError("numbering is not valid for this digraph")
-    fwd, bwd = in_sides(d, numbering)
-    return NumberingSplit(side_digraph(d, fwd), side_digraph(d, bwd))
 
 
 # -- indegree reduction -------------------------------------------------

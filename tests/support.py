@@ -4,20 +4,58 @@ from __future__ import annotations
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from maxleaf import stnum
 from maxleaf.bounds import acyclic_many_leaves
 from maxleaf.digraph import (NormDeleteStep, NormMergeStep, Outbranching, RootedDigraph,
                              VerifyResult, build, classify, euler_intervals, find_cutvertex,
-                             is_2connected, normalize, reachable)
-from maxleaf.errors import InfeasibleError, InternalInvariantError
+                             grow_tree, is_2connected, is_connected, normalize, reachable)
+from maxleaf.errors import InfeasibleError, InternalInvariantError, PreconditionError
+from maxleaf.exact import DEFAULT_LIMIT, ExactResult
 from maxleaf.gen import gen_random
 from maxleaf.reduce import (ReductionTrace, Rule1Step, Rule2Step, Rule3Step,
                             apply_rule1, apply_rule2, apply_rule3, find_bipath4,
                             find_rule3, iter_bipath4, iter_rule3, renormalize,
                             rule0, strip_cutvertices)
 from maxleaf.digraph import cutvertices as idom_cutvertices
+
+
+# -- helpers that only the tests read ------------------------------------
+
+
+def with_arcs(d, arcs):
+    """d with the given arcs added (duplicates collapse)."""
+    return RootedDigraph(d.vertices, d.root, list(d.arc_set()) + list(arcs))
+
+
+def is_normalized(d):
+    if d.indeg(d.root) != 0:
+        return False
+    if walked_illegal_arcs(d):
+        return False
+    return d.n <= 2 or d.outdeg(d.root) >= 2
+
+
+@dataclass(frozen=True)
+class NumberingSplit:
+    forward: RootedDigraph
+    backward: RootedDigraph
+
+
+def split(d, numbering):
+    """Forward and backward subdigraphs induced by a valid numbering."""
+    if not stnum.validate_numbering(d, numbering.order):
+        raise ValueError("numbering is not valid for this digraph")
+    fwd, bwd = stnum.in_sides(d, numbering)
+    return NumberingSplit(stnum.side_digraph(d, fwd), stnum.side_digraph(d, bwd))
+
+
+def many_leaves_bound(d):
+    """The leaf count acyclic_many_leaves guarantees on input d, as a Fraction."""
+    l = sum(1 for v in d.vertices if d.indeg(v) >= 2)
+    return Fraction(l + d.outdeg(d.root) - 1, 3) + 1
 
 
 def count_calls(monkeypatch, module, name):
@@ -486,10 +524,10 @@ def rescanning_majbound_tree(d, cls, paths):
 
 def splitting_bound1_tree(d, numbering=None):
     """`bound1_tree` building both numbering-induced covers with
-    `stnum.split`, which validates the numbering again, and keeping the one
+    `split`, which validates the numbering again, and keeping the one
     with more indegree-2 vertices."""
     num = numbering or stnum.rr_numbering(d)
-    parts = stnum.split(d, num)
+    parts = split(d, num)
     best, best_count = None, -1
     for part in (parts.forward, parts.backward):
         count = sum(1 for v in part.vertices if part.indeg(v) >= 2)
@@ -955,3 +993,60 @@ def looped_large_indegree_witness(d, x):
     if len(tree.parent) != d.n - 1:
         raise InternalInvariantError("witness tree failed to span the digraph")
     return tree
+
+
+def enumerating_exact(d, limit=DEFAULT_LIMIT):
+    """`maxleaf_exact` before the forced and useless vertices: every subset
+    of the non-root vertices, in increasing size, each size in
+    lexicographic order."""
+    if d.n > limit:
+        raise PreconditionError(
+            f"instance has {d.n} vertices, above the exact-search limit {limit}")
+    if not is_connected(d):
+        raise ValueError("instance is not connected from the root")
+    if d.n == 1:
+        return ExactResult(1, Outbranching(d.root, {}), 0)
+
+    verts = list(d.vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    bit = [1 << i for i in range(len(verts))]
+    out_mask = [0] * len(verts)
+    for u, v in d.arc_set():
+        out_mask[idx[u]] |= bit[idx[v]]
+    root_i = idx[d.root]
+    nonroot = [i for i in range(len(verts)) if i != root_i]
+    nonroot_mask = 0
+    for i in nonroot:
+        nonroot_mask |= bit[i]
+    out_lists = {i: [idx[w] for w in d.out_neighbors(verts[i])] for i in range(len(verts))}
+
+    explored = 0
+    for size in range(len(nonroot) + 1):
+        for comb in combinations(nonroot, size):
+            explored += 1
+            cover = out_mask[root_i]
+            for i in comb:
+                cover |= out_mask[i]
+            if cover & nonroot_mask != nonroot_mask:
+                continue
+            imask = bit[root_i]
+            for i in comb:
+                imask |= bit[i]
+            # connectivity of the induced subgraph on I, from the root
+            reached = bit[root_i]
+            stack = [root_i]
+            while stack:
+                u = stack.pop()
+                for w in out_lists[u]:
+                    b = bit[w]
+                    if (imask & b) and not (reached & b):
+                        reached |= b
+                        stack.append(w)
+            if reached != imask:
+                continue
+            witness = grow_tree(d, internal={verts[i] for i in comb})
+            maxleaf = d.n - 1 - size
+            if witness.leaf_count != maxleaf:
+                raise InternalInvariantError("optimal internal set produced a suboptimal tree")
+            return ExactResult(maxleaf, witness, explored)
+    raise InternalInvariantError("no internal set found on a connected instance")

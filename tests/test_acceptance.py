@@ -11,17 +11,16 @@ import pytest
 
 from maxleaf.approx import approximate, majbound_tree, sqrt_opt_tree, weak_bipaths
 from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree,
-                            many_leaves_bound, topological_order,
-                            vertex_cover_third)
+                            topological_order, vertex_cover_third)
 from maxleaf.digraph import (classify, is_2connected, reachable,
                              verify_outbranching)
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_t_l
 from maxleaf.reduce import decide, kernelize, lift
-from maxleaf.stnum import rr_numbering, split
+from maxleaf.stnum import rr_numbering
 
-from support import (all_rule_applications, mixed_rule_corpus,
-                     random_instances, random_undirected_graphs,
+from support import (all_rule_applications, many_leaves_bound, mixed_rule_corpus,
+                     random_instances, random_undirected_graphs, split,
                      two_connected_instances)
 
 

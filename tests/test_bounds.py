@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from maxleaf.digraph import (RootedDigraph, build, classify, normalize,
                             verify_outbranching)
 from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree,
-                            dominate_bipartite, domination_scaffold,
-                            many_leaves_bound, topological_order,
+                            dominate_bipartite, domination_scaffold, topological_order,
                             transverse_decomposition, trim_to_indegree_two,
                             vertex_cover_third)
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_star, gen_t_l
-from maxleaf.stnum import rr_numbering, split
+from maxleaf.stnum import rr_numbering
 
-from support import (brute_min_vertex_cover, is_ancestor,
-                     random_undirected_graphs, resorting_vertex_cover,
+from support import (brute_min_vertex_cover, is_ancestor, many_leaves_bound,
+                     random_undirected_graphs, resorting_vertex_cover, split,
                      two_connected_instances)
 
 

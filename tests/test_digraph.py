@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
                              dominators_from_maps, find_cutvertex,
                              immediate_dominators, is_2connected, is_connected,
-                             is_normalized, normalize, NormDeleteStep,
+                             normalize, NormDeleteStep,
                              NormMergeStep, Outbranching, RootedDigraph,
                              WorkGraph, reachable, verify_outbranching)
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.stnum import RootPathState, two_disjoint_root_paths
 
-from support import (brute_cutvertices, brute_idom, iterative_idom,
+from support import (brute_cutvertices, brute_idom, is_normalized, iterative_idom,
                      random_instances, raw_digraph, relabelled)
 
 

@@ -3,11 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from maxleaf.digraph import build, reachable, verify_outbranching
+from maxleaf.digraph import build, is_connected, reachable, verify_outbranching
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_bipath_chain, gen_random, gen_star, gen_t_l
 
-from support import random_instances
+from support import enumerating_exact, random_instances, raw_digraph, with_arcs
+from test_golden import every_small_digraph
 
 
 def test_star_maxleaf():
@@ -55,7 +56,7 @@ def test_adding_arcs_never_decreases_maxleaf():
         if not missing:
             continue
         extra = rng.choice(missing)
-        assert maxleaf_exact(d.with_arcs([extra])).maxleaf >= base
+        assert maxleaf_exact(with_arcs(d, [extra])).maxleaf >= base
 
 
 def test_every_cutset_contains_an_internal_vertex():
@@ -69,3 +70,27 @@ def test_every_cutset_contains_an_internal_vertex():
             for cut in combinations(others, size):
                 if len(reachable(d, set(cut))) < d.n - size:
                     assert internal & set(cut), (cut, d.arcs())
+
+
+def test_matches_enumerating_oracle():
+    # lemmas A to C of the module docstring: skipping the forced and the
+    # useless vertices finds the same first internal set, so the same tree
+    cases = [d for _, d in every_small_digraph(3)]
+    cases += random_instances(40, 4, 12, seed_base=4200)
+    cases += [raw_digraph(seed) for seed in range(4300, 4380)]
+    cases += [gen_star(k) for k in (1, 2, 5)]
+    cases += [gen_bipath_chain(k) for k in (1, 2, 6)]
+    cases += [gen_t_l(2), gen_t_l(3)]
+    searched = 0
+    for d in cases:
+        if not is_connected(d):
+            with pytest.raises(ValueError, match="connected"):
+                maxleaf_exact(d)
+            continue
+        want = enumerating_exact(d)
+        got = maxleaf_exact(d)
+        assert got.maxleaf == want.maxleaf, d.arcs()
+        assert got.witness.parent == want.witness.parent, d.arcs()
+        assert got.explored <= want.explored
+        searched += 1
+    assert searched > 150

@@ -1,10 +1,12 @@
 import pytest
 
-from maxleaf.digraph import is_2connected, is_normalized
+from maxleaf.digraph import is_2connected
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import (FAMILIES, GenSpec, gen_bipath_chain, gen_boloney,
                          gen_dipath, gen_random, gen_star, gen_t_l, generate)
 from maxleaf.reduce import rule0
+
+from support import is_normalized
 
 
 def test_t_l_vertex_counts():

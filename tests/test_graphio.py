@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 from maxleaf.digraph import Outbranching, build
 from maxleaf.errors import GraphFormatError
 from maxleaf.gen import gen_random, gen_t_l
-from maxleaf.graphio import (format_graph, format_tree, parse_graph,
-                             parse_tree, to_dot)
+from maxleaf.graphio import (_parse_graph_lines, _scan_graph, format_graph, format_tree,
+                             parse_graph, parse_tree, to_dot)
+
+from support import raw_digraph
+from test_golden import corpus
 
 
 def test_graph_round_trip():
@@ -76,3 +79,71 @@ def test_round_trip_identity_on_random_instances(seed):
     # ids may be compacted; structure must survive another round exactly
     assert format_graph(again) == format_graph(parse_graph(format_graph(again)))
     assert again.n == d.n and again.m == d.m
+
+
+def _read(parse, text):
+    """The digraph `parse` reads from text, or its error's line and message."""
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return ("error", exc.line_no, exc.message)
+
+
+def _perturbed(text):
+    """Variants of a graph file in `format_graph`'s dense form: each is
+    read line by line, or by the scan when it reads the same digraph.  An
+    id-mapping comment is dropped first."""
+    if text.startswith("#"):
+        text = text.partition("\n")[2]
+    head, _, body = text.partition("\n")
+    n, m, r = map(int, head.split())
+    arcs = body.splitlines()
+    first = arcs[0] if arcs else "0 1"
+    yield "# a comment\n" + text
+    yield head + "\n\n" + body
+    yield head + "\n" + "\n# note\n".join(arcs) + "\n"
+    yield text.replace("\n", "\r\n")
+    yield text.replace(" ", "\t")
+    yield text.replace(" ", "  ")
+    yield text.replace("\n", " \n")
+    yield " " + text
+    yield text.rstrip("\n")
+    yield text + "\n"
+    yield head + "\n+" + body
+    yield text.replace(" 10\n", " 1_0\n")
+    yield head + "\n" + body.replace("0", "\u0660")  # ARABIC-INDIC DIGIT ZERO
+    yield head + "\n" + body.replace(" ", "\x0c", 1)
+    yield f"{n} {m + 1} {r}\n{body}-1 1\n"
+    yield f"{n} {m + 1} {r}\n{body}1 {n}\n"
+    yield f"{n} {m + 1} {r}\n{body}1 1\n"
+    yield f"{n} {m + 1} {r}\n{body}{first}\n"
+    yield f"{n} {max(m - 1, 0)} {r}\n{body}"
+    yield f"{n} {m + 1} {r}\n{body}"
+    yield f"{n} {m} {r} 7\n{body}"
+    yield f"{n} {m}\x0b {r}\n{body}"
+    yield f"0{n} {m} {r}\n{body}"
+    yield f"{n} {m} {n}\n{body}"
+    yield f"{n} {m} {r}\n{body}x y\n"
+    yield f"{n} {m} {r}\n{body}2 1\n"
+    yield head + "\n" + body.replace(" ", " 0 ", 1)
+
+
+def test_scan_matches_line_path():
+    # every text the scan reads it reads as the line path does; every
+    # other text, and every error, comes from the line path
+    graphs = [d for _, d, _, _ in corpus()]
+    graphs += [raw_digraph(seed) for seed in range(20)]
+    graphs += [gen_random(n, 0.3, seed) for seed, n in enumerate(range(2, 16))]
+    texts = ["", "\n", "# only a comment\n", "0 0 0\n", "1 0 0", "1 0 0\n", "1 0 0\r\n",
+             "2 1 0\n0 1", "2 1 5\n0 1\n", "-1 0 0\n", "2 -1 0\n", "x y z\n", "3 1\n0 1\n"]
+    scanned = 0
+    for d in graphs:
+        text = format_graph(d)
+        if list(d.vertices) == list(range(d.n)):
+            assert _scan_graph(text) == d
+        for variant in (text, *_perturbed(text)):
+            texts.append(variant)
+    for text in texts:
+        assert _read(parse_graph, text) == _read(_parse_graph_lines, text), repr(text)
+        scanned += _scan_graph(text) is not None
+    assert scanned > len(graphs)  # some perturbed texts take the scan too

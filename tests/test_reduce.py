@@ -22,7 +22,7 @@ from support import (all_rule_applications, chain_planted_corpus, count_calls,
                      fixpoint_kernelize, mixed_rule_corpus, per_arc_rule3,
                      random_instances, raw_digraph, rebuilt, recomputing_strip,
                      relabelled, rescanning_rule2_phase, stepwise_lift,
-                     walked_illegal_arcs)
+                     walked_illegal_arcs, with_arcs)
 
 
 def test_rule0():
@@ -176,7 +176,7 @@ def test_rule2_contracts_bipath():
 
 
 def test_rule2_rejects_extra_arc():
-    d = five_vertex_bipath().with_arcs([(3, 0)])  # internal vertex gains an out-arc
+    d = with_arcs(five_vertex_bipath(), [(3, 0)])  # internal vertex gains an out-arc
     with pytest.raises(ValueError, match="bipath"):
         apply_rule2(d, (1, 2, 3, 4, 5))
     assert not is_bipath4(d, (1, 2, 3, 4, 5))

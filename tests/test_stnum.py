@@ -10,13 +10,13 @@ from maxleaf.digraph import (RootedDigraph, build, is_2connected, normalize, rea
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.reduce import renormalize, strip_cutvertices
 from maxleaf.stnum import (RootPathState, reduce_indegrees, rr_numbering,
-                           split, two_disjoint_root_paths, validate_numbering)
+                           two_disjoint_root_paths, validate_numbering)
 from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree, topological_order,
                             transverse_decomposition)
 
 from support import (RootPathNetwork, checked_reduce_indegrees, flow_disjoint_root_paths,
                      relabelled, rescanning_disjoint_root_paths, rescanning_rr_numbering,
-                     splitting_bound1_tree, trimming_transverse_decomposition,
+                     split, splitting_bound1_tree, trimming_transverse_decomposition,
                      two_connected_instances)
 
 
