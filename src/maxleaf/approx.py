@@ -24,7 +24,7 @@ from .bounds import bound1_tree, bound2_tree
 from .reduce import (ReductionTrace, kernel_numbering_tree, kernelize,
                      large_indegree_witness, lift, renormalize, rule0,
                      strip_cutvertices)
-from .stnum import rr_numbering
+from .stnum import in_sides, rr_numbering
 
 
 @dataclass(frozen=True)
@@ -215,8 +215,10 @@ def approximate(d0):
     paths = weak_bipaths(core, cls)
     l, h = len(cls.special), len(paths)
     num = rr_numbering(core)
-    t1 = bound1_tree(core, num)
-    t2 = bound2_tree(core, num)
+    sides = in_sides(core, num)
+    t1 = bound1_tree(core, num, sides)
+    t2 = bound2_tree(core, num, sides)
+    del sides  # as large as the core: free it before majbound and lift
     t3 = majbound_tree(core, cls, paths)
     trees = {"bound1": t1, "bound2": t2, "majbound": t3}
     chosen = max(trees, key=lambda k: trees[k].leaf_count)  # earliest wins ties

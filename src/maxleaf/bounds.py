@@ -156,15 +156,16 @@ def acyclic_many_leaves(d):
 # -- first tree bound ---------------------------------------------------
 
 
-def bound1_tree(d, numbering=None):
+def bound1_tree(d, numbering=None, sides=None):
     """Out-tree with at least l/6 leaves, l = number of indegree->=3 vertices.
 
     Takes the numbering-induced acyclic cover with more indegree-2 vertices,
     ties to the forward one, and extracts a many-leaves tree from it.  The
     side's ascending in-lists are cut to their first two before its one
-    build, as `trim_to_indegree_two` would cut them.
+    build, as `trim_to_indegree_two` would cut them.  `sides`, when given,
+    is `in_sides(d, numbering)`.
     """
-    fwd, bwd = in_sides(d, numbering or rr_numbering(d))
+    fwd, bwd = sides or in_sides(d, numbering or rr_numbering(d))
 
     def joins(side):
         return sum(len(ins) >= 2 for ins in side.values())
@@ -198,10 +199,10 @@ class TransverseDecomposition:
     union: RootedDigraph  # opposite tree plus the larger transverse side
 
 
-def transverse_decomposition(d, numbering=None):
+def transverse_decomposition(d, numbering=None, sides=None):
     num = numbering or rr_numbering(d)
     r, pos = d.root, num.position
-    fwd, bwd = in_sides(d, num)
+    fwd, bwd = sides or in_sides(d, num)
     parent_f, parent_b = {}, {}
     for v in fwd:
         if d.has_arc(r, v):
@@ -239,16 +240,18 @@ def transverse_decomposition(d, numbering=None):
                                    chosen, s_left, s_right, union)
 
 
-def bound2_tree(d, numbering=None):
+def bound2_tree(d, numbering=None, sides=None):
     """Out-tree with at least l/24 leaves, l = number of nice vertices; the
     union it grows from is acyclic (`acyclic_many_leaves` checks)."""
-    return acyclic_many_leaves(transverse_decomposition(d, numbering).union)
+    return acyclic_many_leaves(transverse_decomposition(d, numbering, sides).union)
 
 
 def numbering_bound_tree(d):
     """The better of bound1_tree and bound2_tree, ties to bound1, both built
-    on one shared numbering of the 2-connected digraph d."""
+    on one shared numbering of the 2-connected digraph d and its one side
+    split."""
     num = rr_numbering(d)
-    t1 = bound1_tree(d, num)
-    t2 = bound2_tree(d, num)
+    sides = in_sides(d, num)
+    t1 = bound1_tree(d, num, sides)
+    t2 = bound2_tree(d, num, sides)
     return t1 if t1.leaf_count >= t2.leaf_count else t2

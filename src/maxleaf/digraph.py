@@ -38,32 +38,33 @@ from .errors import InternalInvariantError
 
 
 class RootedDigraph:
-    """Immutable rooted digraph over integer vertex ids (not necessarily dense)."""
+    """Immutable rooted digraph over integer vertex ids (not necessarily dense);
+    a loop or an arc on an unknown vertex raises ValueError naming the smallest."""
 
     __slots__ = ("vertices", "root", "_out", "_in", "_arcset")
 
     def __init__(self, vertices, root, arcs):
         vs = tuple(sorted(set(vertices)))
-        vset = set(vs)
-        if root not in vset:
-            raise ValueError(f"root {root} is not a vertex")
         out = {v: [] for v in vs}
+        if root not in out:
+            raise ValueError(f"root {root} is not a vertex")
         inn = {v: [] for v in vs}
-        arcset = set()
-        for u, v in arcs:
+        arcset = set(arcs)
+        try:
+            for u, v in arcset:
+                if u == v:
+                    raise KeyError(u)
+                out[u].append(v)
+                inn[v].append(u)
+        except KeyError:
+            u, v = min((u, v) for u, v in arcset if u == v or u not in out or v not in out)
             if u == v:
-                raise ValueError(f"loop arc ({u}, {v})")
-            if u not in vset or v not in vset:
-                raise ValueError(f"arc ({u}, {v}) uses an unknown vertex")
-            if (u, v) in arcset:
-                continue
-            arcset.add((u, v))
-            out[u].append(v)
-            inn[v].append(u)
+                raise ValueError(f"loop arc ({u}, {v})") from None
+            raise ValueError(f"arc ({u}, {v}) uses an unknown vertex") from None
         self.vertices = vs
         self.root = root
-        self._out = {v: tuple(sorted(out[v])) for v in vs}
-        self._in = {v: tuple(sorted(inn[v])) for v in vs}
+        self._out = {v: tuple(sorted(ws)) for v, ws in out.items()}
+        self._in = {v: tuple(sorted(ws)) for v, ws in inn.items()}
         self._arcset = frozenset(arcset)
 
     # -- basic queries -------------------------------------------------

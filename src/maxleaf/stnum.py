@@ -17,7 +17,11 @@ then repeatedly eliminates the smallest vertex of outdegree 0 (delete) or
 1 (contract into its outneighbor) from a working copy without the arcs
 into r, and finally reinserts the eliminated vertices in reverse order,
 each at the smallest gap where its own and its outneighbor's side
-constraints hold (see `rr_numbering`).
+constraints hold.  That gap always lies just after one element (the front,
+the outneighbor, or the vertex's first in-neighbor), so a linked list
+whose order labels are kept as in Bender, Cole, Demaine, Farach-Colton and
+Zito (ESA 2002) places each vertex in O(log n) amortized time, where a
+Python list's `index` and `insert` took O(n) (see `rr_numbering`).
 
 Neither stage rescans the digraph per vertex.  The path pairs are those of
 two breadth-first augmentations in the node-split unit network (vertex v
@@ -99,15 +103,14 @@ def validate_numbering(d, order):
     expected = set(d.vertices) - {d.root}
     if len(order) != len(expected) or set(order) != expected:
         return False
+    r = d.root
     pos = {v: i for i, v in enumerate(order)}
     root_out = set(d.root_out())
-    for x in order:
+    for p, x in enumerate(order):
         if x in root_out:
             continue
-        p = pos[x]
-        before = any(u != d.root and pos[u] < p for u in d.in_neighbors(x))
-        after = any(u != d.root and pos[u] > p for u in d.in_neighbors(x))
-        if not (before and after):
+        sides = [pos[u] for u in d.in_neighbors(x) if u != r]
+        if not sides or min(sides) > p or max(sides) < p:
             return False
     return True
 
@@ -276,8 +279,10 @@ def reduce_indegrees(d):
     if some z lost every root path avoiding a vertex w, its old path that
     avoided w used a deleted arc (y, x); its suffix from x avoids w, and one
     kept path to x avoids w too, so together they reach z again.  Deleting
-    arcs never repairs a cut, so one 2-connectivity check of the result
-    guards all deletions.  Returns `d` itself when nothing is deleted.
+    arcs never repairs a cut, so one 2-connectivity check of the result (`d`
+    itself when nothing is deleted) guards all deletions and proves the
+    input 2-connected.  Only after a failure (no path pair, or a result that
+    fails the check) is the input checked, to tell ValueError from a bug.
 
     One `RootPathState` serves every vertex, and its breadth-first tree is
     never rebuilt.  The first path of x's pair is x's path in that tree,
@@ -287,8 +292,6 @@ def reduce_indegrees(d):
     never used it to discover a vertex, the tree without it is the same
     (tree-arc lemma, module docstring).
     """
-    if not is_2connected(d):
-        raise ValueError("indegree reduction requires a 2-connected digraph")
     state = None
     deleted = []
     for x in d.vertices:
@@ -298,18 +301,22 @@ def reduce_indegrees(d):
             state = RootPathState(d)
         paths = two_disjoint_root_paths(state, x)
         if paths is None:
-            raise InternalInvariantError(f"no disjoint path pair to {x} in a 2-connected digraph")
+            _reduction_failed(d, f"no disjoint path pair to {x} in a 2-connected digraph")
         keep = {p[-2] for p in paths}
         for y in d.in_neighbors(x):
             if y not in keep:
                 state.delete_arc(y, x)
                 deleted.append((y, x))
-    if not deleted:
-        return d
-    reduced = d.without_arcs(deleted)
+    reduced = d.without_arcs(deleted) if deleted else d
     if not is_2connected(reduced):
-        raise InternalInvariantError("indegree reduction broke 2-connectivity")
+        _reduction_failed(d, "indegree reduction broke 2-connectivity")
     return reduced
+
+
+def _reduction_failed(d, message):
+    if not is_2connected(d):
+        raise ValueError("indegree reduction requires a 2-connected digraph")
+    raise InternalInvariantError(message)
 
 
 # -- numbering construction --------------------------------------------
@@ -332,19 +339,80 @@ def _elimination_state(out, inn, r):
     return candidates, sum(r not in inn[w] for w in inn)
 
 
-def _smallest_valid_gap(sigma, v_in, v_exempt, u, u_others, u_exempt):
-    """Smallest index of sigma at which inserting v gives v a non-root
-    in-neighbor on each side, unless v_exempt, and lands v after u when u is
-    not exempt and u's other non-root in-neighbors all lie before it.  When
-    they all lie after u, that index is before u (see `rr_numbering`)."""
-    lo = 0
-    if u is not None and not u_exempt:
-        p = sigma.index(u)
-        if all(sigma.index(w) < p for w in u_others):
-            lo = p + 1
-    if v_exempt:
-        return lo
-    return max(lo, min(sigma.index(w) for w in v_in) + 1)
+_LABEL_BITS = 62      # least label width; labels lie in [0, 2**width)
+_DENSITY = 4 / 3      # 2/T for the overflow threshold T = 1.5
+
+
+class _OrderLabels:
+    """A linked list whose elements carry increasing integer labels, so that
+    two elements compare in O(1) (Bender, Cole, Demaine, Farach-Colton and
+    Zito, "Two Simplified Algorithms for Maintaining Order in a List", ESA
+    2002).  `head` stays first, with label 0, None ends the list, and at
+    most `size` elements follow `head`."""
+
+    def __init__(self, head, items, size):
+        width = _LABEL_BITS
+        while _DENSITY ** width < size + 1:
+            width += 1
+        step = (1 << width) // (len(items) + 1)
+        chain = [head, *items]
+        self.head = head
+        self.label = {v: i * step for i, v in enumerate(chain)}
+        self.label[None] = 1 << width
+        self.nxt = dict(zip(chain, chain[1:] + [None]))
+        self.prv = dict(zip(chain[1:], chain))
+
+    def insert_after(self, x, v):
+        label, nxt = self.label, self.nxt
+        if label[nxt[x]] - label[x] < 2:
+            self._relabel(x)
+        y = nxt[x]
+        label[v] = (label[x] + label[y]) // 2
+        nxt[x], nxt[v], self.prv[v], self.prv[y] = v, y, x, v  # prv[None] is never read
+
+    def _relabel(self, x):
+        """Spread evenly the labels of the smallest aligned range of 2**i
+        labels around x that, with one more element, is at most
+        `_DENSITY`**i full; it leaves a gap of at least 2 after x."""
+        label, nxt, prv = self.label, self.nxt, self.prv
+        first = last = x
+        count, i = 1, 0
+        while True:
+            i += 1
+            base = label[x] >> i << i
+            end = base + (1 << i)
+            while first != self.head and label[prv[first]] >= base:
+                first, count = prv[first], count + 1
+            while label[nxt[last]] < end:
+                last, count = nxt[last], count + 1
+            if count + 1 <= _DENSITY ** i:
+                break
+        step, y = (1 << i) // count, first
+        for j in range(count):
+            label[y], y = base + j * step, nxt[y]
+
+    def __iter__(self):
+        v = self.nxt[self.head]
+        while v is not None:
+            yield v
+            v = self.nxt[v]
+
+
+def _reinserted(r, remaining, records):
+    """The numbering that reinserts the eliminated vertices, last record
+    first, into the ascending `remaining` vertices (see `rr_numbering`)."""
+    order = _OrderLabels(r, remaining, len(remaining) + len(records))
+    label = order.label
+    for v, v_in, v_exempt, u, u_others, u_exempt in reversed(records):
+        after = r
+        if u is not None and not u_exempt and all(label[w] < label[u] for w in u_others):
+            after = u
+        if not v_exempt:
+            first = min(v_in, key=label.__getitem__)
+            if label[first] > label[after]:
+                after = first
+        order.insert_after(after, v)
+    return list(order)
 
 
 def rr_numbering(d):
@@ -386,16 +454,24 @@ def rr_numbering(d):
     in-neighbor on each side unless r is one.  u needs one of its other
     in-neighbors or v on each side unless r is one of the others, so v must
     lie on the far side of u exactly when u's other non-root in-neighbors
-    all lie on one side of it.  `_smallest_valid_gap` takes the gap g just
+    all lie on one side of it.  The smallest valid gap g is the gap just
     past v's first in-neighbor, or just past u when the others all lie
-    before u and u is later.  It is valid: in G', u's in-neighbors are its
-    others and v's, so when the others all lie on one side of u, r or an
-    in-neighbor y of v lies on the far side.  If it is r, v is exempt, and g
-    is 0 or just past u.  Otherwise v has two non-root in-neighbors; the
-    first is before g, and y (when g is just past u) or else the second is
-    after it.  g is on the far side of u: past u when the others lie before
-    it, and before u when they lie after it, since v's first in-neighbor is
-    then no later than y.
+    before u and u is later, or the front when neither applies.  It is
+    valid: in G', u's in-neighbors are its others and v's, so when the
+    others all lie on one side of u, r or an in-neighbor y of v lies on the
+    far side.  If it is r, v is exempt, and g is 0 or just past u.
+    Otherwise v has two non-root in-neighbors; the first is before g, and y
+    (when g is just past u) or else the second is after it.  g is on the far
+    side of u: past u when the others lie before it, and before u when they
+    lie after it, since v's first in-neighbor is then no later than y.
+
+    So every gap is "after one element" (r standing for the front), and
+    sigma is only asked which of two elements comes first: `_OrderLabels`
+    answers from integer labels in O(1), and widens a closed gap by evenly
+    relabelling the smallest sparse enough label range around it, in O(log
+    n) amortized time.  Relabelling the whole list instead gives the same
+    order, but reinserts the vertices of `normalize(gen_t_l(40))` about
+    twice as slowly as list insertion did.
     """
     r = d.root
     out, inn = _working_maps(reduce_indegrees(d))
@@ -428,9 +504,7 @@ def rr_numbering(d):
                 heappush(candidates, y)
         records.append((v, v_in - {r}, r in v_in, u, u_others, u_exempt))
 
-    sigma = sorted(inn)
-    for v, *constraints in reversed(records):
-        sigma.insert(_smallest_valid_gap(sigma, *constraints), v)
+    sigma = _reinserted(r, sorted(inn), records)
     if not validate_numbering(d, sigma):
         raise InternalInvariantError("constructed numbering failed validation")
     order = tuple(sigma)

@@ -30,6 +30,31 @@ def with_arcs(d, arcs):
     return RootedDigraph(d.vertices, d.root, list(d.arc_set()) + list(arcs))
 
 
+def looped_digraph_maps(vertices, root, arcs):
+    """`RootedDigraph`'s fields as the per-arc loop built them, checking
+    and deduplicating each arc in input order: (vertices, out-lists,
+    in-lists, arc set)."""
+    vs = tuple(sorted(set(vertices)))
+    vset = set(vs)
+    if root not in vset:
+        raise ValueError(f"root {root} is not a vertex")
+    out = {v: [] for v in vs}
+    inn = {v: [] for v in vs}
+    arcset = set()
+    for u, v in arcs:
+        if u == v:
+            raise ValueError(f"loop arc ({u}, {v})")
+        if u not in vset or v not in vset:
+            raise ValueError(f"arc ({u}, {v}) uses an unknown vertex")
+        if (u, v) in arcset:
+            continue
+        arcset.add((u, v))
+        out[u].append(v)
+        inn[v].append(u)
+    return (vs, {v: tuple(sorted(out[v])) for v in vs}, {v: tuple(sorted(inn[v])) for v in vs},
+            frozenset(arcset))
+
+
 def is_normalized(d):
     if d.indeg(d.root) != 0:
         return False
@@ -480,10 +505,49 @@ def rescanning_rr_numbering(d):
                 out[y].add(u)
                 inn[u].add(y)
         records.append((v, v_in - {r}, r in v_in, u, u_others, u_exempt))
-    sigma = sorted(inn)
+    return tuple(listed_reinsertion(r, sorted(inn), records))
+
+
+def _smallest_valid_gap(sigma, v_in, v_exempt, u, u_others, u_exempt):
+    """Smallest index of sigma at which inserting v gives v a non-root
+    in-neighbor on each side, unless v_exempt, and lands v after u when u is
+    not exempt and u's other non-root in-neighbors all lie before it.  When
+    they all lie after u, that index is before u (see `rr_numbering`)."""
+    lo = 0
+    if u is not None and not u_exempt:
+        p = sigma.index(u)
+        if all(sigma.index(w) < p for w in u_others):
+            lo = p + 1
+    if v_exempt:
+        return lo
+    return max(lo, min(sigma.index(w) for w in v_in) + 1)
+
+
+def listed_reinsertion(r, remaining, records):
+    """`stnum._reinserted` on a Python list: each vertex goes in at the
+    index `_smallest_valid_gap` finds with `list.index`."""
+    sigma = list(remaining)
     for v, *constraints in reversed(records):
-        sigma.insert(stnum._smallest_valid_gap(sigma, *constraints), v)
-    return tuple(sigma)
+        sigma.insert(_smallest_valid_gap(sigma, *constraints), v)
+    return sigma
+
+
+def any_scan_validate_numbering(d, order):
+    """`stnum.validate_numbering` with two `any` scans per vertex."""
+    expected = set(d.vertices) - {d.root}
+    if len(order) != len(expected) or set(order) != expected:
+        return False
+    pos = {v: i for i, v in enumerate(order)}
+    root_out = set(d.root_out())
+    for x in order:
+        if x in root_out:
+            continue
+        p = pos[x]
+        before = any(u != d.root and pos[u] < p for u in d.in_neighbors(x))
+        after = any(u != d.root and pos[u] > p for u in d.in_neighbors(x))
+        if not (before and after):
+            return False
+    return True
 
 
 def rescanning_majbound_tree(d, cls, paths):

@@ -174,6 +174,10 @@ def test_approximate_numbers_and_classifies_once(monkeypatch):
     classified = [count_calls(monkeypatch, module, "classify")
                   for name, module in list(sys.modules.items())
                   if name.startswith("maxleaf") and getattr(module, "classify", None) is classify]
+    real_sides = stnum.in_sides
+    sides = [count_calls(monkeypatch, module, "in_sides")
+             for name, module in list(sys.modules.items())
+             if name.startswith("maxleaf") and getattr(module, "in_sides", None) is real_sides]
     builds = count_calls(monkeypatch, digraph.RootedDigraph, "__init__")
     bound_builds = []
     for name in ("bound1_tree", "bound2_tree"):
@@ -186,6 +190,7 @@ def test_approximate_numbers_and_classifies_once(monkeypatch):
         monkeypatch.setattr(approx, name, counted)
     approximate(gen_random(800, 4 / 800, seed=1))
     assert len(validated) == 1 and sum(map(len, classified)) == 1
+    assert len(sides) == 3 and sum(map(len, sides)) == 1  # one split feeds both bounds
     # the chosen cover, cut to indegree 2, for bound 1; the union for bound 2
     assert bound_builds == [1, 1]
 

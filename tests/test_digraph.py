@@ -15,13 +15,53 @@ from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.stnum import RootPathState, two_disjoint_root_paths
 
 from support import (brute_cutvertices, brute_idom, is_normalized, iterative_idom,
-                     random_instances, raw_digraph, relabelled)
+                     looped_digraph_maps, random_instances, raw_digraph, relabelled)
 
 
 def test_build_smallest_star():
     d = build(3, 0, [(0, 1), (0, 2)])
     assert d.n == 3 and d.m == 2
     assert d.out_neighbors(0) == (1, 2)
+
+
+def test_constructor_matches_per_arc_loop():
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.choice([1, 2, 3, rng.randint(4, 40)])
+        ids = sorted(rng.sample(range(3 * n + 5), n)) if seed % 2 else list(range(n))
+        arcs = [(u, v) for u, v in ((rng.choice(ids), rng.choice(ids))
+                                    for _ in range(rng.randint(0, 4 * n))) if u != v]
+        arcs += rng.sample(arcs, len(arcs) // 3)  # duplicates
+        rng.shuffle(arcs)
+        root = rng.choice(ids)
+        expected = looped_digraph_maps(ids, root, arcs)
+        for given_arcs in (arcs, iter(arcs), (a for a in arcs), set(arcs)):
+            d = RootedDigraph(reversed(ids), root, given_arcs)
+            assert (d.vertices, d._out, d._in, d._arcset) == expected
+            assert d.root == root
+
+
+def test_constructor_names_a_bad_arc_as_the_per_arc_loop_did():
+    ids = [2, 5, 9, 11]
+    good = [(2, 5), (5, 9), (9, 11), (2, 11), (11, 5)]
+    cases = {"loop": (9, 9), "unknown tail": (4, 9), "unknown head": (5, 7),
+             "unknown both": (1, 3)}
+    for bad in cases.values():
+        for at in range(len(good) + 1):
+            arcs = good[:at] + [bad] + good[at:]
+            with pytest.raises(ValueError) as expected:
+                looped_digraph_maps(ids, 2, arcs)
+            with pytest.raises(ValueError) as got:
+                RootedDigraph(ids, 2, arcs)
+            assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError) as expected:
+        looped_digraph_maps(ids, 3, good)
+    with pytest.raises(ValueError) as got:
+        RootedDigraph(ids, 3, good + [(9, 9)])
+    assert str(got.value) == str(expected.value) == "root 3 is not a vertex"
+    # with several bad arcs the smallest is named
+    with pytest.raises(ValueError, match=r"^arc \(1, 3\) uses an unknown vertex$"):
+        RootedDigraph(ids, 2, good + [(9, 9), (5, 7), (1, 3)])
 
 
 def test_build_rejects_loop():

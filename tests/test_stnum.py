@@ -9,14 +9,16 @@ from maxleaf.digraph import (RootedDigraph, build, is_2connected, normalize, rea
                              verify_outbranching)
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.reduce import renormalize, strip_cutvertices
+from maxleaf.errors import InternalInvariantError
 from maxleaf.stnum import (RootPathState, reduce_indegrees, rr_numbering,
                            two_disjoint_root_paths, validate_numbering)
 from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree, topological_order,
                             transverse_decomposition)
 
-from support import (RootPathNetwork, checked_reduce_indegrees, flow_disjoint_root_paths,
-                     relabelled, rescanning_disjoint_root_paths, rescanning_rr_numbering,
-                     split, splitting_bound1_tree, trimming_transverse_decomposition,
+from support import (RootPathNetwork, any_scan_validate_numbering, checked_reduce_indegrees,
+                     flow_disjoint_root_paths, listed_reinsertion, relabelled,
+                     rescanning_disjoint_root_paths, rescanning_rr_numbering, split,
+                     splitting_bound1_tree, trimming_transverse_decomposition,
                      two_connected_instances)
 
 
@@ -265,9 +267,60 @@ def test_reduce_indegrees_checks_once(monkeypatch):
     monkeypatch.setattr(RootPathState, "tree", counted_tree)
     red = reduce_indegrees(d)
     assert red != d
-    assert len(checks) <= 2
+    assert checks == [red]  # the result only, not the input
     assert len(builds) <= 1
     assert len(trees) == 1  # one state, whose tree no deletion drops
+    # nothing to delete: the one check is on the input itself
+    checks.clear()
+    small, _ = normalize(gen_t_l(3))
+    assert reduce_indegrees(small) is small
+    assert checks == [small]
+
+
+# digraphs that are not 2-connected, each with a vertex of indegree 3 that
+# `reduce_indegrees` visits, named by how the reduction fails on them
+@pytest.mark.parametrize("name, n, arcs", [
+    # every root path to 5 passes 1: no path pair
+    ("path search", 6, [(0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)]),
+    # 4 keeps the arcs from 1 and 2, but 4 alone reaches 5
+    ("result check", 6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 5)]),
+    # nothing reaches 3 to 6 from the root
+    ("unreached", 7, [(0, 1), (0, 2), (1, 2), (2, 1), (3, 4), (5, 4), (6, 4)]),
+])
+def test_reduce_indegrees_rejects_a_bad_input_after_visiting_it(monkeypatch, name, n, arcs):
+    d = build(n, 0, arcs)
+    assert max(d.indeg(v) for v in d.vertices) >= 3 and not is_2connected(d)
+    found, deleted = [], []
+    real_paths, real_delete = stnum.two_disjoint_root_paths, RootPathState.delete_arc
+
+    def watched_paths(state, x):
+        found.append(real_paths(state, x))
+        return found[-1]
+
+    def watched_delete(state, u, v):
+        deleted.append((u, v))
+        real_delete(state, u, v)
+
+    monkeypatch.setattr(stnum, "two_disjoint_root_paths", watched_paths)
+    monkeypatch.setattr(RootPathState, "delete_arc", watched_delete)
+    with pytest.raises(ValueError, match="requires a 2-connected digraph"):
+        reduce_indegrees(d)
+    assert found  # the reduction visited the indegree-3 vertex
+    if name == "result check":
+        assert None not in found and deleted == [(3, 4)]
+    else:
+        assert found[-1] is None
+
+
+def test_reduce_indegrees_blames_itself_on_a_2connected_input(monkeypatch):
+    d = build(5, 0, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    monkeypatch.setattr(stnum, "two_disjoint_root_paths", lambda state, x: None)
+    with pytest.raises(InternalInvariantError, match="no disjoint path pair"):
+        reduce_indegrees(d)
+    # a bogus pair keeps one in-arc of 4 only: the result fails its check
+    monkeypatch.setattr(stnum, "two_disjoint_root_paths", lambda state, x: [[0, 1, x]] * 2)
+    with pytest.raises(InternalInvariantError, match="broke 2-connectivity"):
+        reduce_indegrees(d)
 
 
 def test_rr_numbering_reduces_again_and_checks_only_inside_reduction(monkeypatch):
@@ -421,3 +474,89 @@ def test_bound_trees_match_split_and_trim_oracles():
         assert bound2_tree(d, num).parent == acyclic_many_leaves(old.union).parent
         anchored += any(not d.has_arc(v, u) for u, v in d.arc_set() if u != d.root)
     assert len(corpus) > 350 and anchored > 100
+
+
+def recorded_reinsertions(monkeypatch, corpus):
+    """The arguments and result of every `_reinserted` call that numbering
+    each digraph of the corpus makes."""
+    calls = []
+    real = stnum._reinserted
+
+    def recording(r, remaining, records):
+        calls.append((r, list(remaining), list(records), real(r, remaining, records)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(stnum, "_reinserted", recording)
+    for d in corpus:
+        rr_numbering(d)
+    monkeypatch.undo()
+    return calls
+
+
+def counted_relabels(monkeypatch):
+    """Patch `_OrderLabels._relabel` to record, per call, how many labels it
+    changed and how many elements the list held."""
+    sizes = []
+    real = stnum._OrderLabels._relabel
+
+    def counted(order, x):
+        before = dict(order.label)
+        real(order, x)
+        sizes.append((sum(before[v] != order.label[v] for v in before), len(before) - 1))
+
+    monkeypatch.setattr(stnum._OrderLabels, "_relabel", counted)
+    return sizes
+
+
+def test_reinsertion_matches_list_insertion(monkeypatch):
+    corpus = differential_corpus()
+    corpus += [relabelled(cutvertex_free_core(gen_t_l(l)), l) for l in (6, 15, 24, 30)]
+    corpus += [relabelled(gen_boloney(k), k) for k in (40, 300, 1000)]
+    assert max(d.n for d in corpus) > 2800
+    calls = recorded_reinsertions(monkeypatch, corpus)
+    assert len(calls) == len(corpus) and sum(len(c[2]) for c in calls) > 10000
+    for r, remaining, records, order in calls:
+        assert order == listed_reinsertion(r, remaining, records)
+    # labels one bit wider than the list needs: gaps close all the time
+    monkeypatch.setattr(stnum, "_LABEL_BITS", 1)
+    sizes = counted_relabels(monkeypatch)
+    for r, remaining, records, order in calls:
+        assert stnum._reinserted(r, remaining, records) == order
+    assert len(sizes) > 1000
+    assert sum(changed < total // 2 for changed, total in sizes) > len(sizes) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 200), max_size=300), st.integers(0, 40))
+def test_order_labels_match_list_insertion(picks, start):
+    # insert each new element after an element picked from those present
+    # (0 is the head), with labels barely wide enough for the list
+    size = start + len(picks)
+    order = stnum._OrderLabels(0, list(range(1, start + 1)), size)
+    listed = list(range(start + 1))
+    for v, pick in enumerate(picks, start + 1):
+        x = listed[pick % len(listed)]
+        order.insert_after(x, v)
+        listed.insert(listed.index(x) + 1, v)
+    assert list(order) == listed[1:]
+    labels = [order.label[v] for v in listed] + [order.label[None]]
+    assert labels[0] == 0 and labels == sorted(set(labels))
+
+
+def test_validate_numbering_matches_any_scans():
+    verdicts = {True: 0, False: 0}
+    for i, d in enumerate(differential_corpus()[::2]):
+        rng = random.Random(i)
+        order = list(rr_numbering(d).order)
+        orders = [order, order[::-1], order[1:], order + order[:1]]
+        for _ in range(6):
+            swapped = list(order)
+            a, b = rng.randrange(len(order)), rng.randrange(len(order))
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            orders.append(swapped)
+        orders.append(rng.sample(order, len(order)))
+        for candidate in orders:
+            verdict = validate_numbering(d, candidate)
+            assert verdict == any_scan_validate_numbering(d, candidate)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 200
