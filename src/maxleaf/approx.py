@@ -20,11 +20,10 @@ from heapq import heappop, heappush
 from .digraph import (Outbranching, RootedDigraph, WorkGraph, bfs_tree,
                       classify, search, verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError
-from .bounds import bound1_tree, bound2_tree
+from .bounds import numbering_bound_trees
 from .reduce import (ReductionTrace, kernel_numbering_tree, kernelize,
                      large_indegree_witness, lift, renormalize, rule0,
                      strip_cutvertices)
-from .stnum import in_sides, rr_numbering
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,13 @@ class WeakBipath:
         return len(self.vertices)
 
 
-def weak_bipaths(d, classification=None):
-    """Partition of the non-special vertices into maximal chains.
+def weak_bipaths(d, cls):
+    """Partition of the non-special vertices of `cls = classify(d)` into
+    maximal chains.
 
     Every non-special vertex has exactly two in-neighbors, both joined to it
     by 2-circuits; anything else signals a classification bug.
     """
-    cls = classification or classify(d)
     ns = cls.nonspecial
     chain_nbrs = {}
     anchor_of = {}
@@ -101,8 +100,9 @@ def _path_to_pending(d, reached, pending, nonspecial):
     return target, prev
 
 
-def majbound_tree(d, classification=None, paths=None):
-    """Out-tree with at least h - l leaves (h chains, l special vertices).
+def majbound_tree(d, cls, paths):
+    """Out-tree with at least h - l leaves (h chains, l special vertices),
+    given `cls = classify(d)` and its chains `paths = weak_bipaths(d, cls)`.
 
     Specials are connected greedily: a step that walks through a chain pays
     one chain and gains one special, and the root's outneighbors come free,
@@ -120,8 +120,6 @@ def majbound_tree(d, classification=None, paths=None):
     """
     if d.n <= 2:
         return bfs_tree(d)
-    cls = classification or classify(d)
-    paths = paths if paths is not None else weak_bipaths(d, cls)
     nonspecial = cls.nonspecial
 
     parent = {}
@@ -214,11 +212,7 @@ def approximate(d0):
     cls = classify(core)
     paths = weak_bipaths(core, cls)
     l, h = len(cls.special), len(paths)
-    num = rr_numbering(core)
-    sides = in_sides(core, num)
-    t1 = bound1_tree(core, num, sides)
-    t2 = bound2_tree(core, num, sides)
-    del sides  # as large as the core: free it before majbound and lift
+    t1, t2 = numbering_bound_trees(core)
     t3 = majbound_tree(core, cls, paths)
     trees = {"bound1": t1, "bound2": t2, "majbound": t3}
     chosen = max(trees, key=lambda k: trees[k].leaf_count)  # earliest wins ties

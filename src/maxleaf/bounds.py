@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .digraph import (Outbranching, RootedDigraph, euler_intervals, grow_tree,
                       is_connected)
 from .errors import InternalInvariantError
-from .stnum import RRNumbering, in_sides, rr_numbering, side_digraph
+from .stnum import in_sides, rr_numbering, side_digraph
 
 
 # -- covers and domination ----------------------------------------------
@@ -156,16 +156,16 @@ def acyclic_many_leaves(d):
 # -- first tree bound ---------------------------------------------------
 
 
-def bound1_tree(d, numbering=None, sides=None):
+def bound1_tree(d, sides):
     """Out-tree with at least l/6 leaves, l = number of indegree->=3 vertices.
 
     Takes the numbering-induced acyclic cover with more indegree-2 vertices,
     ties to the forward one, and extracts a many-leaves tree from it.  The
     side's ascending in-lists are cut to their first two before its one
-    build, as `trim_to_indegree_two` would cut them.  `sides`, when given,
-    is `in_sides(d, numbering)`.
+    build, as `trim_to_indegree_two` would cut them.  `sides` is
+    `in_sides(d, numbering)`.
     """
-    fwd, bwd = sides or in_sides(d, numbering or rr_numbering(d))
+    fwd, bwd = sides
 
     def joins(side):
         return sum(len(ins) >= 2 for ins in side.values())
@@ -188,7 +188,6 @@ class TransverseDecomposition:
     in-neighbor's side.  Root outneighbors take the root in both trees.
     """
 
-    numbering: RRNumbering
     t_f: Outbranching
     t_b: Outbranching
     transverse_f: frozenset
@@ -199,10 +198,12 @@ class TransverseDecomposition:
     union: RootedDigraph  # opposite tree plus the larger transverse side
 
 
-def transverse_decomposition(d, numbering=None, sides=None):
-    num = numbering or rr_numbering(d)
-    r, pos = d.root, num.position
-    fwd, bwd = sides or in_sides(d, num)
+def transverse_decomposition(d, sides):
+    """The decomposition of d for the `in_sides` split `sides`.  A nice
+    vertex's anchor is never r, since r's outneighbors take r, so its side
+    is the side whose in-list holds it."""
+    r = d.root
+    fwd, bwd = sides
     parent_f, parent_b = {}, {}
     for v in fwd:
         if d.has_arc(r, v):
@@ -211,7 +212,7 @@ def transverse_decomposition(d, numbering=None, sides=None):
         parent_f[v], parent_b[v] = fwd[v][0], bwd[v][0]
         anchor = next((u for u in d.in_neighbors(v) if not d.has_arc(v, u)), None)
         if anchor is not None:
-            (parent_f if pos[anchor] < pos[v] else parent_b)[v] = anchor
+            (parent_f if anchor in fwd[v] else parent_b)[v] = anchor
     t_f = Outbranching(r, parent_f)
     t_b = Outbranching(r, parent_b)
 
@@ -236,22 +237,18 @@ def transverse_decomposition(d, numbering=None, sides=None):
     side = s_left if len(s_left) >= len(s_right) else s_right
     union_arcs = list(side) + [(p, c) for c, p in t_opp.parent.items()]
     union = RootedDigraph(d.vertices, r, union_arcs)
-    return TransverseDecomposition(num, t_f, t_b, transverse_f, transverse_b,
+    return TransverseDecomposition(t_f, t_b, transverse_f, transverse_b,
                                    chosen, s_left, s_right, union)
 
 
-def bound2_tree(d, numbering=None, sides=None):
+def bound2_tree(d, sides):
     """Out-tree with at least l/24 leaves, l = number of nice vertices; the
     union it grows from is acyclic (`acyclic_many_leaves` checks)."""
-    return acyclic_many_leaves(transverse_decomposition(d, numbering, sides).union)
+    return acyclic_many_leaves(transverse_decomposition(d, sides).union)
 
 
-def numbering_bound_tree(d):
-    """The better of bound1_tree and bound2_tree, ties to bound1, both built
-    on one shared numbering of the 2-connected digraph d and its one side
-    split."""
-    num = rr_numbering(d)
-    sides = in_sides(d, num)
-    t1 = bound1_tree(d, num, sides)
-    t2 = bound2_tree(d, num, sides)
-    return t1 if t1.leaf_count >= t2.leaf_count else t2
+def numbering_bound_trees(d):
+    """(bound1_tree, bound2_tree) of the 2-connected digraph d, both built
+    on its one numbering and that numbering's one `in_sides` split."""
+    sides = in_sides(d, rr_numbering(d))
+    return bound1_tree(d, sides), bound2_tree(d, sides)

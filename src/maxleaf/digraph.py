@@ -27,7 +27,8 @@ Vertex ids are stable across transformations: derived digraphs keep the ids
 of surviving vertices, so trees and reports always speak in the coordinates
 of the instance they started from.  Rewriting algorithms copy their input
 into one `WorkGraph`, rewrite that in place, and turn it back into a
-`RootedDigraph` once.
+`RootedDigraph` once, or never when only its sets are read, as in
+`stnum.rr_numbering`.
 """
 from __future__ import annotations
 
@@ -463,12 +464,11 @@ def find_cutvertex(d):
 
 
 def is_2connected(d):
-    """No cut of size at most 1: every vertex reachable from the root, then
-    one dominator pass, since a vertex is a cutvertex exactly when it is the
-    immediate dominator of another."""
-    if len(search(d._out, [d.root])) != d.n:
-        return False
-    return all(p == d.root for p in dominators_from_maps(d.root, d._out, d._in).values())
+    """No cut of size at most 1, from one dominator pass: it maps exactly
+    the vertices reachable from the root, and a vertex is a cutvertex
+    exactly when it is the immediate dominator of another."""
+    idom = dominators_from_maps(d.root, d._out, d._in)
+    return len(idom) == d.n and all(p == d.root for p in idom.values())
 
 
 # -- classification ----------------------------------------------------

@@ -112,7 +112,7 @@ from .digraph import (NormMergeStep, Outbranching, RootedDigraph, WorkGraph,
                       is_connected, normalize, reachable, search,
                       verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
-from .bounds import numbering_bound_tree
+from .bounds import numbering_bound_trees
 
 # -- trace steps (the normalization steps live in digraph) --------------
 
@@ -600,13 +600,15 @@ def _contract_bipaths(work, steps):
 
 
 def kernel_numbering_tree(reduced):
-    """`numbering_bound_tree` on the normalized kernel.  Normalizing a
-    kernel never merges: it is normalized after any rewrite, and an untouched
-    input with root outdegree 1 and n > 2 has a cutvertex."""
+    """The better of the two `numbering_bound_trees` of the normalized
+    kernel, ties to bound 1.  Normalizing a kernel never merges: it is
+    normalized after any rewrite, and an untouched input with root
+    outdegree 1 and n > 2 has a cutvertex."""
     d_norm, steps = normalize(reduced)
     if any(isinstance(step, NormMergeStep) for step in steps):
         raise InternalInvariantError("normalizing a kernel merged the root")
-    return numbering_bound_tree(d_norm)
+    t1, t2 = numbering_bound_trees(d_norm)
+    return t1 if t1.leaf_count >= t2.leaf_count else t2
 
 
 # -- witnesses and the kernel decision ------------------------------------

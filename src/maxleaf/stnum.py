@@ -13,12 +13,12 @@ Construction first deletes in-arcs of high-indegree vertices until every
 non-root vertex has indegree at most 2.  Each such vertex keeps the last
 arcs of two internally disjoint root paths; that alone keeps the digraph
 2-connected (see `reduce_indegrees`), so only the result is checked.  It
-then repeatedly eliminates the smallest vertex of outdegree 0 (delete) or
-1 (contract into its outneighbor) from a working copy without the arcs
-into r, and finally reinserts the eliminated vertices in reverse order,
-each at the smallest gap where its own and its outneighbor's side
-constraints hold.  That gap always lies just after one element (the front,
-the outneighbor, or the vertex's first in-neighbor), so a linked list
+then repeatedly eliminates the smallest vertex of outdegree 0 (delete) or 1
+(contract into its outneighbor) from the reduction's `WorkGraph` copy
+without the arcs into r, and finally reinserts the eliminated vertices in
+reverse order, each at the smallest gap where its own and its outneighbor's
+side constraints hold.  That gap always lies just after one element (the
+front, the outneighbor, or the vertex's first in-neighbor), so a linked list
 whose order labels are kept as in Bender, Cole, Demaine, Farach-Colton and
 Zito (ESA 2002) places each vertex in O(log n) amortized time, where a
 Python list's `index` and `insert` took O(n) (see `rr_numbering`).
@@ -83,7 +83,7 @@ from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .digraph import RootedDigraph, is_2connected, search
+from .digraph import RootedDigraph, WorkGraph, is_2connected, search
 from .errors import InternalInvariantError
 
 
@@ -271,7 +271,9 @@ def two_disjoint_root_paths(state, target):
 
 
 def reduce_indegrees(d):
-    """Delete in-arcs until every non-root vertex has indegree at most 2.
+    """Delete in-arcs until every non-root vertex has indegree at most 2;
+    returns a `WorkGraph` copy of `d` without the deleted arcs, and never
+    changes `d`.
 
     For each vertex x of indegree above 2, in ascending order, the two
     in-arcs that end a pair of internally disjoint root paths are kept and
@@ -279,10 +281,10 @@ def reduce_indegrees(d):
     if some z lost every root path avoiding a vertex w, its old path that
     avoided w used a deleted arc (y, x); its suffix from x avoids w, and one
     kept path to x avoids w too, so together they reach z again.  Deleting
-    arcs never repairs a cut, so one 2-connectivity check of the result (`d`
-    itself when nothing is deleted) guards all deletions and proves the
-    input 2-connected.  Only after a failure (no path pair, or a result that
-    fails the check) is the input checked, to tell ValueError from a bug.
+    arcs never repairs a cut, so one 2-connectivity check of the result
+    guards all deletions and proves the input 2-connected.  Only after a
+    failure (no path pair, or a result that fails the check) is the input
+    checked, to tell ValueError from a bug.
 
     One `RootPathState` serves every vertex, and its breadth-first tree is
     never rebuilt.  The first path of x's pair is x's path in that tree,
@@ -290,7 +292,8 @@ def reduce_indegrees(d):
     it, so it never reverses the tree arc into x: that arc is always kept.
     Every deleted arc thus lies outside the tree, and since the search
     never used it to discover a vertex, the tree without it is the same
-    (tree-arc lemma, module docstring).
+    (tree-arc lemma, module docstring).  The state is dropped before the
+    copy is taken, so the two are never held in memory together.
     """
     state = None
     deleted = []
@@ -307,7 +310,8 @@ def reduce_indegrees(d):
             if y not in keep:
                 state.delete_arc(y, x)
                 deleted.append((y, x))
-    reduced = d.without_arcs(deleted) if deleted else d
+    del state
+    reduced = WorkGraph(d).without_arcs(deleted)
     if not is_2connected(reduced):
         _reduction_failed(d, "indegree reduction broke 2-connectivity")
     return reduced
@@ -322,21 +326,14 @@ def _reduction_failed(d, message):
 # -- numbering construction --------------------------------------------
 
 
-def _working_maps(g):
-    """Out-neighbor sets of every vertex and in-neighbor sets of the non-root
-    vertices of g, without the arcs into the root."""
-    out = {v: set(g.out_neighbors(v)) - {g.root} for v in g.vertices}
-    inn = {v: set(g.in_neighbors(v)) for v in g.vertices if v != g.root}
-    return out, inn
-
-
-def _elimination_state(out, inn, r):
-    """The heap of elimination candidates (non-root vertices of outdegree
-    at most 1) and the number of non-root vertices without a root
-    in-arc."""
-    candidates = [w for w in inn if len(out[w]) <= 1]
+def _elimination_state(work):
+    """The adjacency sets of the working graph, the heap of elimination
+    candidates (non-root vertices of outdegree at most 1) and the number of
+    non-root vertices without a root in-arc."""
+    r, out, inn = work.root, work._out, work._in
+    candidates = [w for w in out if w != r and len(out[w]) <= 1]
     heapify(candidates)
-    return candidates, sum(r not in inn[w] for w in inn)
+    return out, inn, candidates, sum(r not in inn[w] for w in inn if w != r)
 
 
 _LABEL_BITS = 62      # least label width; labels lie in [0, 2**width)
@@ -418,8 +415,10 @@ def _reinserted(r, remaining, records):
 def rr_numbering(d):
     """A valid root-to-root numbering of a 2-connected rooted digraph.
 
-    Works on `reduce_indegrees(d)` without its arcs into the root r.  Those
-    arcs constrain no vertex, and without them a vertex whose only out-arc
+    Works on the `WorkGraph` that `reduce_indegrees(d)` returns, without
+    its arcs into the root r, eliminating on its adjacency sets in place;
+    a stall hands that graph back to `reduce_indegrees`.  Arcs into r
+    constrain no vertex, and without them a vertex whose only out-arc
     led to r is deleted rather than contracted into r.  Every step keeps the
     working digraph 2-connected: a vertex of outdegree 0 lies on no root
     path to another vertex, and a root path avoiding u never enters a vertex
@@ -443,8 +442,8 @@ def rr_numbering(d):
     vertices when popped, yields the smallest candidate of every step.  A
     count of the vertices without a root in-arc replaces the scan of the
     loop test; it falls when such a vertex is eliminated or u gains the
-    root as an in-neighbor.  A reduction rebuilds the working maps, so the
-    heap and the count are rebuilt with them, at a cost below the
+    root as an in-neighbor.  A reduction returns a new working graph, so
+    the heap and the count are rebuilt with it, at a cost below the
     reduction's own.
 
     Reinsertion runs in reverse.  Let sigma number the working digraph G'
@@ -474,16 +473,16 @@ def rr_numbering(d):
     twice as slowly as list insertion did.
     """
     r = d.root
-    out, inn = _working_maps(reduce_indegrees(d))
-    candidates, unexempt = _elimination_state(out, inn, r)
+    work = reduce_indegrees(d)
+    work.without_arcs([(y, r) for y in work._in[r]])
+    out, inn, candidates, unexempt = _elimination_state(work)
     records = []
     while unexempt:
         while candidates and candidates[0] not in inn:
             heappop(candidates)
         if not candidates:
-            work = RootedDigraph(out, r, [(y, v) for v in inn for y in inn[v]])
-            out, inn = _working_maps(reduce_indegrees(work))
-            candidates, unexempt = _elimination_state(out, inn, r)
+            work = reduce_indegrees(work)
+            out, inn, candidates, unexempt = _elimination_state(work)
             continue
         v = heappop(candidates)
         v_out, v_in = out.pop(v), inn.pop(v)
@@ -504,7 +503,7 @@ def rr_numbering(d):
                 heappush(candidates, y)
         records.append((v, v_in - {r}, r in v_in, u, u_others, u_exempt))
 
-    sigma = _reinserted(r, sorted(inn), records)
+    sigma = _reinserted(r, sorted(inn.keys() - {r}), records)
     if not validate_numbering(d, sigma):
         raise InternalInvariantError("constructed numbering failed validation")
     order = tuple(sigma)

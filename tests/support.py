@@ -10,8 +10,9 @@ from itertools import combinations
 from maxleaf import stnum
 from maxleaf.bounds import acyclic_many_leaves
 from maxleaf.digraph import (NormDeleteStep, NormMergeStep, Outbranching, RootedDigraph,
-                             VerifyResult, build, classify, euler_intervals, find_cutvertex,
-                             grow_tree, is_2connected, is_connected, normalize, reachable)
+                             VerifyResult, WorkGraph, build, classify, euler_intervals,
+                             find_cutvertex, grow_tree, is_2connected, is_connected,
+                             normalize, reachable)
 from maxleaf.errors import InfeasibleError, InternalInvariantError, PreconditionError
 from maxleaf.exact import DEFAULT_LIMIT, ExactResult
 from maxleaf.gen import gen_random
@@ -75,6 +76,11 @@ def split(d, numbering):
         raise ValueError("numbering is not valid for this digraph")
     fwd, bwd = stnum.in_sides(d, numbering)
     return NumberingSplit(stnum.side_digraph(d, fwd), stnum.side_digraph(d, bwd))
+
+
+def numbered_sides(d):
+    """`in_sides` of d's `rr_numbering`: the split the bound trees take."""
+    return stnum.in_sides(d, stnum.rr_numbering(d))
 
 
 def many_leaves_bound(d):
@@ -407,15 +413,15 @@ class RootPathNetwork:
 
     def __init__(self, d):
         self.root = d.root
-        self.vertices = d.vertices
-        self.node = {v: 2 * i for i, v in enumerate(d.vertices)}
+        self.vertices = tuple(d.vertices)
+        self.node = {v: 2 * i for i, v in enumerate(self.vertices)}
         self.head = []
         self.cap = []
         self.edges = [[] for _ in range(2 * d.n)]
-        for v in d.vertices:
+        for v in self.vertices:
             self._add(self.node[v], self.node[v] + 1, 2 if v == d.root else 1)
         self.arc_edge = {(u, v): self._add(self.node[u] + 1, self.node[v], 1)
-                         for u, v in d.arc_set()}
+                         for u in self.vertices for v in d.out_neighbors(u)}
         for edges in self.edges:
             edges.sort()
 
@@ -484,13 +490,15 @@ def rescanning_rr_numbering(d):
     step: the loop test scans for a vertex without a root in-arc, and the
     candidate is the minimum of a fresh scan for outdegree at most 1."""
     r = d.root
-    out, inn = stnum._working_maps(stnum.reduce_indegrees(d))
+    work = stnum.reduce_indegrees(d)
+    work.without_arcs([(y, r) for y in work._in[r]])
+    out, inn = work._out, work._in
     records = []
-    while any(r not in inn[v] for v in inn):
-        candidates = [w for w in inn if len(out[w]) <= 1]
+    while any(r not in inn[v] for v in inn if v != r):
+        candidates = [w for w in inn if w != r and len(out[w]) <= 1]
         if not candidates:
-            work = RootedDigraph(out, r, [(y, v) for v in inn for y in inn[v]])
-            out, inn = stnum._working_maps(stnum.reduce_indegrees(work))
+            work = stnum.reduce_indegrees(work)
+            out, inn = work._out, work._in
             continue
         v = min(candidates)
         v_out, v_in = out.pop(v), inn.pop(v)
@@ -505,7 +513,7 @@ def rescanning_rr_numbering(d):
                 out[y].add(u)
                 inn[u].add(y)
         records.append((v, v_in - {r}, r in v_in, u, u_others, u_exempt))
-    return tuple(listed_reinsertion(r, sorted(inn), records))
+    return tuple(listed_reinsertion(r, sorted(inn.keys() - {r}), records))
 
 
 def _smallest_valid_gap(sigma, v_in, v_exempt, u, u_others, u_exempt):
@@ -586,11 +594,10 @@ def rescanning_majbound_tree(d, cls, paths):
     return Outbranching(d.root, parent)
 
 
-def splitting_bound1_tree(d, numbering=None):
+def splitting_bound1_tree(d, num):
     """`bound1_tree` building both numbering-induced covers with
     `split`, which validates the numbering again, and keeping the one
     with more indegree-2 vertices."""
-    num = numbering or stnum.rr_numbering(d)
     parts = split(d, num)
     best, best_count = None, -1
     for part in (parts.forward, parts.backward):
@@ -643,11 +650,10 @@ def _trim_one_forward_one_backward(d, num):
     return RootedDigraph(d.vertices, d.root, arcs)
 
 
-def trimming_transverse_decomposition(d, numbering=None):
+def trimming_transverse_decomposition(d, num):
     """`transverse_decomposition` reading both trees from a trimmed digraph
     with one forward and one backward in-arc per vertex, built from its own
     forward/backward test and its own classification."""
-    num = numbering or stnum.rr_numbering(d)
     trimmed = _trim_one_forward_one_backward(d, num)
     pos = num.position
     root_out = set(trimmed.root_out())
@@ -721,6 +727,15 @@ def checked_reduce_indegrees(d):
             if not progressed and work.indeg(x) > 2:
                 raise InternalInvariantError(f"cannot reduce indegree of {x}")
     return work
+
+
+def checked_reduce_to_work(d):
+    """`checked_reduce_indegrees` in the shape of `stnum.reduce_indegrees`:
+    a `WorkGraph` result, for a `RootedDigraph` or `WorkGraph` input that
+    it leaves unchanged."""
+    if isinstance(d, WorkGraph):
+        d = d.freeze()
+    return WorkGraph(checked_reduce_indegrees(d))
 
 
 def resorting_vertex_cover(vertices, edges):

@@ -11,16 +11,17 @@ import pytest
 
 from maxleaf.approx import approximate, majbound_tree, sqrt_opt_tree, weak_bipaths
 from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree,
-                            topological_order, vertex_cover_third)
+                            numbering_bound_trees, topological_order,
+                            vertex_cover_third)
 from maxleaf.digraph import (classify, is_2connected, reachable,
                              verify_outbranching)
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_t_l
 from maxleaf.reduce import decide, kernelize, lift
-from maxleaf.stnum import rr_numbering
+from maxleaf.stnum import in_sides, rr_numbering
 
 from support import (all_rule_applications, many_leaves_bound, mixed_rule_corpus,
-                     random_instances, random_undirected_graphs, split,
+                     numbered_sides, random_instances, random_undirected_graphs, split,
                      two_connected_instances)
 
 
@@ -66,7 +67,9 @@ def test_criterion_02_boloney_family():
             assert sum(1 for v in d.vertices if d.indeg(v) >= 2) == 3 * k - 2
             optimum = maxleaf_exact(d).maxleaf
             assert optimum == k + 2
-            for tree in (bound1_tree(d), bound2_tree(d), majbound_tree(d)):
+            cls = classify(d)
+            trees = (*numbering_bound_trees(d), majbound_tree(d, cls, weak_bipaths(d, cls)))
+            for tree in trees:
                 assert verify_outbranching(d, tree).ok
                 assert tree.leaf_count <= k + 2
 
@@ -138,11 +141,12 @@ def test_criterion_06_constructive_bounds(corpus_2conn):
                 tree = acyclic_many_leaves(part)
                 assert verify_outbranching(d, tree).ok
                 assert Fraction(tree.leaf_count) >= many_leaves_bound(part)
-            t1 = bound1_tree(d, num)
+            sides = in_sides(d, num)
+            t1 = bound1_tree(d, sides)
             l3 = sum(1 for v in d.vertices if v != d.root and d.indeg(v) >= 3)
             assert verify_outbranching(d, t1).ok
             assert Fraction(t1.leaf_count) >= Fraction(l3, 6)
-            t2 = bound2_tree(d, num)
+            t2 = bound2_tree(d, sides)
             lnice = len(classify(d).nice)
             assert verify_outbranching(d, t2).ok
             assert Fraction(t2.leaf_count) >= Fraction(lnice, 24)
@@ -155,7 +159,7 @@ def test_criterion_07_oriented_digraphs():
         assert len(corpus) >= 50
         for d in corpus:
             assert all(not d.has_arc(v, u) for u, v in d.arc_set())
-            tree = bound2_tree(d)
+            tree = bound2_tree(d, numbered_sides(d))
             assert verify_outbranching(d, tree).ok
             assert Fraction(tree.leaf_count) >= Fraction(d.n - 1, 24)
         info["detail"] = f"n up to {max(d.n for d in corpus)}"

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from maxleaf import approx, digraph, stnum
+from maxleaf import approx, bounds, digraph, stnum
 from maxleaf.approx import (approximate, approximate_each_root, majbound_tree,
                             sqrt_opt_tree, weak_bipaths)
 from maxleaf.digraph import build, classify, normalize, verify_outbranching
@@ -37,12 +37,12 @@ def anchored_chains(chains, chain_len=1):
 
 def test_weak_bipaths_empty_when_all_special():
     d = build(4, 0, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 1)])  # oriented
-    assert weak_bipaths(d) == []
+    assert weak_bipaths(d, classify(d)) == []
 
 
 def test_weak_bipaths_single_chain():
     d = anchored_chains(1, chain_len=3)
-    paths = weak_bipaths(d)
+    paths = weak_bipaths(d, classify(d))
     assert len(paths) == 1
     (p,) = paths
     assert p.vertices == (5, 6, 7)
@@ -66,14 +66,15 @@ def test_weak_bipaths_on_t4_match_recount():
 
 def test_weak_bipaths_singleton():
     d = anchored_chains(2, chain_len=1)
-    paths = weak_bipaths(d)
+    paths = weak_bipaths(d, classify(d))
     assert [len(p) for p in paths] == [1, 1]
     assert all(p.anchors == (3, 4) for p in paths)
 
 
 def test_majbound_vacuous_without_chains():
     d = build(4, 0, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 1)])
-    t = majbound_tree(d)
+    cls = classify(d)
+    t = majbound_tree(d, cls, weak_bipaths(d, cls))
     assert verify_outbranching(d, t).ok
 
 
@@ -181,16 +182,17 @@ def test_approximate_numbers_and_classifies_once(monkeypatch):
     builds = count_calls(monkeypatch, digraph.RootedDigraph, "__init__")
     bound_builds = []
     for name in ("bound1_tree", "bound2_tree"):
-        def counted(*args, real=getattr(approx, name)):
+        def counted(*args, real=getattr(bounds, name)):
             before = len(builds)
             tree = real(*args)
             bound_builds.append(len(builds) - before)
             return tree
 
-        monkeypatch.setattr(approx, name, counted)
+        monkeypatch.setattr(bounds, name, counted)
     approximate(gen_random(800, 4 / 800, seed=1))
     assert len(validated) == 1 and sum(map(len, classified)) == 1
-    assert len(sides) == 3 and sum(map(len, sides)) == 1  # one split feeds both bounds
+    # bound to stnum and bounds only; one split feeds both bounds
+    assert len(sides) == 2 and sum(map(len, sides)) == 1
     # the chosen cover, cut to indegree 2, for bound 1; the union for bound 2
     assert bound_builds == [1, 1]
 
@@ -232,7 +234,6 @@ def test_approximate_single_vertex_numbers_once(monkeypatch):
         calls.append(d)
         return rr_numbering(d)
 
-    monkeypatch.setattr("maxleaf.approx.rr_numbering", counted)
     monkeypatch.setattr("maxleaf.bounds.rr_numbering", counted)
     tree, report = approximate(build(1, 0, []))
     assert len(calls) == 1

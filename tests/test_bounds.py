@@ -15,7 +15,7 @@ from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_star, gen_t_l
 from maxleaf.stnum import rr_numbering
 
-from support import (brute_min_vertex_cover, is_ancestor, many_leaves_bound,
+from support import (brute_min_vertex_cover, is_ancestor, many_leaves_bound, numbered_sides,
                      random_undirected_graphs, resorting_vertex_cover, split,
                      two_connected_instances)
 
@@ -147,13 +147,13 @@ def test_scaffold_invariants():
 
 def test_bound1_vacuous_without_high_indegree():
     d = build(3, 0, [(0, 1), (0, 2), (1, 2), (2, 1)])  # no indegree-3 vertex
-    tree = bound1_tree(d)
+    tree = bound1_tree(d, numbered_sides(d))
     assert verify_outbranching(d, tree).ok
 
 
 def test_bound1_on_t4():
     d, _ = normalize(gen_t_l(4))
-    tree = bound1_tree(d)
+    tree = bound1_tree(d, numbered_sides(d))
     assert verify_outbranching(d, tree).ok
     l3 = sum(1 for v in d.vertices if v != d.root and d.indeg(v) >= 3)
     assert Fraction(tree.leaf_count) >= Fraction(l3, 6)
@@ -161,7 +161,7 @@ def test_bound1_on_t4():
 
 def test_bound1_never_beats_exact():
     for d in two_connected_instances(20, 5, 11, seed_base=2200):
-        tree = bound1_tree(d)
+        tree = bound1_tree(d, numbered_sides(d))
         assert verify_outbranching(d, tree).ok
         assert tree.leaf_count <= maxleaf_exact(d).maxleaf
 
@@ -171,13 +171,13 @@ def test_bound2_on_all_two_circuit_instance():
     for u, v in [(1, 2), (2, 3), (3, 1)]:
         arcs += [(u, v), (v, u)]
     d = build(4, 0, arcs)
-    tree = bound2_tree(d)
+    tree = bound2_tree(d, numbered_sides(d))
     assert verify_outbranching(d, tree).ok
 
 
 def test_bound2_bound_and_validity():
     for d in two_connected_instances(15, 5, 11, seed_base=2400):
-        tree = bound2_tree(d)
+        tree = bound2_tree(d, numbered_sides(d))
         assert verify_outbranching(d, tree).ok
         lnice = len(classify(d).nice)
         assert Fraction(tree.leaf_count) >= Fraction(lnice, 24)
@@ -186,7 +186,7 @@ def test_bound2_bound_and_validity():
 
 def test_bound2_oriented_sample():
     for d in two_connected_instances(5, 12, 30, seed_base=50, oriented=True, p_lo=0.1, p_hi=0.25):
-        tree = bound2_tree(d)
+        tree = bound2_tree(d, numbered_sides(d))
         assert verify_outbranching(d, tree).ok
         assert Fraction(tree.leaf_count) >= Fraction(d.n - 1, 24)
 
@@ -196,7 +196,7 @@ def test_bound2_oriented_sample():
 
 def test_transverse_incomparability_and_acyclicity():
     for d in two_connected_instances(15, 5, 12, seed_base=2600):
-        dec = transverse_decomposition(d)
+        dec = transverse_decomposition(d, numbered_sides(d))
         for (u, v) in dec.transverse_f:
             assert not is_ancestor(dec.t_b, u, v) and not is_ancestor(dec.t_b, v, u)
         for (u, v) in dec.transverse_b:
@@ -209,7 +209,7 @@ def test_transverse_incomparability_and_acyclicity():
 
 def test_every_nice_vertex_touches_a_transverse_arc():
     for d in two_connected_instances(15, 5, 12, seed_base=2800):
-        dec = transverse_decomposition(d)
+        dec = transverse_decomposition(d, numbered_sides(d))
         trimmed = RootedDigraph(d.vertices, d.root, dec.t_f.arcs() + dec.t_b.arcs())
         nice = classify(trimmed).nice
         root_out = set(trimmed.root_out())

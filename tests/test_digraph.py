@@ -203,6 +203,23 @@ def test_is_2connected_matches_disjoint_paths():
         assert is_2connected(d) == expected
 
 
+def test_is_2connected_matches_removal_scan_with_unreachable_vertices():
+    """Raw digraphs, some with unreachable vertices, and each 2-connected
+    one again with an unreachable vertex that has an arc into it, so that
+    only the size of the dominator map can reject it."""
+    kinds = {"unreachable": 0, "cut": 0, "2-connected": 0}
+    for seed in range(300):
+        d = raw_digraph(seed)
+        expected = is_connected(d) and not brute_cutvertices(d)
+        assert is_2connected(d) == is_2connected(WorkGraph(d)) == expected
+        kinds["2-connected" if expected else "cut" if is_connected(d) else "unreachable"] += 1
+        if expected:
+            n = d.n
+            stray = RootedDigraph(range(n + 1), d.root, [*d.arc_set(), (n, d.root_out()[0])])
+            assert not is_connected(stray) and not is_2connected(stray)
+    assert min(kinds.values()) >= 40, kinds
+
+
 def test_classify_two_circuit_pair():
     d = build(3, 0, [(0, 1), (0, 2), (1, 2), (2, 1)])
     cls = classify(d)

@@ -5,20 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxleaf import stnum
-from maxleaf.digraph import (RootedDigraph, build, is_2connected, normalize, reachable,
-                             verify_outbranching)
+from maxleaf.digraph import (RootedDigraph, WorkGraph, build, is_2connected, normalize,
+                             reachable, verify_outbranching)
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.reduce import renormalize, strip_cutvertices
 from maxleaf.errors import InternalInvariantError
-from maxleaf.stnum import (RootPathState, reduce_indegrees, rr_numbering,
+from maxleaf.stnum import (RootPathState, in_sides, reduce_indegrees, rr_numbering,
                            two_disjoint_root_paths, validate_numbering)
 from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree, topological_order,
                             transverse_decomposition)
 
 from support import (RootPathNetwork, any_scan_validate_numbering, checked_reduce_indegrees,
-                     flow_disjoint_root_paths, listed_reinsertion, relabelled,
-                     rescanning_disjoint_root_paths, rescanning_rr_numbering, split,
-                     splitting_bound1_tree, trimming_transverse_decomposition,
+                     checked_reduce_to_work, flow_disjoint_root_paths, listed_reinsertion,
+                     relabelled, rescanning_disjoint_root_paths, rescanning_rr_numbering,
+                     split, splitting_bound1_tree, trimming_transverse_decomposition,
                      two_connected_instances)
 
 
@@ -49,13 +49,14 @@ def test_validate_rejects_one_sided_vertex():
 
 def test_reduce_indegrees_noop_when_small():
     d, _ = normalize(gen_t_l(3))
-    assert reduce_indegrees(d) == d
+    red = reduce_indegrees(d)
+    assert isinstance(red, WorkGraph) and red.freeze() == d
 
 
 def test_reduce_indegrees_trims_funnel():
     d = build(5, 0, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
     assert is_2connected(d)
-    red = reduce_indegrees(d)
+    red = reduce_indegrees(d).freeze()
     assert red.indeg(4) == 2
     assert is_2connected(red)
     assert red.arc_set() <= d.arc_set()
@@ -63,7 +64,7 @@ def test_reduce_indegrees_trims_funnel():
 
 def test_reduce_indegrees_on_corpus():
     for d in two_connected_instances(20, 5, 12, seed_base=40, p_lo=0.3, p_hi=0.6):
-        red = reduce_indegrees(d)
+        red = reduce_indegrees(d).freeze()
         assert is_2connected(red)
         assert all(red.indeg(v) <= 2 for v in red.vertices if v != red.root)
         assert red.arc_set() <= d.arc_set()
@@ -177,7 +178,8 @@ def test_numbering_and_bound_trees_with_root_in_arcs():
     for d in [minimal] + raw_two_connected_with_root_in_arcs(150, seed_base=3100):
         num = rr_numbering(d)
         assert validate_numbering(d, num.order)
-        for tree in (bound1_tree(d, num), bound2_tree(d, num)):
+        sides = in_sides(d, num)
+        for tree in (bound1_tree(d, sides), bound2_tree(d, sides)):
             assert verify_outbranching(d, tree).ok
 
 
@@ -206,9 +208,9 @@ def test_reduce_indegrees_matches_checked_oracle(monkeypatch):
     assert sum(1 for d in corpus if any(d.indeg(v) > 2 for v in d.vertices)) >= 60
     orders = []
     for d in corpus:
-        assert reduce_indegrees(d) == checked_reduce_indegrees(d)
+        assert reduce_indegrees(d).freeze() == checked_reduce_indegrees(d)
         orders.append(rr_numbering(d).order)
-    monkeypatch.setattr(stnum, "reduce_indegrees", checked_reduce_indegrees)
+    monkeypatch.setattr(stnum, "reduce_indegrees", checked_reduce_to_work)
     assert [rr_numbering(d).order for d in corpus] == orders
 
 
@@ -266,15 +268,15 @@ def test_reduce_indegrees_checks_once(monkeypatch):
     monkeypatch.setattr(RootedDigraph, "__init__", counted_init)
     monkeypatch.setattr(RootPathState, "tree", counted_tree)
     red = reduce_indegrees(d)
-    assert red != d
+    assert red.m < d.m
     assert checks == [red]  # the result only, not the input
-    assert len(builds) <= 1
+    assert builds == []  # the result is a `WorkGraph` copy, never frozen
     assert len(trees) == 1  # one state, whose tree no deletion drops
-    # nothing to delete: the one check is on the input itself
+    # nothing to delete: the one check is on the unchanged copy
     checks.clear()
     small, _ = normalize(gen_t_l(3))
-    assert reduce_indegrees(small) is small
-    assert checks == [small]
+    red = reduce_indegrees(small)
+    assert checks == [red] and red is not small and red.freeze() == small
 
 
 # digraphs that are not 2-connected, each with a vertex of indegree 3 that
@@ -350,6 +352,36 @@ def test_rr_numbering_reduces_again_and_checks_only_inside_reduction(monkeypatch
     assert validate_numbering(d, num.order)
     assert len(reductions) == 2
     assert outside == []
+
+
+def arcs_of(g):
+    return {(u, v) for u in g.vertices for v in g.out_neighbors(u)}
+
+
+def test_reduce_indegrees_leaves_its_argument_unchanged(monkeypatch):
+    # the numbering reduces this core, a `RootedDigraph`, and then, on a
+    # stall, its own working `WorkGraph`
+    d = cutvertex_free_core(gen_random(148, 3 / 148, seed=5208))
+    deleted, inputs = [], []
+    real_reduce, real_delete = stnum.reduce_indegrees, RootPathState.delete_arc
+
+    def watched_delete(state, u, v):
+        deleted.append((u, v))
+        real_delete(state, u, v)
+
+    def watched_reduce(g):
+        before, mark = arcs_of(g), len(deleted)
+        red = real_reduce(g)
+        assert arcs_of(g) == before
+        assert arcs_of(red) == before - set(deleted[mark:])
+        assert g.m - red.m == len(deleted) - mark > 0
+        inputs.append(type(g))
+        return red
+
+    monkeypatch.setattr(RootPathState, "delete_arc", watched_delete)
+    monkeypatch.setattr(stnum, "reduce_indegrees", watched_reduce)
+    assert validate_numbering(d, rr_numbering(d).order)
+    assert inputs == [RootedDigraph, WorkGraph]
 
 
 def rescanning_corpus():
@@ -443,12 +475,12 @@ def test_reduce_indegrees_and_numbering_match_rescanning_search(monkeypatch):
         real_delete(state, u, v)
 
     monkeypatch.setattr(RootPathState, "delete_arc", watched_delete)
-    reduced = [reduce_indegrees(d) for d in corpus]
+    reduced = [reduce_indegrees(d).freeze() for d in corpus]
     orders = [rr_numbering(d).order for d in corpus]
     assert len(tree_arcs_deleted) > 1000 and not any(tree_arcs_deleted)
     monkeypatch.setattr(stnum, "RootPathState", RootPathNetwork)
     monkeypatch.setattr(stnum, "two_disjoint_root_paths", rescanning_disjoint_root_paths)
-    assert [reduce_indegrees(d) for d in corpus] == reduced
+    assert [reduce_indegrees(d).freeze() for d in corpus] == reduced
     assert [rr_numbering(d).order for d in corpus] == orders
 
 
@@ -466,12 +498,13 @@ def test_bound_trees_match_split_and_trim_oracles():
     anchored = 0
     for d in corpus:
         num = rr_numbering(d)
-        assert bound1_tree(d, num).parent == splitting_bound1_tree(d, num).parent
-        dec, old = transverse_decomposition(d, num), trimming_transverse_decomposition(d, num)
+        sides = in_sides(d, num)
+        assert bound1_tree(d, sides).parent == splitting_bound1_tree(d, num).parent
+        dec, old = transverse_decomposition(d, sides), trimming_transverse_decomposition(d, num)
         for field in ("t_f", "t_b", "transverse_f", "transverse_b", "chosen", "s_left", "s_right"):
             assert getattr(dec, field) == getattr(old, field), field
         assert dec.union.arcs() == old.union.arcs()
-        assert bound2_tree(d, num).parent == acyclic_many_leaves(old.union).parent
+        assert bound2_tree(d, sides).parent == acyclic_many_leaves(old.union).parent
         anchored += any(not d.has_arc(v, u) for u, v in d.arc_set() if u != d.root)
     assert len(corpus) > 350 and anchored > 100
 
