@@ -11,13 +11,9 @@ simple in-arc).
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-
-from .digraph import (Outbranching, RootedDigraph, euler_intervals, grow_tree,
-                      is_connected)
+from .digraph import Outbranching, euler_intervals, search
 from .errors import InternalInvariantError
-from .stnum import in_sides, rr_numbering, side_digraph
+from .stnum import in_sides, rr_numbering
 
 
 # -- covers and domination ----------------------------------------------
@@ -81,76 +77,72 @@ def dominate_bipartite(a_side, b_side, edges):
 # -- acyclic many-leaves extraction -------------------------------------
 
 
-@dataclass(frozen=True)
-class DominationScaffold:
-    """Intermediate sets of the strongly-dominating-set construction."""
+def _kahn(out, ins, sources):
+    """Kahn's order from `sources` over the out-lists `out`: a vertex joins
+    once all of its in-neighbors in the in-lists `ins` have."""
+    left = {v: len(us) for v, us in ins.items()}
+    order = list(sources)
+    for u in order:
+        for v in out[u]:
+            left[v] -= 1
+            if not left[v]:
+                order.append(v)
+    return order
 
-    sink: int
-    z: frozenset      # indegree-1 vertices
-    y: frozenset      # in-neighbors of z
-    a_dominated: frozenset
-    a: frozenset      # indegree-2 vertices with no in-neighbor in y
-    b: frozenset      # all vertices except y and the sink
-    x: frozenset      # subset of b dominating a
-    c: frozenset      # x | y, strongly dominating
+
+def _out_lists(ins):
+    """The out-lists of the in-lists `ins`, ascending when its keys are."""
+    out = {v: [] for v in ins}
+    for v, us in ins.items():
+        for u in us:
+            out[u].append(v)
+    return out
 
 
 def topological_order(d):
     """Topological order from the root, or None when the digraph has a cycle."""
-    indeg = {v: d.indeg(v) for v in d.vertices}
-    queue = deque(v for v in d.vertices if indeg[v] == 0)
-    order = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in d.out_neighbors(u):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
+    order = _kahn(d._out, d._in, [v for v in d.vertices if not d.indeg(v)])
     return order if len(order) == d.n else None
 
 
-def trim_to_indegree_two(d):
-    """Keep the two smallest-id in-neighbors of every vertex of indegree >= 3."""
-    drop = []
-    for v in d.vertices:
-        if d.indeg(v) > 2:
-            for u in d.in_neighbors(v)[2:]:
-                drop.append((u, v))
-    return d.without_arcs(drop) if drop else d
+def acyclic_many_leaves(root, ins):
+    """Out-tree of an acyclic rooted digraph connected from the root with at
+    least (l + d(r) - 1)/3 + 1 leaves, where l counts the indegree->=2
+    vertices.  The digraph is given as in-lists: `ins` maps every vertex,
+    the root too, in ascending order, to its ascending in-neighbors.
 
-
-def domination_scaffold(d):
-    """Strongly dominating set construction for an acyclic digraph with all
-    indegrees at most 2."""
-    sinks = [v for v in d.vertices if d.outdeg(v) == 0]
-    if not sinks:
-        raise ValueError("acyclic digraph must have a sink")
-    sink = sinks[0]
-    z = frozenset(v for v in d.vertices if d.indeg(v) == 1)
-    y = frozenset(u for v in z for u in d.in_neighbors(v))
-    deg2 = [v for v in d.vertices if d.indeg(v) == 2]
-    a_dom = frozenset(v for v in deg2 if any(u in y for u in d.in_neighbors(v)))
-    a = frozenset(v for v in deg2 if v not in a_dom)
-    b = frozenset(v for v in d.vertices if v not in y and v != sink)
-    edges = [(v, u) for v in a for u in d.in_neighbors(v)]
-    x = frozenset(dominate_bipartite(a, b, edges))
-    c = frozenset(x | y | {d.root})
-    return DominationScaffold(sink, z, y, a_dom, a, b, x, c)
-
-
-def acyclic_many_leaves(d):
-    """Out-tree of an acyclic connected rooted digraph with at least
-    (l + d(r) - 1)/3 + 1 leaves, where l counts the indegree->=2 vertices."""
-    if topological_order(d) is None:
-        raise ValueError("digraph has a directed cycle")
-    if not is_connected(d):
+    One Kahn pass from the root alone checks both preconditions: a vertex
+    joins the order only after all of its in-neighbors have, so the pass
+    orders every vertex exactly when r has no in-arc and the digraph is
+    acyclic and connected from r.  Only after a failure does a second pass,
+    from every vertex without in-arcs, tell a cycle (reported first) from a
+    vertex that r does not reach.  Each in-list is then cut to its first
+    two.  On the cut digraph, y holds the in-neighbors of the indegree-1
+    vertices, a the indegree-2 vertices with no in-neighbor in y, and a
+    subset x of the vertices outside y but the first sink dominates a; so
+    c = x | y | {r} strongly dominates, and the tree is the breadth-first
+    tree of the cut out-lists that expands only c.  The out-lists come out
+    ascending, as a `RootedDigraph`'s are.
+    """
+    out = _out_lists(ins)
+    n = len(ins)
+    if ins[root] or len(_kahn(out, ins, [root])) != n:
+        if len(_kahn(out, ins, [v for v, us in ins.items() if not us])) != n:
+            raise ValueError("digraph has a directed cycle")
         raise ValueError("digraph is not connected from the root")
-    trimmed = trim_to_indegree_two(d)
-    tree = grow_tree(trimmed, internal=domination_scaffold(trimmed).c)
-    if len(tree.parent) != d.n - 1:
+    if any(len(us) > 2 for us in ins.values()):
+        ins = {v: us[:2] for v, us in ins.items()}
+        out = _out_lists(ins)
+    sink = next(v for v, ws in out.items() if not ws)
+    y = {us[0] for us in ins.values() if len(us) == 1}
+    a = [v for v, us in ins.items() if len(us) == 2 and y.isdisjoint(us)]
+    b = [v for v in ins if v not in y and v != sink]
+    x = dominate_bipartite(a, b, [(v, u) for v in a for u in ins[v]])
+    found = search(out, [root], expand=x | y | {root})
+    del found[root]
+    if len(found) != n - 1:
         raise InternalInvariantError("dominating set did not span the digraph")
-    return tree
+    return Outbranching(root, found)
 
 
 # -- first tree bound ---------------------------------------------------
@@ -160,9 +152,8 @@ def bound1_tree(d, sides):
     """Out-tree with at least l/6 leaves, l = number of indegree->=3 vertices.
 
     Takes the numbering-induced acyclic cover with more indegree-2 vertices,
-    ties to the forward one, and extracts a many-leaves tree from it.  The
-    side's ascending in-lists are cut to their first two before its one
-    build, as `trim_to_indegree_two` would cut them.  `sides` is
+    ties to the forward one, and extracts a many-leaves tree from its
+    in-lists, each cut to its first two.  `sides` is
     `in_sides(d, numbering)`.
     """
     fwd, bwd = sides
@@ -171,37 +162,30 @@ def bound1_tree(d, sides):
         return sum(len(ins) >= 2 for ins in side.values())
 
     side = bwd if joins(bwd) > joins(fwd) else fwd
-    return acyclic_many_leaves(side_digraph(d, {v: ins[:2] for v, ins in side.items()}))
+    return acyclic_many_leaves(d.root, {v: side.get(v, ())[:2] for v in d.vertices})
 
 
 # -- transverse arcs and the second tree bound --------------------------
 
 
-@dataclass(frozen=True)
-class TransverseDecomposition:
-    """Forward/backward spanning trees of the numbered digraph, their
-    transverse arcs, and the left/right split of the chosen tree's arcs.
+def bound2_tree(d, sides):
+    """Out-tree with at least l/24 leaves, l = number of nice vertices.
 
     Every non-root vertex that is not a root outneighbor takes one parent
-    from each side of `stnum.in_sides`, its smallest in-neighbor there;
-    a nice vertex instead takes its smallest simple in-neighbor on that
-    in-neighbor's side.  Root outneighbors take the root in both trees.
+    from each side of the `in_sides` split `sides`, its smallest in-neighbor
+    there, giving a forward and a backward spanning tree; a nice vertex
+    instead takes its smallest simple in-neighbor (never r, since r's
+    outneighbors take r) on the side whose in-list holds it.  Root
+    outneighbors take r in both trees.  An arc of one tree is transverse
+    when its ends are incomparable in the other.  The tree with more
+    transverse arcs is chosen, ties to forward; its transverse arcs that
+    point left (head's subtree before the tail in the other tree's
+    preorder) or right, whichever are more, ties to left, are added to the
+    other tree, and the tree grows from that union, which is acyclic
+    (`acyclic_many_leaves` checks).  Each vertex has its parent in the
+    other tree and at most one transverse in-arc, so the union's in-lists
+    are read straight from the two parent maps.
     """
-
-    t_f: Outbranching
-    t_b: Outbranching
-    transverse_f: frozenset
-    transverse_b: frozenset
-    chosen: str           # "forward" or "backward"
-    s_left: frozenset
-    s_right: frozenset
-    union: RootedDigraph  # opposite tree plus the larger transverse side
-
-
-def transverse_decomposition(d, sides):
-    """The decomposition of d for the `in_sides` split `sides`.  A nice
-    vertex's anchor is never r, since r's outneighbors take r, so its side
-    is the side whose in-list holds it."""
     r = d.root
     fwd, bwd = sides
     parent_f, parent_b = {}, {}
@@ -213,38 +197,26 @@ def transverse_decomposition(d, sides):
         anchor = next((u for u in d.in_neighbors(v) if not d.has_arc(v, u)), None)
         if anchor is not None:
             (parent_f if anchor in fwd[v] else parent_b)[v] = anchor
-    t_f = Outbranching(r, parent_f)
-    t_b = Outbranching(r, parent_b)
+    tin_f, tout_f = euler_intervals(r, parent_f)
+    tin_b, tout_b = euler_intervals(r, parent_b)
 
-    tin_f, tout_f = euler_intervals(t_f)
-    tin_b, tout_b = euler_intervals(t_b)
+    def transverse(parent, tin, tout):
+        return [(u, v) for v, u in parent.items()
+                if u != r and (tout[v] < tin[u] or tout[u] < tin[v])]
 
-    def incomparable(u, v, tin, tout):
-        return tout[v] < tin[u] or tout[u] < tin[v]
-
-    transverse_f = frozenset((u, v) for v, u in parent_f.items()
-                             if u != r and incomparable(u, v, tin_b, tout_b))
-    transverse_b = frozenset((u, v) for v, u in parent_b.items()
-                             if u != r and incomparable(u, v, tin_f, tout_f))
-
-    if len(transverse_f) >= len(transverse_b):
-        chosen, trans, t_opp, tin, tout = "forward", transverse_f, t_b, tin_b, tout_b
+    trans_f = transverse(parent_f, tin_b, tout_b)
+    trans_b = transverse(parent_b, tin_f, tout_f)
+    if len(trans_f) >= len(trans_b):
+        trans, parent, tin, tout = trans_f, parent_b, tin_b, tout_b
     else:
-        chosen, trans, t_opp, tin, tout = "backward", transverse_b, t_f, tin_f, tout_f
-
-    s_left = frozenset((u, v) for u, v in trans if tout[v] < tin[u])
-    s_right = frozenset((u, v) for u, v in trans if tout[u] < tin[v])
-    side = s_left if len(s_left) >= len(s_right) else s_right
-    union_arcs = list(side) + [(p, c) for c, p in t_opp.parent.items()]
-    union = RootedDigraph(d.vertices, r, union_arcs)
-    return TransverseDecomposition(t_f, t_b, transverse_f, transverse_b,
-                                   chosen, s_left, s_right, union)
-
-
-def bound2_tree(d, sides):
-    """Out-tree with at least l/24 leaves, l = number of nice vertices; the
-    union it grows from is acyclic (`acyclic_many_leaves` checks)."""
-    return acyclic_many_leaves(transverse_decomposition(d, sides).union)
+        trans, parent, tin, tout = trans_b, parent_f, tin_f, tout_f
+    left = {v: u for u, v in trans if tout[v] < tin[u]}
+    right = {v: u for u, v in trans if tout[u] < tin[v]}
+    tail = left if len(left) >= len(right) else right
+    ins = dict.fromkeys(d.vertices, ())
+    for v, p in parent.items():
+        ins[v] = sorted((p, tail[v])) if v in tail else (p,)
+    return acyclic_many_leaves(r, ins)
 
 
 def numbering_bound_trees(d):

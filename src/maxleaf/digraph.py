@@ -10,9 +10,10 @@ removal leaves some vertex unreachable from r, and the digraph is 2-connected
 when it has no cut of size at most 1.  A cut of size 1 is a cutvertex.
 
 `search` is the one breadth-first search: reachability, `grow_tree`, the
-tree check, rule 1's check, `stnum.RootPathState` and `majbound_tree`'s
-path search all read it; only `stnum`'s residual second-path search keeps
-its own loop.
+tree check, rule 1's check, `stnum.RootPathState`, the bound trees'
+`acyclic_many_leaves`, `large_indegree_witness` and `majbound_tree`'s path
+search all read it; only `stnum`'s residual second-path search keeps its
+own loop.
 
 Local renormalization.  Take a digraph that was normalized and has been
 rewritten since.  An illegal arc in it is new, or it enters a new root
@@ -588,18 +589,16 @@ def bfs_tree(d):
     return tree
 
 
-def euler_intervals(tree):
-    """Preorder entry/exit counters of an out-tree, children visited in id
-    order: a is a proper ancestor of v exactly when
-    tin[a] < tin[v] and tout[v] < tout[a]."""
+def euler_intervals(root, parent):
+    """Preorder entry/exit counters of the out-tree given by the parent map
+    `parent`, each vertex's children visited in the map's order: a is a
+    proper ancestor of v exactly when tin[a] < tin[v] and tout[v] < tout[a]."""
     children = {}
-    for c, p in tree.parent.items():
+    for c, p in parent.items():
         children.setdefault(p, []).append(c)
-    for p in children:
-        children[p].sort()
     tin, tout = {}, {}
     clock = 0
-    stack = [(tree.root, False)]
+    stack = [(root, False)]
     while stack:
         v, done = stack.pop()
         if done:

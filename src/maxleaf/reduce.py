@@ -622,6 +622,17 @@ def large_indegree_witness(d, x):
     N-(x) - u (rule 3 guarantees this on reduced digraphs).  When r itself
     is an in-neighbor the guarantee weakens by one leaf unless x can hang
     directly off the root.
+
+    Each u takes its path from a breadth-first search that never discovers
+    the set B = N-(x) - {u, r}.  Lemma: such a search discovers every vertex
+    whose path in the breadth-first tree T of the whole digraph avoids B
+    from its parent in T.  Removing B lowers no depth, so such a vertex keeps
+    its depth, and by induction on the depth, as in (a) and (b) of
+    `stnum`'s shortcut lemma, the search expands the vertices that keep
+    their depth in T's order: a vertex expanded before v's tree parent with
+    v in its out-list would have made T discover v from it.  So T gives
+    every u whose tree path avoids B the path that search would give, and
+    only the other in-neighbors need a search.
     """
     in_nbrs = d.in_neighbors(x)
     if not in_nbrs:
@@ -629,12 +640,16 @@ def large_indegree_witness(d, x):
     root = d.root
     parent = {}
     placed = {root}
+    tree = search(d._out, [root])
 
     for u in in_nbrs:
         if u == root or u in placed:
             continue
         blocked = set(in_nbrs) - {u, root}
-        bfs = search(d._out, [root], avoid=blocked)
+        v = u
+        while v in tree and v not in blocked:
+            v = tree[v]  # the root maps to None: u's tree path avoids blocked
+        bfs = tree if v is None else search(d._out, [root], avoid=blocked)
         if u not in bfs:
             raise ValueError(
                 f"in-neighbors of {x} other than {u} cut {u} from the root; "
@@ -650,10 +665,10 @@ def large_indegree_witness(d, x):
         parent[x] = root
         placed.add(x)
 
-    tree = grow_tree(d, parent=parent)
-    if len(tree.parent) != d.n - 1:
+    witness = grow_tree(d, parent=parent)
+    if len(witness.parent) != d.n - 1:
         raise InternalInvariantError("witness tree failed to span the digraph")
-    return tree
+    return witness
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,7 @@ from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .digraph import RootedDigraph, WorkGraph, is_2connected, search
+from .digraph import WorkGraph, is_2connected, search
 from .errors import InternalInvariantError
 
 
@@ -130,11 +130,6 @@ def in_sides(d, numbering):
         fwd[v] = [u for u in ins if u == r or pos[u] < p]
         bwd[v] = [u for u in ins if u == r or pos[u] > p]
     return fwd, bwd
-
-
-def side_digraph(d, side):
-    """The spanning subdigraph of d with the arcs of one `in_sides` side."""
-    return RootedDigraph(d.vertices, d.root, [(u, v) for v, ins in side.items() for u in ins])
 
 
 # -- indegree reduction -------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from maxleaf import stnum
-from maxleaf.bounds import acyclic_many_leaves
+from maxleaf.bounds import dominate_bipartite, topological_order
 from maxleaf.digraph import (NormDeleteStep, NormMergeStep, Outbranching, RootedDigraph,
                              VerifyResult, WorkGraph, build, classify, euler_intervals,
                              find_cutvertex, grow_tree, is_2connected, is_connected,
@@ -75,7 +75,17 @@ def split(d, numbering):
     if not stnum.validate_numbering(d, numbering.order):
         raise ValueError("numbering is not valid for this digraph")
     fwd, bwd = stnum.in_sides(d, numbering)
-    return NumberingSplit(stnum.side_digraph(d, fwd), stnum.side_digraph(d, bwd))
+    return NumberingSplit(side_digraph(d, fwd), side_digraph(d, bwd))
+
+
+def side_digraph(d, side):
+    """The spanning subdigraph of d with the arcs of one `in_sides` side."""
+    return RootedDigraph(d.vertices, d.root, [(u, v) for v, ins in side.items() for u in ins])
+
+
+def in_lists(d):
+    """d as the in-lists `bounds.acyclic_many_leaves` takes."""
+    return {v: d.in_neighbors(v) for v in d.vertices}
 
 
 def numbered_sides(d):
@@ -594,6 +604,132 @@ def rescanning_majbound_tree(d, cls, paths):
     return Outbranching(d.root, parent)
 
 
+# -- the bound trees on built digraphs, before `acyclic_many_leaves` took
+# in-lists ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DominationScaffold:
+    """Intermediate sets of the strongly-dominating-set construction."""
+
+    sink: int
+    z: frozenset      # indegree-1 vertices
+    y: frozenset      # in-neighbors of z
+    a_dominated: frozenset
+    a: frozenset      # indegree-2 vertices with no in-neighbor in y
+    b: frozenset      # all vertices except y and the sink
+    x: frozenset      # subset of b dominating a
+    c: frozenset      # x | y, strongly dominating
+
+
+def trim_to_indegree_two(d):
+    """Keep the two smallest-id in-neighbors of every vertex of indegree >= 3."""
+    drop = []
+    for v in d.vertices:
+        if d.indeg(v) > 2:
+            for u in d.in_neighbors(v)[2:]:
+                drop.append((u, v))
+    return d.without_arcs(drop) if drop else d
+
+
+def domination_scaffold(d):
+    """Strongly dominating set construction for an acyclic digraph with all
+    indegrees at most 2."""
+    sinks = [v for v in d.vertices if d.outdeg(v) == 0]
+    if not sinks:
+        raise ValueError("acyclic digraph must have a sink")
+    sink = sinks[0]
+    z = frozenset(v for v in d.vertices if d.indeg(v) == 1)
+    y = frozenset(u for v in z for u in d.in_neighbors(v))
+    deg2 = [v for v in d.vertices if d.indeg(v) == 2]
+    a_dom = frozenset(v for v in deg2 if any(u in y for u in d.in_neighbors(v)))
+    a = frozenset(v for v in deg2 if v not in a_dom)
+    b = frozenset(v for v in d.vertices if v not in y and v != sink)
+    edges = [(v, u) for v in a for u in d.in_neighbors(v)]
+    x = frozenset(dominate_bipartite(a, b, edges))
+    c = frozenset(x | y | {d.root})
+    return DominationScaffold(sink, z, y, a_dom, a, b, x, c)
+
+
+def digraph_many_leaves(d):
+    """`bounds.acyclic_many_leaves` on a `RootedDigraph`: out-tree of an
+    acyclic connected rooted digraph with at least (l + d(r) - 1)/3 + 1
+    leaves, where l counts the indegree->=2 vertices."""
+    if topological_order(d) is None:
+        raise ValueError("digraph has a directed cycle")
+    if not is_connected(d):
+        raise ValueError("digraph is not connected from the root")
+    trimmed = trim_to_indegree_two(d)
+    tree = grow_tree(trimmed, internal=domination_scaffold(trimmed).c)
+    if len(tree.parent) != d.n - 1:
+        raise InternalInvariantError("dominating set did not span the digraph")
+    return tree
+
+
+@dataclass(frozen=True)
+class TransverseDecomposition:
+    """Forward/backward spanning trees of the numbered digraph, their
+    transverse arcs, and the left/right split of the chosen tree's arcs.
+
+    Every non-root vertex that is not a root outneighbor takes one parent
+    from each side of `stnum.in_sides`, its smallest in-neighbor there;
+    a nice vertex instead takes its smallest simple in-neighbor on that
+    in-neighbor's side.  Root outneighbors take the root in both trees.
+    """
+
+    t_f: Outbranching
+    t_b: Outbranching
+    transverse_f: frozenset
+    transverse_b: frozenset
+    chosen: str           # "forward" or "backward"
+    s_left: frozenset
+    s_right: frozenset
+    union: RootedDigraph  # opposite tree plus the larger transverse side
+
+
+def transverse_decomposition(d, sides):
+    """The decomposition of d for the `in_sides` split `sides`.  A nice
+    vertex's anchor is never r, since r's outneighbors take r, so its side
+    is the side whose in-list holds it."""
+    r = d.root
+    fwd, bwd = sides
+    parent_f, parent_b = {}, {}
+    for v in fwd:
+        if d.has_arc(r, v):
+            parent_f[v] = parent_b[v] = r
+            continue
+        parent_f[v], parent_b[v] = fwd[v][0], bwd[v][0]
+        anchor = next((u for u in d.in_neighbors(v) if not d.has_arc(v, u)), None)
+        if anchor is not None:
+            (parent_f if anchor in fwd[v] else parent_b)[v] = anchor
+    t_f = Outbranching(r, parent_f)
+    t_b = Outbranching(r, parent_b)
+
+    tin_f, tout_f = euler_intervals(t_f.root, t_f.parent)
+    tin_b, tout_b = euler_intervals(t_b.root, t_b.parent)
+
+    def incomparable(u, v, tin, tout):
+        return tout[v] < tin[u] or tout[u] < tin[v]
+
+    transverse_f = frozenset((u, v) for v, u in parent_f.items()
+                             if u != r and incomparable(u, v, tin_b, tout_b))
+    transverse_b = frozenset((u, v) for v, u in parent_b.items()
+                             if u != r and incomparable(u, v, tin_f, tout_f))
+
+    if len(transverse_f) >= len(transverse_b):
+        chosen, trans, t_opp, tin, tout = "forward", transverse_f, t_b, tin_b, tout_b
+    else:
+        chosen, trans, t_opp, tin, tout = "backward", transverse_b, t_f, tin_f, tout_f
+
+    s_left = frozenset((u, v) for u, v in trans if tout[v] < tin[u])
+    s_right = frozenset((u, v) for u, v in trans if tout[u] < tin[v])
+    side = s_left if len(s_left) >= len(s_right) else s_right
+    union_arcs = list(side) + [(p, c) for c, p in t_opp.parent.items()]
+    union = RootedDigraph(d.vertices, r, union_arcs)
+    return TransverseDecomposition(t_f, t_b, transverse_f, transverse_b,
+                                   chosen, s_left, s_right, union)
+
+
 def splitting_bound1_tree(d, num):
     """`bound1_tree` building both numbering-induced covers with
     `split`, which validates the numbering again, and keeping the one
@@ -604,12 +740,12 @@ def splitting_bound1_tree(d, num):
         count = sum(1 for v in part.vertices if part.indeg(v) >= 2)
         if count > best_count:
             best, best_count = part, count
-    return acyclic_many_leaves(best)
+    return digraph_many_leaves(best)
 
 
 @dataclass(frozen=True)
 class TrimmedDecomposition:
-    """`bounds.TransverseDecomposition` with the indegree-trimmed digraph
+    """`TransverseDecomposition` with the indegree-trimmed digraph
     its trees were read from."""
 
     numbering: stnum.RRNumbering
@@ -674,8 +810,8 @@ def trimming_transverse_decomposition(d, num):
     t_f = Outbranching(trimmed.root, parent_f)
     t_b = Outbranching(trimmed.root, parent_b)
 
-    tin_f, tout_f = euler_intervals(t_f)
-    tin_b, tout_b = euler_intervals(t_b)
+    tin_f, tout_f = euler_intervals(t_f.root, t_f.parent)
+    tin_b, tout_b = euler_intervals(t_b.root, t_b.parent)
 
     def incomparable(u, v, tin, tout):
         return tout[v] < tin[u] or tout[u] < tin[v]

@@ -20,7 +20,7 @@ from maxleaf.gen import gen_boloney, gen_t_l
 from maxleaf.reduce import decide, kernelize, lift
 from maxleaf.stnum import in_sides, rr_numbering
 
-from support import (all_rule_applications, many_leaves_bound, mixed_rule_corpus,
+from support import (all_rule_applications, in_lists, many_leaves_bound, mixed_rule_corpus,
                      numbered_sides, random_instances, random_undirected_graphs, split,
                      two_connected_instances)
 
@@ -138,7 +138,7 @@ def test_criterion_06_constructive_bounds(corpus_2conn):
             num = rr_numbering(d)
             parts = split(d, num)
             for part in (parts.forward, parts.backward):
-                tree = acyclic_many_leaves(part)
+                tree = acyclic_many_leaves(part.root, in_lists(part))
                 assert verify_outbranching(d, tree).ok
                 assert Fraction(tree.leaf_count) >= many_leaves_bound(part)
             sides = in_sides(d, num)

@@ -193,8 +193,8 @@ def test_approximate_numbers_and_classifies_once(monkeypatch):
     assert len(validated) == 1 and sum(map(len, classified)) == 1
     # bound to stnum and bounds only; one split feeds both bounds
     assert len(sides) == 2 and sum(map(len, sides)) == 1
-    # the chosen cover, cut to indegree 2, for bound 1; the union for bound 2
-    assert bound_builds == [1, 1]
+    # both trees grow on in-lists read from the split
+    assert bound_builds == [0, 0]
 
 
 def test_approximate_star_is_optimal():

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxleaf.digraph import (RootedDigraph, build, classify, normalize,
+from maxleaf.digraph import (RootedDigraph, build, classify, is_connected, normalize,
                             verify_outbranching)
 from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree,
-                            dominate_bipartite, domination_scaffold, topological_order,
-                            transverse_decomposition, trim_to_indegree_two,
-                            vertex_cover_third)
+                            dominate_bipartite, topological_order, vertex_cover_third)
+from maxleaf.errors import InternalInvariantError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_star, gen_t_l
 from maxleaf.stnum import rr_numbering
 
-from support import (brute_min_vertex_cover, is_ancestor, many_leaves_bound, numbered_sides,
+from support import (brute_min_vertex_cover, digraph_many_leaves, domination_scaffold,
+                     in_lists, is_ancestor, many_leaves_bound, numbered_sides,
                      random_undirected_graphs, resorting_vertex_cover, split,
-                     two_connected_instances)
+                     transverse_decomposition, trim_to_indegree_two, two_connected_instances)
 
 
 # -- vertex cover --------------------------------------------------------
@@ -108,23 +108,82 @@ def test_dominate_random_instances():
 
 def test_many_leaves_star():
     star = gen_star(5)
-    tree = acyclic_many_leaves(star)
+    tree = acyclic_many_leaves(star.root, in_lists(star))
     assert tree.leaf_count == 5
     assert Fraction(tree.leaf_count) >= many_leaves_bound(star)
 
 
 def test_many_leaves_rejects_cycle():
     with pytest.raises(ValueError, match="cycle"):
-        acyclic_many_leaves(build(3, 0, [(0, 1), (1, 2), (2, 1)]))
+        acyclic_many_leaves(0, in_lists(build(3, 0, [(0, 1), (1, 2), (2, 1)])))
 
 
 def test_many_leaves_on_numbering_parts():
     for g in [normalize(gen_t_l(3))[0], gen_boloney(3), gen_boloney(4)]:
         parts = split(g, rr_numbering(g))
         for part in (parts.forward, parts.backward):
-            tree = acyclic_many_leaves(part)
+            tree = acyclic_many_leaves(part.root, in_lists(part))
             assert verify_outbranching(g, tree).ok
             assert Fraction(tree.leaf_count) >= many_leaves_bound(part)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError or
+    InternalInvariantError it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, InternalInvariantError) as exc:
+        return type(exc), str(exc)
+
+
+def random_dags(count, seed_base):
+    """Seeded digraphs that are acyclic along a random vertex order, n 1-12:
+    most have the root first in that order; some add an arc into the root,
+    a back arc, or drop the arcs into one vertex."""
+    out = []
+    for seed in range(seed_base, seed_base + count):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        order = rng.sample(range(n), n)
+        if rng.random() < 0.8:
+            order.insert(0, order.pop(rng.randrange(n)))
+        root = order[0] if rng.random() < 0.9 else rng.choice(order)
+        p = rng.uniform(0.1, 0.7)
+        arcs = {(order[i], order[j]) for j in range(n) for i in range(j) if rng.random() < p}
+        arcs.update((order[rng.randrange(j)], order[j]) for j in range(1, n) if rng.random() < 0.7)
+        if n > 1 and rng.random() < 0.15:
+            v = rng.choice(order[1:])
+            arcs = {(u, w) for u, w in arcs if w != v}
+        if n > 1 and rng.random() < 0.1:
+            arcs.add((rng.choice([v for v in order if v != root]), root))
+        if n > 1 and rng.random() < 0.2:
+            i, j = sorted(rng.sample(range(n), 2))
+            arcs.add((order[j], order[i]))
+        out.append(RootedDigraph(range(n), root, arcs))
+    return out
+
+
+def test_acyclic_many_leaves_matches_digraph_oracle():
+    # vertex 3's in-list is [1, 2, 4]: the cycle 3 -> 4 -> 3 runs through
+    # its third in-arc, which cutting each list to two drops
+    third_arc_cycle = build(5, 0, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 3)])
+    through_root = build(3, 2, [(2, 0), (0, 1), (1, 2)])
+    corpus = [third_arc_cycle, through_root, build(1, 0, []), gen_star(4)]
+    corpus += random_dags(1500, 5100)
+    counts = dict.fromkeys(["cycle", "cycle_unconnected", "unconnected", "tree", "trimmed"], 0)
+    for d in corpus:
+        expected = _outcome(digraph_many_leaves, d)
+        assert _outcome(acyclic_many_leaves, d.root, in_lists(d)) == expected
+        if isinstance(expected, tuple):
+            cycle = "cycle" in expected[1]
+            counts["cycle" if cycle else "unconnected"] += 1
+            counts["cycle_unconnected"] += cycle and not is_connected(d)  # cycle reported first
+        else:
+            counts["tree"] += 1
+            counts["trimmed"] += any(d.indeg(v) > 2 for v in d.vertices)
+    assert _outcome(acyclic_many_leaves, 0, in_lists(third_arc_cycle)) == (
+        ValueError, "digraph has a directed cycle")
+    assert min(counts.values()) >= 100, counts
 
 
 def test_scaffold_invariants():

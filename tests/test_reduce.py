@@ -19,9 +19,9 @@ from maxleaf.reduce import (NormMergeStep, ReductionTrace, Rule1Step, Rule2Step,
                             strip_cutvertices)
 
 from support import (all_rule_applications, chain_planted_corpus, count_calls,
-                     fixpoint_kernelize, mixed_rule_corpus, per_arc_rule3,
-                     random_instances, raw_digraph, rebuilt, recomputing_strip,
-                     relabelled, rescanning_rule2_phase, stepwise_lift,
+                     fixpoint_kernelize, looped_large_indegree_witness, mixed_rule_corpus,
+                     per_arc_rule3, random_instances, raw_digraph, rebuilt,
+                     recomputing_strip, relabelled, rescanning_rule2_phase, stepwise_lift,
                      walked_illegal_arcs, with_arcs)
 
 
@@ -579,6 +579,27 @@ def test_large_indegree_witness_rejects_unreduced():
     d = build(4, 0, [(0, 1), (1, 2), (2, 3), (1, 3)])  # rule 3 applies at (3, 2)
     with pytest.raises(ValueError, match="rule 3"):
         large_indegree_witness(d, 3)
+
+
+def test_large_indegree_witness_searches_only_for_blocked_tree_paths(monkeypatch):
+    searches = count_calls(monkeypatch, reduce, "search")
+    corpus = [kernelize(d)[0] for d in map(raw_digraph, range(200)) if rule0(d)]
+    witnesses = 0
+    for d in corpus:
+        for x in d.vertices:
+            if d.indeg(x) >= 2:
+                assert large_indegree_witness(d, x) == looped_large_indegree_witness(d, x)
+                witnesses += 1
+    # one shared tree per witness, and some in-neighbors still need a search
+    assert witnesses > 500 and len(searches) > witnesses
+    # the kernel of the CI scale graph: 28 of the 30 in-neighbors of its
+    # largest-indegree vertex are certified by the shared tree
+    d, _ = kernelize(gen_random(3000, 0.001, seed=1))
+    x = max(d.vertices, key=lambda v: (d.indeg(v), -v))
+    del searches[:]
+    witness = large_indegree_witness(d, x)
+    assert d.indeg(x) == 30 and len(searches) == 3
+    assert witness == looped_large_indegree_witness(d, x) and witness.leaf_count == 1730
 
 
 def test_decide_star_true():

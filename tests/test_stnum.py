@@ -8,18 +8,19 @@ from maxleaf import stnum
 from maxleaf.digraph import (RootedDigraph, WorkGraph, build, is_2connected, normalize,
                              reachable, verify_outbranching)
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
-from maxleaf.reduce import renormalize, strip_cutvertices
+from maxleaf.reduce import renormalize, rule0, strip_cutvertices
 from maxleaf.errors import InternalInvariantError
 from maxleaf.stnum import (RootPathState, in_sides, reduce_indegrees, rr_numbering,
                            two_disjoint_root_paths, validate_numbering)
-from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree, topological_order,
-                            transverse_decomposition)
+from maxleaf.bounds import bound1_tree, bound2_tree, topological_order
 
 from support import (RootPathNetwork, any_scan_validate_numbering, checked_reduce_indegrees,
-                     checked_reduce_to_work, flow_disjoint_root_paths, listed_reinsertion,
-                     relabelled, rescanning_disjoint_root_paths, rescanning_rr_numbering,
-                     split, splitting_bound1_tree, trimming_transverse_decomposition,
+                     checked_reduce_to_work, digraph_many_leaves, flow_disjoint_root_paths,
+                     listed_reinsertion, relabelled, rescanning_disjoint_root_paths,
+                     rescanning_rr_numbering, split, splitting_bound1_tree,
+                     transverse_decomposition, trimming_transverse_decomposition,
                      two_connected_instances)
+from test_golden import approx_core, corpus as golden_corpus
 
 
 def sandwich_example():
@@ -493,18 +494,19 @@ def test_numbering_matches_rescanning_elimination():
 
 def test_bound_trees_match_split_and_trim_oracles():
     corpus = differential_corpus()
+    corpus += [approx_core(d) for _, d, _, every in golden_corpus() if every and rule0(d)]
     corpus += two_connected_instances(40, 5, 14, seed_base=2600)
     corpus += two_connected_instances(20, 5, 14, seed_base=50, oriented=True, p_lo=0.1, p_hi=0.3)
     anchored = 0
     for d in corpus:
         num = rr_numbering(d)
         sides = in_sides(d, num)
-        assert bound1_tree(d, sides).parent == splitting_bound1_tree(d, num).parent
+        assert bound1_tree(d, sides) == splitting_bound1_tree(d, num)
         dec, old = transverse_decomposition(d, sides), trimming_transverse_decomposition(d, num)
         for field in ("t_f", "t_b", "transverse_f", "transverse_b", "chosen", "s_left", "s_right"):
             assert getattr(dec, field) == getattr(old, field), field
         assert dec.union.arcs() == old.union.arcs()
-        assert bound2_tree(d, sides).parent == acyclic_many_leaves(old.union).parent
+        assert bound2_tree(d, sides) == digraph_many_leaves(old.union)
         anchored += any(not d.has_arc(v, u) for u, v in d.arc_set() if u != d.root)
     assert len(corpus) > 350 and anchored > 100
 
