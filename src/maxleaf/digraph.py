@@ -150,10 +150,14 @@ class WorkGraph:
 
     __slots__ = ("root", "_out", "_in", "_new_heads")
 
-    def __init__(self, d):
+    def __init__(self, d, ins=None, outs=None):
+        """A copy of d, in which the vertices that `ins` and `outs` map
+        take the sets they map them to as in- and out-sets (the caller
+        keeps the two consistent) instead of copies of their lists."""
+        ins, outs = ins or {}, outs or {}
         self.root = d.root
-        self._out = {v: set(d._out[v]) for v in d.vertices}
-        self._in = {v: set(d._in[v]) for v in d.vertices}
+        self._out = {v: outs[v] if v in outs else set(ws) for v, ws in d._out.items()}
+        self._in = {v: ins[v] if v in ins else set(ws) for v, ws in d._in.items()}
         self._new_heads = None
 
     def take_new_heads(self):
@@ -380,67 +384,91 @@ def immediate_dominators(d):
 
 def dominators_from_maps(root, out_map, in_map):
     """Immediate dominators of the vertices reachable from `root` on
-    adjacency maps: Lengauer and Tarjan's algorithm, simple version with
-    path compression ("A fast algorithm for finding dominators in a
-    flowgraph", TOPLAS 1(1), 1979), over one depth-first numbering.  The
-    neighbor collections may come in any order, since the dominator tree is
-    unique; unreachable in-neighbors are ignored."""
+    adjacency maps: Semi-NCA (Georgiadis, Tarjan and Werneck, "Finding
+    Dominators in Practice", JGAA 10(1), 2006) on flat arrays indexed by
+    one depth-first numbering, with skew-binary jump pointers (Myers, "An
+    applicative random-access stack", IPL 17(5), 1983) on the dominator
+    tree.  The neighbor collections may come in any order, since the
+    dominator tree is unique; unreachable in-neighbors are ignored.
+
+    Semidominators come in decreasing number by link/eval: a vertex is
+    linked to its depth-first parent once its semidominator is known, so
+    the linked vertices are exactly those numbered above the current w,
+    and an in-neighbor numbered below w is not linked yet: its eval is
+    itself, and its number is the candidate.  Eval compresses the path it
+    walks, keeping in `label` the least semidominator on the forest path
+    from each vertex up to its pointer; simple path compression costs
+    O(m log n) in all.
+
+    Then, in increasing number, idom(w) is the deepest dominator-tree
+    ancestor of parent(w) numbered at most semi(w): numbers fall along
+    every tree path, so it is the first such vertex on the way up.  Each
+    vertex's jump pointer leads 2^j - 1 levels up for some j, in the
+    skew-binary pattern, and the walk takes a jump whenever its target is
+    still numbered above semi(w), else steps to the parent, so it reaches
+    idom(w) in O(log n) steps.  Stepping one dominator at a time instead is
+    quadratic on a broom (a long path whose last vertex enters many leaves
+    that its first vertex enters too).  The whole pass is O(m log n)."""
     order = [root]  # vertices by depth-first number
     num = {root: 0}
     parent = [0]
-    stack = [(0, iter(out_map[root]))]
-    while stack:
-        k, it = stack[-1]
+    suspended = []  # the out-list iterators of the ancestors of k
+    k, it = 0, iter(out_map[root])
+    while True:
         for v in it:
             if v not in num:
                 num[v] = len(order)
                 order.append(v)
                 parent.append(k)
-                stack.append((num[v], iter(out_map[v])))
+                suspended.append(it)
+                k, it = num[v], iter(out_map[v])
                 break
         else:
-            stack.pop()
+            if not suspended:
+                break
+            k, it = parent[k], suspended.pop()
     size = len(order)
-    semi = list(range(size))
-    label = list(range(size))
-    ancestor = [-1] * size  # the forest linked so far; -1 marks a tree root
-    idom = [0] * size
-    bucket = [[] for _ in range(size)]
-
-    def evaluate(v):
-        """The vertex of least semidominator on v's forest path, below its
-        forest root, compressing that path."""
-        if ancestor[v] < 0:
-            return v
-        chain = []
-        u = v
-        while ancestor[ancestor[u]] >= 0:
-            chain.append(u)
-            u = ancestor[u]
-        for u in reversed(chain):
-            a = ancestor[u]
-            if semi[label[a]] < semi[label[u]]:
-                label[u] = label[a]
-            ancestor[u] = ancestor[a]
-        return label[v]
-
+    ancestor = parent[:]  # forest pointers; those of unlinked vertices are unread
+    semi = [0] * size
+    label = [0] * size
     for w in range(size - 1, 0, -1):
+        s = w
         for p in in_map[order[w]]:
-            k = num.get(p)
-            if k is not None:
-                s = semi[evaluate(k)]
-                if s < semi[w]:
-                    semi[w] = s
-        bucket[semi[w]].append(w)
-        p = parent[w]
-        ancestor[w] = p
-        for v in bucket[p]:
-            u = evaluate(v)
-            idom[v] = u if semi[u] < semi[v] else p
-        bucket[p] = []
+            v = num.get(p)
+            if v is None:
+                continue
+            if v > w:
+                a = ancestor[v]
+                if a > w:
+                    chain = []
+                    u = v
+                    while a > w:
+                        chain.append(u)
+                        u = a
+                        a = ancestor[u]
+                    for u in reversed(chain):
+                        a = ancestor[u]
+                        if label[a] < label[u]:
+                            label[u] = label[a]
+                        ancestor[u] = ancestor[a]
+                v = label[v]
+            if v < s:
+                s = v
+        semi[w] = label[w] = s
+    idom = [0] * size
+    depth = [0] * size
+    jump = [0] * size
     for w in range(1, size):
-        if idom[w] != semi[w]:
-            idom[w] = idom[idom[w]]
+        x = parent[w]
+        s = semi[w]
+        while x > s:
+            j = jump[x]
+            x = j if j > s else idom[x]
+        idom[w] = x
+        d = depth[x]
+        depth[w] = d + 1
+        j = jump[x]
+        jump[w] = jump[j] if d - depth[j] == depth[j] - depth[jump[j]] else x
     return {v: order[idom[k]] for k, v in enumerate(order)}
 
 
@@ -592,22 +620,27 @@ def bfs_tree(d):
 def euler_intervals(root, parent):
     """Preorder entry/exit counters of the out-tree given by the parent map
     `parent`, each vertex's children visited in the map's order: a is a
-    proper ancestor of v exactly when tin[a] < tin[v] and tout[v] < tout[a]."""
+    proper ancestor of v exactly when tin[a] < tin[v] and tout[v] < tout[a].
+    One walk that keeps only the children iterators of the current path
+    and returns to a vertex's parent through the map."""
     children = {}
     for c, p in parent.items():
         children.setdefault(p, []).append(c)
-    tin, tout = {}, {}
-    clock = 0
-    stack = [(root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
+    tin, tout = {root: 0}, {}
+    clock = 1
+    suspended = []  # the children iterators of the ancestors of v
+    v, it = root, iter(children.get(root, ()))
+    while True:
+        for c in it:
+            tin[c] = clock
+            clock += 1
+            suspended.append(it)
+            v, it = c, iter(children.get(c, ()))
+            break
+        else:
             tout[v] = clock
             clock += 1
-            continue
-        tin[v] = clock
-        clock += 1
-        stack.append((v, True))
-        for c in reversed(children.get(v, ())):
-            stack.append((c, False))
+            if not suspended:
+                break
+            v, it = parent[v], suspended.pop()
     return tin, tout

@@ -92,16 +92,17 @@ def load_graph(path):
 
 
 def format_graph(d):
-    """Serialize with dense 0-based ids; records the id mapping when not dense."""
+    """Serialize with dense 0-based ids; records the id mapping when not
+    dense.  The arcs come in vertex order, each vertex's from its sorted
+    out-list: the new ids keep the vertex order, so that is sorted order."""
     order = list(d.vertices)
     newid = {v: i for i, v in enumerate(order)}
     lines = []
     if order != list(range(d.n)):
         pairs = " ".join(f"{newid[v]}={v}" for v in order)
         lines.append(f"# original-ids: {pairs}")
-    arcs = sorted((newid[u], newid[v]) for u, v in d.arc_set())
-    lines.append(f"{d.n} {len(arcs)} {newid[d.root]}")
-    lines.extend(f"{u} {v}" for u, v in arcs)
+    lines.append(f"{d.n} {d.m} {newid[d.root]}")
+    lines.extend(f"{i} {newid[v]}" for i, u in enumerate(order) for v in d.out_neighbors(u))
     return "\n".join(lines) + "\n"
 
 

@@ -288,10 +288,14 @@ def reduce_indegrees(d):
     Every deleted arc thus lies outside the tree, and since the search
     never used it to discover a vertex, the tree without it is the same
     (tree-arc lemma, module docstring).  The state is dropped before the
-    copy is taken, so the two are never held in memory together.
+    copy is taken, so the two are never held in memory together.  The copy
+    is built without the deleted arcs: a visited vertex's in-set is its two
+    kept tails, and only the out-sets of the deleted arcs' tails are
+    filtered, so no set is copied whole and then emptied.
     """
     state = None
-    deleted = []
+    kept = {}  # each visited vertex's two kept tails
+    cut = {}   # the heads of each tail's deleted arcs
     for x in d.vertices:
         if x == d.root or d.indeg(x) <= 2:
             continue
@@ -300,13 +304,14 @@ def reduce_indegrees(d):
         paths = two_disjoint_root_paths(state, x)
         if paths is None:
             _reduction_failed(d, f"no disjoint path pair to {x} in a 2-connected digraph")
-        keep = {p[-2] for p in paths}
+        kept[x] = keep = {p[-2] for p in paths}
         for y in d.in_neighbors(x):
             if y not in keep:
                 state.delete_arc(y, x)
-                deleted.append((y, x))
+                cut.setdefault(y, []).append(x)
     del state
-    reduced = WorkGraph(d).without_arcs(deleted)
+    reduced = WorkGraph(d, ins=kept,
+                        outs={y: set(d._out[y]).difference(heads) for y, heads in cut.items()})
     if not is_2connected(reduced):
         _reduction_failed(d, "indegree reduction broke 2-connectivity")
     return reduced

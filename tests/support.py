@@ -233,6 +233,34 @@ def random_oriented(n, p, seed):
     return d
 
 
+def broom(k, m):
+    """The path 0 -> 1 -> ... -> k plus m leaves k+1..k+m, each entered from
+    1 and from k: every leaf's immediate dominator is 1, and a depth-first
+    search down the path reaches each leaf from k with semidominator 1."""
+    arcs = [(v, v + 1) for v in range(k)]
+    for leaf in range(k + 1, k + m + 1):
+        arcs += [(1, leaf), (k, leaf)]
+    return build(k + m + 1, 0, arcs)
+
+
+def dominator_chain(blocks, back, seed):
+    """A chain of diamonds c_i -> a_i, b_i -> c_{i+1}, so that the c_i form a
+    dominator path of depth `blocks`, plus `back` random arcs from a vertex
+    to an earlier one (never to the root) and one vertex that only an
+    unreachable vertex enters."""
+    rng = random.Random(seed)
+    n = 3 * blocks + 3
+    arcs = []
+    for i in range(blocks):
+        c, a, b = 3 * i, 3 * i + 1, 3 * i + 2
+        arcs += [(c, a), (c, b), (a, c + 3), (b, c + 3)]
+    for _ in range(back):
+        v = rng.randrange(1, 3 * blocks + 1)
+        arcs.append((rng.randrange(v, 3 * blocks + 1), v))
+    arcs.append((n - 2, n - 1))
+    return build(n, 0, [(u, v) for u, v in arcs if u != v])
+
+
 def two_connected_instances(count, n_lo, n_hi, seed_base, oriented=False,
                             p_lo=0.15, p_hi=0.5):
     """Rejection-sampled stream of 2-connected instances, deterministic in seed."""
@@ -326,6 +354,115 @@ def iterative_idom(root, out_map, in_map):
                 idom[v] = new
                 changed = True
     return idom
+
+
+def lengauer_tarjan_idom(root, out_map, in_map):
+    """Immediate dominators of the vertices reachable from `root` on
+    adjacency maps: Lengauer and Tarjan's algorithm, simple version with
+    path compression ("A fast algorithm for finding dominators in a
+    flowgraph", TOPLAS 1(1), 1979), over one depth-first numbering.  The
+    neighbor collections may come in any order, since the dominator tree is
+    unique; unreachable in-neighbors are ignored.  `dominators_from_maps`
+    before Semi-NCA replaced it."""
+    order = [root]  # vertices by depth-first number
+    num = {root: 0}
+    parent = [0]
+    stack = [(0, iter(out_map[root]))]
+    while stack:
+        k, it = stack[-1]
+        for v in it:
+            if v not in num:
+                num[v] = len(order)
+                order.append(v)
+                parent.append(k)
+                stack.append((num[v], iter(out_map[v])))
+                break
+        else:
+            stack.pop()
+    size = len(order)
+    semi = list(range(size))
+    label = list(range(size))
+    ancestor = [-1] * size  # the forest linked so far; -1 marks a tree root
+    idom = [0] * size
+    bucket = [[] for _ in range(size)]
+
+    def evaluate(v):
+        """The vertex of least semidominator on v's forest path, below its
+        forest root, compressing that path."""
+        if ancestor[v] < 0:
+            return v
+        chain = []
+        u = v
+        while ancestor[ancestor[u]] >= 0:
+            chain.append(u)
+            u = ancestor[u]
+        for u in reversed(chain):
+            a = ancestor[u]
+            if semi[label[a]] < semi[label[u]]:
+                label[u] = label[a]
+            ancestor[u] = ancestor[a]
+        return label[v]
+
+    for w in range(size - 1, 0, -1):
+        for p in in_map[order[w]]:
+            k = num.get(p)
+            if k is not None:
+                s = semi[evaluate(k)]
+                if s < semi[w]:
+                    semi[w] = s
+        bucket[semi[w]].append(w)
+        p = parent[w]
+        ancestor[w] = p
+        for v in bucket[p]:
+            u = evaluate(v)
+            idom[v] = u if semi[u] < semi[v] else p
+        bucket[p] = []
+    for w in range(1, size):
+        if idom[w] != semi[w]:
+            idom[w] = idom[idom[w]]
+    return {v: order[idom[k]] for k, v in enumerate(order)}
+
+
+def tuple_stack_euler_intervals(root, parent):
+    """Preorder entry/exit counters of the out-tree given by the parent map
+    `parent`, each vertex's children visited in the map's order: a is a
+    proper ancestor of v exactly when tin[a] < tin[v] and tout[v] < tout[a].
+    `digraph.euler_intervals` as it was before it dropped the stack of
+    `(vertex, done)` pairs."""
+    children = {}
+    for c, p in parent.items():
+        children.setdefault(p, []).append(c)
+    tin, tout = {}, {}
+    clock = 0
+    stack = [(root, False)]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            tout[v] = clock
+            clock += 1
+            continue
+        tin[v] = clock
+        clock += 1
+        stack.append((v, True))
+        for c in reversed(children.get(v, ())):
+            stack.append((c, False))
+    return tin, tout
+
+
+def sorting_format_graph(d):
+    """Serialize with dense 0-based ids; records the id mapping when not dense.
+    `graphio.format_graph` as it was before it took the arcs from the sorted
+    out-lists instead of sorting the whole arc set."""
+    order = list(d.vertices)
+    newid = {v: i for i, v in enumerate(order)}
+    lines = []
+    if order != list(range(d.n)):
+        pairs = " ".join(f"{newid[v]}={v}" for v in order)
+        lines.append(f"# original-ids: {pairs}")
+    arcs = sorted((newid[u], newid[v]) for u, v in d.arc_set())
+    lines.append(f"{d.n} {len(arcs)} {newid[d.root]}")
+    lines.extend(f"{u} {v}" for u, v in arcs)
+    return "\n".join(lines) + "\n"
 
 
 def rebuilt(d, step):

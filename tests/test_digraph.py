@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
-                             dominators_from_maps, find_cutvertex,
+                             dominators_from_maps, euler_intervals, find_cutvertex,
                              immediate_dominators, is_2connected, is_connected,
                              normalize, NormDeleteStep,
                              NormMergeStep, Outbranching, RootedDigraph,
@@ -14,8 +14,10 @@ from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.stnum import RootPathState, two_disjoint_root_paths
 
-from support import (brute_cutvertices, brute_idom, is_normalized, iterative_idom,
-                     looped_digraph_maps, random_instances, raw_digraph, relabelled)
+from support import (broom, brute_cutvertices, brute_idom, dominator_chain, is_normalized,
+                     iterative_idom, lengauer_tarjan_idom, looped_digraph_maps,
+                     random_instances, raw_digraph, relabelled,
+                     tuple_stack_euler_intervals)
 
 
 def test_build_smallest_star():
@@ -319,16 +321,80 @@ def test_dominators_ignore_adjacency_order():
             assert dominators_from_maps(d.root, out_sets, in_sets) == expected
 
 
+def adjacency_variants(d, seed):
+    """d's out- and in-maps as sorted tuples, as sets, and as shuffled lists
+    under shuffled keys."""
+    rng = random.Random(seed)
+    yield d._out, d._in
+    yield ({v: set(d.out_neighbors(v)) for v in d.vertices},
+           {v: set(d.in_neighbors(v)) for v in d.vertices})
+    keys = rng.sample(d.vertices, d.n)
+    yield ({v: rng.sample(d.out_neighbors(v), d.outdeg(v)) for v in keys},
+           {v: rng.sample(d.in_neighbors(v), d.indeg(v)) for v in keys})
+
+
+def dominators_match_oracles(d, seed):
+    """`dominators_from_maps` equals the Lengauer-Tarjan and iterative
+    oracles on every adjacency variant of d, and the removal scan on the
+    reachable part when d is small; returns the map."""
+    expected = None
+    for out_map, in_map in adjacency_variants(d, seed):
+        idom = dominators_from_maps(d.root, out_map, in_map)
+        assert idom == lengauer_tarjan_idom(d.root, out_map, in_map)
+        assert idom == iterative_idom(d.root, out_map, in_map)
+        assert expected is None or idom == expected
+        expected = idom
+    if d.n <= 60:
+        brute = brute_idom(d)
+        assert expected == {v: brute[v] for v in reachable(d)}
+    return expected
+
+
 def test_dominators_match_iterative_oracle():
     corpus = [relabelled(gen_t_l(l), l) for l in range(3, 11)]
     corpus += [relabelled(gen_boloney(k), k) for k in (5, 20, 60)]
     corpus += random_instances(40, 50, 300, seed_base=6100, p_lo=0.005, p_hi=0.03)
     corpus += [raw_digraph(seed) for seed in range(6200, 6400)]  # some partly unreachable
     partial = 0
-    for d in corpus:
-        out_map = {v: d.out_neighbors(v) for v in d.vertices}
-        in_map = {v: d.in_neighbors(v) for v in d.vertices}
-        idom = dominators_from_maps(d.root, out_map, in_map)
-        assert idom == iterative_idom(d.root, out_map, in_map)
+    for seed, d in enumerate(corpus):
+        idom = dominators_match_oracles(d, seed)
         partial += len(idom) < d.n
     assert partial > 10
+
+
+def test_dominators_on_deep_chains_and_brooms():
+    """Deep dominator trees, where walking up one dominator at a time from
+    the depth-first parent is slow: on a broom every leaf reached from k
+    walks the whole path back to 1 without jump pointers."""
+    for k, m in [(1, 1), (2, 3), (3, 1), (5, 5), (12, 30), (40, 8), (200, 200)]:
+        d = broom(k, m)
+        idom = dominators_match_oracles(d, k)
+        assert idom == {0: 0, **{v: v - 1 for v in range(1, k + 1)},
+                        **{v: 1 for v in range(k + 1, k + m + 1)}}
+        dominators_match_oracles(relabelled(d, k * m), m)
+    for blocks, back in [(1, 0), (4, 3), (15, 10), (60, 5), (60, 200), (400, 300)]:
+        for seed in range(3):
+            d = dominator_chain(blocks, back, seed)
+            idom = dominators_match_oracles(d, seed)
+            assert all(idom[3 * i + 3] == 3 * i for i in range(blocks))
+            assert len(idom) == d.n - 2
+            dominators_match_oracles(relabelled(d, seed), seed)
+
+
+def test_euler_intervals_match_tuple_stack_oracle():
+    """The same counters as the stack of (vertex, done) pairs on random
+    parent maps: shuffled ids and map order (the children's visiting
+    order), paths, stars and the single vertex."""
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.choice([1, 2, 3, rng.randint(4, 60), rng.randint(100, 400)])
+        shape = rng.random()
+        ids = rng.sample(range(3 * n), n)
+        parent = {}
+        for j in range(1, n):
+            p = j - 1 if shape < 0.2 else 0 if shape < 0.3 else rng.randrange(j)
+            parent[ids[j]] = ids[p]
+        parent = dict(rng.sample(list(parent.items()), n - 1))
+        tin, tout = euler_intervals(ids[0], parent)
+        assert (tin, tout) == tuple_stack_euler_intervals(ids[0], parent)
+        assert sorted([*tin.values(), *tout.values()]) == list(range(2 * n))

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxleaf.digraph import Outbranching, build
+from maxleaf.digraph import Outbranching, build, is_connected
 from maxleaf.errors import GraphFormatError
 from maxleaf.gen import gen_random, gen_t_l
 from maxleaf.graphio import (_parse_graph_lines, _scan_graph, format_graph, format_tree,
                              parse_graph, parse_tree, to_dot)
+from maxleaf.reduce import kernelize
 
-from support import raw_digraph
+from support import raw_digraph, relabelled, sorting_format_graph
 from test_golden import corpus
 
 
@@ -51,6 +52,21 @@ def test_sparse_ids_are_compacted_with_mapping_comment():
     assert parsed.n == d.n and parsed.m == d.m
     if list(d.vertices) != list(range(d.n)):
         assert text.startswith("# original-ids:")
+
+
+def test_format_graph_matches_sorting_oracle():
+    """Arcs read from the sorted out-lists in vertex order give the text of
+    sorting the whole arc set, on the golden corpus, relabelled copies and
+    kernels, many of them with non-dense ids."""
+    graphs = [d for _, d, _, _ in corpus()]
+    graphs += [relabelled(d, seed) for seed, d in enumerate(graphs[:120])]
+    graphs += [kernelize(d)[0] for d in graphs[:240] if d.n < 100 and is_connected(d)]
+    sparse = 0
+    for d in graphs:
+        text = format_graph(d)
+        assert text == sorting_format_graph(d)
+        sparse += text.startswith("# original-ids:")
+    assert sparse > 50
 
 
 def test_tree_round_trip():
