@@ -18,12 +18,12 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .digraph import (Outbranching, RootedDigraph, WorkGraph, bfs_tree,
-                      classify, search, verify_outbranching)
-from .errors import InfeasibleError, InternalInvariantError
+                      classify, search)
+from .errors import InternalInvariantError
 from .bounds import numbering_bound_trees
 from .reduce import (ReductionTrace, kernel_numbering_tree, kernelize,
-                     large_indegree_witness, lift, renormalize, rule0,
-                     strip_cutvertices)
+                     large_indegree_witness, renormalize, rule0,
+                     strip_cutvertices, verified_lift)
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,6 @@ class WeakBipath:
 
     vertices: tuple   # chain order, smaller end id first
     anchors: tuple    # special in-neighbor of each end
-
-    @property
-    def ends(self):
-        return (self.vertices[0], self.vertices[-1])
-
-    def __len__(self):
-        return len(self.vertices)
 
 
 def weak_bipaths(d, cls):
@@ -183,10 +176,6 @@ class ApproxReport:
     upper: int
     trees: dict
 
-    @property
-    def chosen_tree(self):
-        return self.trees[self.chosen]
-
     def format(self):
         lower = str(self.lower)
         return "\n".join([
@@ -202,9 +191,9 @@ class ApproxReport:
 
 
 def approximate(d0):
-    """Factor-92 approximation; returns (tree on the input digraph, report)."""
-    if not rule0(d0):
-        raise InfeasibleError("some vertex is unreachable from the root")
+    """Factor-92 approximation; returns (tree on the input digraph, report).
+    The strip's dominator pass raises InfeasibleError when d0 is not
+    connected from the root."""
     steps = []
     work = strip_cutvertices(renormalize(WorkGraph(d0), steps), steps)
     core = work.freeze() if steps else d0
@@ -222,10 +211,7 @@ def approximate(d0):
     if Fraction(best.leaf_count) < lower:
         raise InternalInvariantError(
             f"candidate trees reached {best.leaf_count} leaves, below the certified {lower}")
-    lifted = lift(best, trace)
-    check = verify_outbranching(d0, lifted)
-    if not check.ok:
-        raise InternalInvariantError(f"lifted tree invalid: {check.reason}")
+    lifted = verified_lift(d0, best, trace)
     report = ApproxReport(l, h, t1.leaf_count, t2.leaf_count, t3.leaf_count,
                           chosen, lower, upper, trees)
     return lifted, report
@@ -245,10 +231,9 @@ def sqrt_opt_tree(d0):
     """Kernelize, certify the best witness the kernel machinery offers, lift.
 
     The lifted tree has at least floor(sqrt(m/90)) leaves where m is the
-    vertex count of the reduced digraph.
+    vertex count of the reduced digraph.  `kernelize` raises
+    InfeasibleError when d0 is not connected from the root.
     """
-    if not rule0(d0):
-        raise InfeasibleError("some vertex is unreachable from the root")
     reduced, trace = kernelize(d0)
     candidates = []
     best_x = max((v for v in reduced.vertices if v != reduced.root),
@@ -263,8 +248,4 @@ def sqrt_opt_tree(d0):
     if best.leaf_count < floor_bound:
         raise InternalInvariantError(
             f"kernel witness has {best.leaf_count} leaves, below sqrt({reduced.n}/90)")
-    lifted = lift(best, trace)
-    check = verify_outbranching(d0, lifted)
-    if not check.ok:
-        raise InternalInvariantError(f"lifted tree invalid: {check.reason}")
-    return lifted
+    return verified_lift(d0, best, trace)

@@ -10,10 +10,9 @@ removal leaves some vertex unreachable from r, and the digraph is 2-connected
 when it has no cut of size at most 1.  A cut of size 1 is a cutvertex.
 
 `search` is the one breadth-first search: reachability, `grow_tree`, the
-tree check, rule 1's check, `stnum.RootPathState`, the bound trees'
-`acyclic_many_leaves`, `large_indegree_witness` and `majbound_tree`'s path
-search all read it; only `stnum`'s residual second-path search keeps its
-own loop.
+tree check, `stnum.RootPathState`, the bound trees' `acyclic_many_leaves`,
+`large_indegree_witness` and `majbound_tree`'s path search all read it;
+only `stnum`'s residual second-path search keeps its own loop.
 
 Local renormalization.  Take a digraph that was normalized and has been
 rewritten since.  An illegal arc in it is new, or it enters a new root
@@ -505,33 +504,32 @@ def is_2connected(d):
 
 @dataclass(frozen=True)
 class Classification:
-    """Simple arcs plus the nice / special / non-special vertex partition.
+    """The nice / special / non-special vertex partition.
 
     An arc (u, v) is simple when (v, u) is absent.  A vertex is nice when it
-    has a simple in-arc, and special when it is nice or has indegree >= 3.
-    The root is never classified.
+    has a simple in-arc, that is an in-neighbor that is no outneighbor, and
+    special when it is nice or has indegree >= 3.  The root is never
+    classified.
     """
 
-    simple_arcs: frozenset
     nice: frozenset
     special: frozenset
     nonspecial: frozenset
 
 
 def classify(d):
-    simple = frozenset((u, v) for (u, v) in d._arcset if (v, u) not in d._arcset)
     nice = set()
     special = set()
     for v in d.vertices:
         if v == d.root:
             continue
-        if any((u, v) in simple for u in d._in[v]):
+        if not set(d._in[v]).issubset(d._out[v]):
             nice.add(v)
         if v in nice or d.indeg(v) >= 3:
             special.add(v)
     nonspecial = frozenset(v for v in d.vertices
                            if v != d.root and v not in special)
-    return Classification(simple, frozenset(nice), frozenset(special), nonspecial)
+    return Classification(frozenset(nice), frozenset(special), nonspecial)
 
 
 # -- outbranchings -----------------------------------------------------

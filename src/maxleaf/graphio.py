@@ -155,12 +155,12 @@ def save_tree(t, path):
         fh.write(format_tree(t))
 
 
-def to_dot(d, tree=None, name="g"):
+def to_dot(d, tree=None):
     """DOT text for inspection; tree arcs, when given, are drawn bold."""
     tree_arcs = set()
     if tree is not None:
         tree_arcs = {(p, c) for c, p in tree.parent.items()}
-    out = [f"digraph {name} {{"]
+    out = ["digraph g {"]
     out.append(f'  {d.root} [shape=doublecircle];')
     for u, v in d.arcs():
         style = " [style=bold]" if (u, v) in tree_arcs else ""

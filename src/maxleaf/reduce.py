@@ -252,6 +252,16 @@ def lift(tree, trace):
     return Outbranching(root, parent)
 
 
+def verified_lift(d, tree, trace):
+    """`lift` tree through trace, checked to be a spanning out-tree of d,
+    the digraph the trace starts from; InternalInvariantError when not."""
+    lifted = lift(tree, trace)
+    check = verify_outbranching(d, lifted)
+    if not check.ok:
+        raise InternalInvariantError(f"lifted tree invalid: {check.reason}")
+    return lifted
+
+
 # -- the rules -----------------------------------------------------------
 
 
@@ -260,33 +270,15 @@ def rule0(d):
     return is_connected(d)
 
 
-def _is_cutvertex(d, x):
-    """Rule 1's check in one traversal: everything reachable from the root
-    while avoiding x, then onward from x, which must reach the rest.  x is a
-    cutvertex when the first part misses a vertex other than x.  Raises
-    ValueError when d is not connected from the root."""
-    if x == d.root or x not in d.vertices:
-        return False
-    seen = search(d._out, [d.root], avoid={x})
-    if not any(w in seen for w in d._in[x]):
-        raise ValueError("digraph is not connected from the root")
-    if len(seen) == d.n - 1:
-        return False
-    if len(seen) + len(search(d._out, [x], avoid=seen)) < d.n:
-        raise ValueError("digraph is not connected from the root")
-    return True
-
-
 def apply_rule1(d, x, tree=None):
     """Delete cutvertex x, adding (v, z) for every v in N-(x), z in N+(x)-v.
 
-    `tree`, a `_DominatorTree` of d, certifies x by giving it a child;
-    without one, `_is_cutvertex` checks x with one traversal."""
-    if tree is not None:
-        certified = x != d.root and x in tree.children
-    else:
-        certified = _is_cutvertex(d, x)
-    if not certified:
+    `tree`, a `_DominatorTree` of d, certifies x by giving it a child; one
+    is built when none is given.  Raises InfeasibleError when d is not
+    connected from the root."""
+    if tree is None:
+        tree = _DominatorTree(d)
+    if x == d.root or x not in tree.children:
         raise ValueError(f"vertex {x} is not a cutvertex")
     in_nbrs = d.in_neighbors(x)
     out_nbrs = d.out_neighbors(x)
@@ -458,15 +450,17 @@ class _DominatorTree:
     """The dominator tree of a digraph connected from the root, following
     the rule 1 rewrites and normalization events of a strip.
 
-    A splice never gives a child to a vertex without one, so the
-    cutvertices only ever leave: they sit in a min-heap that
+    The dominator pass maps exactly the vertices reachable from the root,
+    so building the tree is also rule 0's check: a missed vertex raises
+    InfeasibleError.  A splice never gives a child to a vertex without one,
+    so the cutvertices only ever leave: they sit in a min-heap that
     `smallest_cutvertex` cleans lazily."""
 
     def __init__(self, d):
         self.root = d.root
         self.idom = immediate_dominators(d)
         if len(self.idom) != d.n:
-            raise ValueError("digraph is not connected from the root")
+            raise InfeasibleError("some vertex is unreachable from the root")
         self.children = {}
         for v, p in self.idom.items():
             if v != d.root:
@@ -501,7 +495,7 @@ class _DominatorTree:
 def strip_cutvertices(d, steps):
     """Apply rule 1 until no cutvertex is left, re-normalizing after every
     rewrite and appending the steps; d itself comes back when it has none.
-    Raises ValueError when d is not connected from the root.
+    Raises InfeasibleError when d is not connected from the root.
 
     Each rewrite takes the smallest cutvertex, as `find_cutvertex` would.
     One dominator pass serves the whole strip: by the splice lemma (module
@@ -545,10 +539,10 @@ def kernelize(d):
     from one scan (lemma C).
     A digraph on which no rule applies is returned unchanged, without
     normalization; normalization runs only after an actual rewrite, since
-    shortcut arcs can violate the standing root assumptions.
+    shortcut arcs can violate the standing root assumptions.  The strip's
+    dominator pass raises InfeasibleError when d is not connected from the
+    root.
     """
-    if not rule0(d):
-        raise InfeasibleError("some vertex is unreachable from the root")
     steps = []
     work = strip_cutvertices(WorkGraph(d), steps)
     tree = {}
@@ -687,6 +681,9 @@ class KernelDecision:
 def decide(d, k):
     """Kernelize and settle easy verdicts; otherwise return the kernel.
 
+    FALSE when some vertex is unreachable from the root, which the
+    kernelizer's dominator pass reports.
+
     TRUE comes with a lifted witness of at least k leaves, from the largest
     indegree, the root outdegree, or the constructive tree bounds once the
     reduced digraph reaches size (3k-2)(30k-2).  REDUCED kernels are always
@@ -694,15 +691,13 @@ def decide(d, k):
     """
     if k < 1:
         raise PreconditionError("parameter k must be at least 1")
-    if not rule0(d):
+    try:
+        reduced, trace = kernelize(d)
+    except InfeasibleError:
         return KernelDecision("FALSE", None, None, None, k)
-    reduced, trace = kernelize(d)
 
     def settle(tree):
-        lifted = lift(tree, trace)
-        check = verify_outbranching(d, lifted)
-        if not check.ok:
-            raise InternalInvariantError(f"lifted witness invalid: {check.reason}")
+        lifted = verified_lift(d, tree, trace)
         if lifted.leaf_count < k:
             raise InternalInvariantError("lifted witness lost leaves")
         return KernelDecision("TRUE", lifted, reduced, trace, k)

@@ -92,10 +92,6 @@ class RRNumbering:
     order: tuple
     position: dict
 
-    def reversed(self):
-        order = tuple(reversed(self.order))
-        return RRNumbering(order, {v: i for i, v in enumerate(order)})
-
 
 def validate_numbering(d, order):
     """True when `order` lists the non-root vertices once and every vertex

@@ -10,7 +10,7 @@ from itertools import combinations
 from maxleaf import stnum
 from maxleaf.bounds import dominate_bipartite, topological_order
 from maxleaf.digraph import (NormDeleteStep, NormMergeStep, Outbranching, RootedDigraph,
-                             VerifyResult, WorkGraph, build, classify, euler_intervals,
+                             VerifyResult, WorkGraph, build, euler_intervals,
                              find_cutvertex, grow_tree, is_2connected, is_connected,
                              normalize, reachable)
 from maxleaf.errors import InfeasibleError, InternalInvariantError, PreconditionError
@@ -290,6 +290,12 @@ def random_undirected_graphs(count, n_hi, seed_base, p_lo=0.1, p_hi=0.6):
 
 
 # -- independent oracles -------------------------------------------------
+
+
+def simple_arcs(d):
+    """The arcs (u, v) of d without the reverse arc (v, u)."""
+    arcs = d.arc_set()
+    return frozenset((u, v) for u, v in arcs if (v, u) not in arcs)
 
 
 def brute_cutvertices(d):
@@ -900,7 +906,7 @@ class TrimmedDecomposition:
 def _trim_one_forward_one_backward(d, num):
     """One incoming forward and one incoming backward arc per non-root vertex,
     keeping a simple in-arc for every nice vertex."""
-    simple = classify(d).simple_arcs
+    simple = simple_arcs(d)
     pos = num.position
     root_out = set(d.root_out())
     arcs = [(d.root, y) for y in root_out]
@@ -1254,31 +1260,6 @@ def looped_verify_outbranching(d, t):
         stray = sorted(set(d.vertices) - seen)
         return VerifyResult(False, None, f"vertices {stray} not reachable inside the tree")
     return VerifyResult(True, t.leaf_count)
-
-
-def looped_is_cutvertex(d, x):
-    """`reduce._is_cutvertex` before `digraph.search`."""
-    if x == d.root or x not in d.vertices:
-        return False
-    seen = {x}
-
-    def sweep(start):
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            for v in d._out[queue.popleft()]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-
-    sweep(d.root)
-    avoiding = len(seen)
-    x_reached = any(w in seen for w in d._in[x])
-    if x_reached:
-        sweep(x)
-    if not x_reached or len(seen) < d.n:
-        raise ValueError("digraph is not connected from the root")
-    return avoiding < d.n
 
 
 def looped_root_path_tree(state):

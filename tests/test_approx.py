@@ -47,7 +47,6 @@ def test_weak_bipaths_single_chain():
     (p,) = paths
     assert p.vertices == (5, 6, 7)
     assert p.anchors == (3, 4)
-    assert p.ends == (5, 7)
 
 
 def test_weak_bipaths_on_t4_match_recount():
@@ -59,7 +58,7 @@ def test_weak_bipaths_on_t4_match_recount():
     for p in paths:
         for i, v in enumerate(p.vertices[1:-1], start=1):
             assert set(d.in_neighbors(v)) == {p.vertices[i - 1], p.vertices[i + 1]}
-        for end, anchor in zip(p.ends, p.anchors):
+        for end, anchor in zip((p.vertices[0], p.vertices[-1]), p.anchors):
             assert anchor in d.in_neighbors(end)
             assert anchor in cls.special
 
@@ -67,7 +66,7 @@ def test_weak_bipaths_on_t4_match_recount():
 def test_weak_bipaths_singleton():
     d = anchored_chains(2, chain_len=1)
     paths = weak_bipaths(d, classify(d))
-    assert [len(p) for p in paths] == [1, 1]
+    assert [len(p.vertices) for p in paths] == [1, 1]
     assert all(p.anchors == (3, 4) for p in paths)
 
 
@@ -223,7 +222,7 @@ def test_approximate_report_fields():
                 "leaves_majbound=", "chosen=", "lower=", "upper="):
         assert key in text
     assert report.chosen in report.trees
-    assert report.chosen_tree.leaf_count == max(
+    assert report.trees[report.chosen].leaf_count == max(
         t.leaf_count for t in report.trees.values())
 
 

@@ -16,7 +16,7 @@ from maxleaf.stnum import RootPathState, two_disjoint_root_paths
 
 from support import (broom, brute_cutvertices, brute_idom, dominator_chain, is_normalized,
                      iterative_idom, lengauer_tarjan_idom, looped_digraph_maps,
-                     random_instances, raw_digraph, relabelled,
+                     random_instances, raw_digraph, relabelled, simple_arcs,
                      tuple_stack_euler_intervals)
 
 
@@ -225,8 +225,7 @@ def test_is_2connected_matches_removal_scan_with_unreachable_vertices():
 def test_classify_two_circuit_pair():
     d = build(3, 0, [(0, 1), (0, 2), (1, 2), (2, 1)])
     cls = classify(d)
-    assert (0, 1) in cls.simple_arcs and (0, 2) in cls.simple_arcs
-    assert (1, 2) not in cls.simple_arcs
+    assert simple_arcs(d) == {(0, 1), (0, 2)}
     assert cls.nice == {1, 2} and cls.special == {1, 2}
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -7,7 +8,7 @@ from maxleaf import approx, digraph, reduce
 from maxleaf.approx import approximate
 from maxleaf.digraph import (NormDeleteStep, RootedDigraph, WorkGraph, bfs_tree, build,
                              cutvertices, find_cutvertex, immediate_dominators,
-                             normalize, verify_outbranching)
+                             normalize, reachable, verify_outbranching)
 from maxleaf.errors import InfeasibleError, InternalInvariantError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_dipath, gen_random, gen_star, gen_t_l
@@ -18,11 +19,11 @@ from maxleaf.reduce import (NormMergeStep, ReductionTrace, Rule1Step, Rule2Step,
                             large_indegree_witness, lift, rule0,
                             strip_cutvertices)
 
-from support import (all_rule_applications, chain_planted_corpus, count_calls,
-                     fixpoint_kernelize, looped_large_indegree_witness, mixed_rule_corpus,
-                     per_arc_rule3, random_instances, raw_digraph, rebuilt,
-                     recomputing_strip, relabelled, rescanning_rule2_phase, stepwise_lift,
-                     walked_illegal_arcs, with_arcs)
+from support import (all_rule_applications, brute_cutvertices, chain_planted_corpus,
+                     count_calls, fixpoint_kernelize, looped_large_indegree_witness,
+                     mixed_rule_corpus, per_arc_rule3, random_instances, raw_digraph,
+                     rebuilt, recomputing_strip, relabelled, rescanning_rule2_phase,
+                     stepwise_lift, walked_illegal_arcs, with_arcs)
 
 
 def test_rule0():
@@ -60,15 +61,46 @@ def test_rule1_check_matches_cutvertices():
             cuts = None
             disconnected += 1
         for x in d.vertices:
-            if cuts is not None and x in cuts:
+            if cuts is None:
+                with pytest.raises(InfeasibleError, match="unreachable"):
+                    apply_rule1(d, x)
+            elif x in cuts:
                 d2, step = apply_rule1(d, x)
                 assert step.x == x and x not in d2.vertices
                 accepted += 1
             else:
-                match = "cutvertex" if cuts is not None or x == d.root else "not connected"
-                with pytest.raises(ValueError, match=match):
+                with pytest.raises(ValueError, match="cutvertex"):
                     apply_rule1(d, x)
     assert disconnected > 0 and accepted > 0
+
+
+def test_rule1_accepts_exactly_the_brute_force_cutvertices():
+    counts = Counter()
+    for seed in range(150):
+        raw = raw_digraph(12000 + seed)
+        for d in (raw, relabelled(raw, seed)):
+            if len(reachable(d)) < d.n:
+                counts["disconnected"] += 1
+                for x in (*d.vertices, max(d.vertices) + 1):
+                    with pytest.raises(InfeasibleError, match="unreachable"):
+                        apply_rule1(d, x)
+                continue
+            accepted = []
+            for x in (*d.vertices, max(d.vertices) + 1):
+                try:
+                    d2, _ = apply_rule1(d, x)
+                except ValueError:
+                    continue
+                accepted.append(x)
+                ins, outs = d.in_neighbors(x), d.out_neighbors(x)
+                kept = {(u, v) for u, v in d.arcs() if x not in (u, v)}
+                assert set(d2.vertices) == set(d.vertices) - {x} and d2.root == d.root
+                assert set(d2.arcs()) == kept | {(u, v) for u in ins for v in outs if u != v}
+            assert accepted == brute_cutvertices(d)
+            counts["cutvertices"] += len(accepted)
+            counts["none"] += not accepted
+    assert counts["disconnected"] >= 20 and counts["cutvertices"] >= 200
+    assert counts["none"] >= 20
 
 
 def test_rule1_certificate_from_the_dominator_tree():
@@ -102,7 +134,7 @@ def test_strip_checks_its_dominator_tree(monkeypatch):
 
 
 def test_strip_rejects_input_not_connected_from_the_root():
-    with pytest.raises(ValueError, match="not connected"):
+    with pytest.raises(InfeasibleError, match="unreachable"):
         strip_cutvertices(build(4, 0, [(0, 1), (1, 2)]), [])
 
 
@@ -434,8 +466,7 @@ def test_lift_matches_stepwise_lift(monkeypatch):
         lifted.update(type(s) for s in trace.steps)
         return got
 
-    monkeypatch.setattr(reduce, "lift", checked)
-    monkeypatch.setattr(approx, "lift", checked)
+    monkeypatch.setattr(reduce, "lift", checked)  # `verified_lift` serves approx too
     for d in corpus:
         red, trace = kernelize(d)
         for tree in (bfs_tree(red), depth_first_tree(red)):
@@ -627,6 +658,47 @@ def test_decide_rejects_bad_k():
 
 def test_decide_false_on_unreachable():
     assert decide(build(3, 0, [(0, 1)]), 1).verdict == "FALSE"
+
+
+def test_entry_points_gate_connectivity_on_the_dominator_pass(monkeypatch):
+    # only rule 3's probes search for reachability; an unreachable vertex
+    # is reported by the first dominator pass
+    raw = list(map(raw_digraph, range(13000, 13150)))
+    probe_free = [gen_t_l(4), gen_star(3), gen_dipath(5)]
+    connected = probe_free + [d for d in raw if rule0(d)]
+    unreachable = [build(3, 0, [(0, 1)])] + [d for d in raw if not rule0(d)]
+    callers = []
+    real = digraph.reachable
+
+    def traced(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    for module in (digraph, reduce):
+        monkeypatch.setattr(module, "reachable", traced)
+    passes = count_calls(monkeypatch, digraph, "dominators_from_maps")
+    entry_points = {"approximate": approximate, "kernelize": kernelize,
+                    "decide": lambda d: decide(d, 3), "sqrt_opt_tree": approx.sqrt_opt_tree}
+    searched = Counter()
+    for i, d in enumerate(connected):
+        for name, run in entry_points.items():
+            callers.clear()
+            run(d)
+            assert set(callers) <= {"_rule3_tails"}, name
+            assert not (i < len(probe_free) and callers), name
+            searched[name] += bool(callers)
+    assert searched["approximate"] == 0 and searched["kernelize"] > 10
+    assert len(unreachable) > 20
+    for d in unreachable:
+        for name, run in entry_points.items():
+            callers.clear()
+            passes.clear()
+            if name == "decide":
+                assert run(d).verdict == "FALSE"
+            else:
+                with pytest.raises(InfeasibleError, match="unreachable"):
+                    run(d)
+            assert not callers and len(passes) == 1, name
 
 
 def layered_two_wide(layers):

@@ -39,7 +39,7 @@ def test_numbering_on_forced_example():
 def test_reversed_numbering_is_valid():
     d, _ = normalize(gen_t_l(3))
     num = rr_numbering(d)
-    assert validate_numbering(d, num.reversed().order)
+    assert validate_numbering(d, tuple(reversed(num.order)))
 
 
 def test_validate_rejects_one_sided_vertex():
