@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .digraph import (Outbranching, RootedDigraph, WorkGraph, bfs_tree,
-                      classify, search)
+from .digraph import Outbranching, RootedDigraph, bfs_tree, classify, search
 from .errors import InternalInvariantError
 from .bounds import numbering_bound_trees
 from .reduce import (ReductionTrace, kernel_numbering_tree, kernelize,
@@ -195,7 +194,7 @@ def approximate(d0):
     The strip's dominator pass raises InfeasibleError when d0 is not
     connected from the root."""
     steps = []
-    work = strip_cutvertices(renormalize(WorkGraph(d0), steps), steps)
+    work = strip_cutvertices(renormalize(d0.thaw(), steps), steps)
     core = work.freeze() if steps else d0
     trace = ReductionTrace(tuple(steps))
     cls = classify(core)
@@ -219,8 +218,9 @@ def approximate(d0):
 
 def approximate_each_root(d):
     """Run the approximation with every vertex as root; yields (root, tree, report)."""
+    arcs = d.arc_set()
     for v in d.vertices:
-        cand = RootedDigraph(d.vertices, v, d.arc_set())
+        cand = RootedDigraph(d.vertices, v, arcs)
         if not rule0(cand):
             continue
         tree, report = approximate(cand)

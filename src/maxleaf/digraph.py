@@ -19,19 +19,21 @@ rewritten since.  An illegal arc in it is new, or it enters a new root
 outneighbor z, so that (r, z) is new: at the normalization no arc entered
 r, and an arc into z from anywhere but r was legal only because z was no
 root outneighbor then.  So every illegal arc enters the head of an arc
-added since the last normalization; a `WorkGraph` records those heads, and
-`normalize` reads only their in-lists.  A digraph never normalized gets
-the full walk.
+added since the last normalization; a working graph records those heads,
+and `normalize` reads only their in-lists.  A digraph never normalized,
+and a frozen one, gets the full walk.
 
 Vertex ids are stable across transformations: derived digraphs keep the ids
 of surviving vertices, so trees and reports always speak in the coordinates
-of the instance they started from.  Rewriting algorithms copy their input
-into one `WorkGraph`, rewrite that in place, and turn it back into a
-`RootedDigraph` once, or never when only its sets are read, as in
-`stnum.rr_numbering`.
+of the instance they started from.  `RootedDigraph` is the one graph
+class: frozen as built, with ascending tuples as adjacency lists, or
+working, with sets.  Rewriting algorithms `thaw` their input into one
+working copy, rewrite that in place, and `freeze` it in place once, or
+never when only its sets are read, as in `stnum.rr_numbering`.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,10 +41,32 @@ from .errors import InternalInvariantError
 
 
 class RootedDigraph:
-    """Immutable rooted digraph over integer vertex ids (not necessarily dense);
-    a loop or an arc on an unknown vertex raises ValueError naming the smallest."""
+    """Rooted digraph over integer vertex ids (not necessarily dense), in
+    one of two states.
 
-    __slots__ = ("vertices", "root", "_out", "_in", "_arcset")
+    Frozen, as built: each vertex's out- and in-list is an ascending tuple,
+    traversals read them in that order, and `has_arc` bisects.  Working, as
+    `thaw` returns it: the lists are sets, which the rewriting algorithms
+    change in place; `out_neighbors`, `in_neighbors` and `root_out` still
+    answer sorted tuples for the choices that shape an output, and
+    `vertices` is a live ascending view, since a working copy keeps its
+    source's order and only ever deletes.  `freeze` sorts the sets into
+    tuples in place.
+
+    The constructor rejects a loop or an arc on an unknown vertex with a
+    ValueError naming the smallest.  `without_arcs`, `without_vertex` and
+    `contracted` rewrite a working graph in place, in time linear in the
+    arcs they touch, and return it, so code written as `d = step.apply(d)`
+    serves both states; a frozen graph gets a rewritten frozen copy.
+
+    From its first normalization on, a working graph records the heads of
+    the arcs added since the last one, so that `normalize` reads only their
+    in-lists (module docstring); the record is None before that.  A frozen
+    graph never takes one: a second `normalize` of the same frozen input
+    would read only the empty record and miss its illegal arcs.
+    """
+
+    __slots__ = ("vertices", "root", "frozen", "_out", "_in", "_new_heads")
 
     def __init__(self, vertices, root, arcs):
         vs = tuple(sorted(set(vertices)))
@@ -62,116 +86,44 @@ class RootedDigraph:
             if u == v:
                 raise ValueError(f"loop arc ({u}, {v})") from None
             raise ValueError(f"arc ({u}, {v}) uses an unknown vertex") from None
-        self.vertices = vs
         self.root = root
-        self._out = {v: tuple(sorted(ws)) for v, ws in out.items()}
-        self._in = {v: tuple(sorted(ws)) for v, ws in inn.items()}
-        self._arcset = frozenset(arcset)
+        self._out, self._in = out, inn
+        self.frozen = False
+        self.freeze()
 
-    # -- basic queries -------------------------------------------------
-
-    @property
-    def n(self):
-        return len(self.vertices)
-
-    @property
-    def m(self):
-        return len(self._arcset)
-
-    def out_neighbors(self, v):
-        return self._out[v]
-
-    def in_neighbors(self, v):
-        return self._in[v]
-
-    def outdeg(self, v):
-        return len(self._out[v])
-
-    def indeg(self, v):
-        return len(self._in[v])
-
-    def has_arc(self, u, v):
-        return (u, v) in self._arcset
-
-    def arcs(self):
-        return sorted(self._arcset)
-
-    def arc_set(self):
-        return self._arcset
-
-    def root_out(self):
-        return self._out[self.root]
-
-    def __eq__(self, other):
-        if not isinstance(other, RootedDigraph):
-            return NotImplemented
-        return (self.root == other.root and self.vertices == other.vertices
-                and self._arcset == other._arcset)
-
-    def __hash__(self):
-        return hash((self.root, self.vertices, self._arcset))
-
-    def __repr__(self):
-        return f"RootedDigraph(n={self.n}, m={self.m}, root={self.root})"
-
-    # -- derived digraphs (filtered arcs, or one rewrite of a WorkGraph copy) -
-
-    def without_arcs(self, arcs):
-        return RootedDigraph(self.vertices, self.root, self._arcset.difference(arcs))
-
-    def without_vertex(self, v, extra_arcs=()):
-        return WorkGraph(self).without_vertex(v, extra_arcs).freeze()
-
-    def contracted(self, keep, absorb):
-        """Merge vertex `absorb` into `keep`, rewriting arcs and dropping loops."""
-        return WorkGraph(self).contracted(keep, absorb).freeze()
-
-
-class WorkGraph:
-    """Mutable copy of a rooted digraph for the rewriting algorithms.
-
-    It answers the read interface of `RootedDigraph` that the rules and
-    `normalize` use, with adjacency sets as the raw maps that traversals
-    read, and sorted tuples from `out_neighbors`, `in_neighbors` and
-    `root_out` for the choices that shape an output.  `vertices` stays
-    ascending: the copy keeps its source's order and only ever deletes.
-
-    `without_arcs`, `without_vertex` and `contracted` rewrite it in place,
-    in time linear in the arcs they touch, and return it, so code written
-    as `d = step.apply(d)` serves both classes; `RootedDigraph`'s own
-    `without_vertex` and `contracted` are these rewrites applied to a fresh
-    copy, while its `without_arcs` builds once from the filtered arc set.
-
-    From its first normalization on, it records the heads of the arcs
-    added since the last one, so that `normalize` reads only their
-    in-lists (module docstring); the record is None before that.
-    """
-
-    __slots__ = ("root", "_out", "_in", "_new_heads")
-
-    def __init__(self, d, ins=None, outs=None):
-        """A copy of d, in which the vertices that `ins` and `outs` map
+    def thaw(self, ins=None, outs=None):
+        """A working copy, in which the vertices that `ins` and `outs` map
         take the sets they map them to as in- and out-sets (the caller
         keeps the two consistent) instead of copies of their lists."""
         ins, outs = ins or {}, outs or {}
-        self.root = d.root
-        self._out = {v: outs[v] if v in outs else set(ws) for v, ws in d._out.items()}
-        self._in = {v: ins[v] if v in ins else set(ws) for v, ws in d._in.items()}
-        self._new_heads = None
-
-    def take_new_heads(self):
-        """The heads recorded since the last call, None on the first call;
-        starts a new, empty record."""
-        heads, self._new_heads = self._new_heads, set()
-        return heads
+        work = RootedDigraph.__new__(RootedDigraph)
+        work.root = self.root
+        work._out = {v: outs[v] if v in outs else set(ws) for v, ws in self._out.items()}
+        work._in = {v: ins[v] if v in ins else set(ws) for v, ws in self._in.items()}
+        work.vertices = work._out.keys()
+        work.frozen = False
+        work._new_heads = None
+        return work
 
     def freeze(self):
-        return RootedDigraph(self._out, self.root,
-                             ((u, v) for u, out in self._out.items() for v in out))
+        """Sort a working graph's sets into tuples, in place; returns it."""
+        if not self.frozen:
+            self._out = {v: tuple(sorted(ws)) for v, ws in self._out.items()}
+            self._in = {v: tuple(sorted(ws)) for v, ws in self._in.items()}
+            self.vertices = tuple(self._out)
+            self.frozen = True
+            self._new_heads = None
+        return self
 
-    @property
-    def vertices(self):
-        return self._out.keys()
+    def take_new_heads(self):
+        """The heads recorded since the last call, None on the first call
+        and on a frozen graph; a working graph starts a new, empty record."""
+        heads = self._new_heads
+        if not self.frozen:
+            self._new_heads = set()
+        return heads
+
+    # -- basic queries -------------------------------------------------
 
     @property
     def n(self):
@@ -182,10 +134,12 @@ class WorkGraph:
         return sum(map(len, self._out.values()))
 
     def out_neighbors(self, v):
-        return tuple(sorted(self._out[v]))
+        ws = self._out[v]
+        return ws if self.frozen else tuple(sorted(ws))
 
     def in_neighbors(self, v):
-        return tuple(sorted(self._in[v]))
+        ws = self._in[v]
+        return ws if self.frozen else tuple(sorted(ws))
 
     def outdeg(self, v):
         return len(self._out[v])
@@ -194,23 +148,41 @@ class WorkGraph:
         return len(self._in[v])
 
     def has_arc(self, u, v):
-        return v in self._out.get(u, ())
+        ws = self._out.get(u, ())
+        if self.frozen:
+            i = bisect_left(ws, v)
+            return i < len(ws) and ws[i] == v
+        return v in ws
+
+    def arcs(self):
+        return [(u, v) for u in self.vertices for v in self.out_neighbors(u)]
+
+    def arc_set(self):
+        return frozenset(self.arcs())
 
     def root_out(self):
         return self.out_neighbors(self.root)
 
-    def _add_arc(self, u, v):
-        if u == v:
-            raise ValueError(f"loop arc ({u}, {v})")
-        if u not in self._out or v not in self._out:
-            raise ValueError(f"arc ({u}, {v}) uses an unknown vertex")
-        self._out[u].add(v)
-        self._in[v].add(u)
-        if self._new_heads is not None:
-            self._new_heads.add(v)
+    def _key(self):
+        return self.root, tuple(self.vertices), tuple(self.arcs())
+
+    def __eq__(self, other):
+        if not isinstance(other, RootedDigraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"RootedDigraph(n={self.n}, m={self.m}, root={self.root})"
+
+    # -- rewrites: in place on a working graph, a copy of a frozen one -
 
     def without_arcs(self, arcs):
         """Delete the given arcs that are present."""
+        if self.frozen:
+            return self.thaw().without_arcs(arcs).freeze()
         for u, v in arcs:
             if self.has_arc(u, v):
                 self._out[u].remove(v)
@@ -219,6 +191,8 @@ class WorkGraph:
 
     def without_vertex(self, v, extra_arcs=()):
         """Delete v with its arcs, then add `extra_arcs`."""
+        if self.frozen:
+            return self.thaw().without_vertex(v, extra_arcs).freeze()
         if v == self.root:
             raise ValueError("cannot delete the root")
         outs = self._out.pop(v)
@@ -233,11 +207,23 @@ class WorkGraph:
 
     def contracted(self, keep, absorb):
         """Merge vertex `absorb` into `keep`, rewriting arcs and dropping loops."""
+        if self.frozen:
+            return self.thaw().contracted(keep, absorb).freeze()
         if absorb == self.root:
             raise ValueError("cannot absorb the root")
         arcs = [(keep, z) for z in self._out[absorb] if z != keep]
         arcs += [(u, keep) for u in self._in[absorb] if u != keep]
         return self.without_vertex(absorb, arcs)
+
+    def _add_arc(self, u, v):
+        if u == v:
+            raise ValueError(f"loop arc ({u}, {v})")
+        if u not in self._out or v not in self._out:
+            raise ValueError(f"arc ({u}, {v}) uses an unknown vertex")
+        self._out[u].add(v)
+        self._in[v].add(u)
+        if self._new_heads is not None:
+            self._new_heads.add(v)
 
 
 def build(n, root, arcs):
@@ -298,7 +284,7 @@ def _illegal_arcs(d, heads=None):
 def normalize(d):
     """Enforce the standing root assumptions; returns the digraph and the
     tuple of `NormDeleteStep` / `NormMergeStep` rewrites applied, in order.
-    A `WorkGraph` is rewritten in place and returned.
+    A working graph is rewritten in place and returned.
 
     Deletes arcs into r, deletes arcs into outneighbors of r coming from
     anywhere but r, and merges r with its unique outneighbor while the root
@@ -308,31 +294,28 @@ def normalize(d):
     arcs are gone the only arc into the merged outneighbor is the root's, so
     the merge is a plain contraction.
 
-    A `RootedDigraph` is rewritten by at most one filtered build, for the
-    deletions before the first merge, and one `WorkGraph` copy, made at
-    that merge and frozen once at the end; one that needs no rewrite comes
-    back as given.  A `WorkGraph` normalized before is checked only at the
-    heads of the arcs added since (module docstring); any other digraph
-    gets the full walk of the root's in-list and its outneighbors' ones.
+    A frozen graph is thawed once, at its first rewrite, and the copy is
+    frozen once at the end; one that needs no rewrite comes back as given.
+    A working graph normalized before is checked only at the heads of the
+    arcs added since (module docstring); any other digraph, a frozen one
+    always, gets the full walk of the root's in-list and its outneighbors'
+    ones.
     """
     steps = []
     work = d
     while True:
-        heads = work.take_new_heads() if isinstance(work, WorkGraph) else None
-        bad = _illegal_arcs(work, heads)
+        bad = _illegal_arcs(work, work.take_new_heads())
         if bad:
             step = NormDeleteStep(tuple(bad))
         elif work.n > 2 and work.outdeg(work.root) == 1:
             step = NormMergeStep(work.root_out()[0])
-            if isinstance(work, RootedDigraph):
-                work = WorkGraph(work)
         else:
             break
+        if work.frozen:
+            work = work.thaw()
         steps.append(step)
         work = step.apply(work)
-    if isinstance(work, WorkGraph) and work is not d:
-        work = work.freeze()
-    return work, tuple(steps)
+    return (work.freeze() if d.frozen else work), tuple(steps)
 
 
 # -- reachability and cuts ---------------------------------------------

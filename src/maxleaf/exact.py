@@ -54,12 +54,13 @@ def maxleaf_exact(d, limit=DEFAULT_LIMIT):
     verts = list(d.vertices)
     idx = {v: i for i, v in enumerate(verts)}
     bit = [1 << i for i in range(len(verts))]
+    out_lists = {i: [idx[w] for w in d.out_neighbors(verts[i])] for i in range(len(verts))}
     out_mask = [0] * len(verts)
-    for u, v in d.arc_set():
-        out_mask[idx[u]] |= bit[idx[v]]
+    for i, ws in out_lists.items():
+        for j in ws:
+            out_mask[i] |= bit[j]
     root_i = idx[d.root]
     nonroot_mask = (1 << len(verts)) - 1 - bit[root_i]
-    out_lists = {i: [idx[w] for w in d.out_neighbors(verts[i])] for i in range(len(verts))}
     forced = sorted({idx[d.in_neighbors(v)[0]] for v in verts
                      if v != d.root and d.indeg(v) == 1} - {root_i})
     free = [i for i in range(len(verts)) if i != root_i and i not in forced

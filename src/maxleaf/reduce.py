@@ -95,11 +95,12 @@ contraction, so it was one before.  Hence the rule 2 phase walks the
 middles of one scan in ascending order, checking each as its turn comes,
 since a contraction can end a middle.
 
-The rewrites run on one `WorkGraph`: each costs time linear in the arcs
-it touches, and `RootedDigraph` is built once, for the kernel.  Every
-rewrite is logged as a step that replays forward on a digraph, so vertex
-ids stay in input coordinates, and `lift` carries a tree back through the
-steps on one parent map.
+The rewrites run on one working copy of the input (`RootedDigraph.thaw`):
+each costs time linear in the arcs it touches, and the copy is frozen in
+place once, as the kernel, without another build.  Every rewrite is logged
+as a step that replays forward on a digraph, so vertex ids stay in input
+coordinates, and `lift` carries a tree back through the steps on one
+parent map.
 """
 from __future__ import annotations
 
@@ -107,8 +108,8 @@ from dataclasses import dataclass
 from heapq import heappop
 from typing import Optional
 
-from .digraph import (NormMergeStep, Outbranching, RootedDigraph, WorkGraph,
-                      bfs_tree, find_cutvertex, grow_tree, immediate_dominators,
+from .digraph import (NormMergeStep, Outbranching, RootedDigraph, bfs_tree,
+                      find_cutvertex, grow_tree, immediate_dominators,
                       is_connected, normalize, reachable, search,
                       verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
@@ -531,12 +532,12 @@ def kernelize(d):
     lemmas A and B (module docstring) leaves no rule applicable; returns the
     reduced digraph and trace.
 
-    The rewrites run on one `WorkGraph` copy of d, and the rule 3 phase
-    resumes its scan at the head of the last deletion (module docstring).
-    That phase keeps one certificate tree, grown again only after a
-    deletion removes one of its arcs, which a breadth-first tree never
-    loses there (module docstring).  The rule 2 phase takes its bipaths
-    from one scan (lemma C).
+    The rewrites run on one working copy of d, frozen in place as the
+    kernel, and the rule 3 phase resumes its scan at the head of the last
+    deletion (module docstring).  That phase keeps one certificate tree,
+    grown again only after a deletion removes one of its arcs, which a
+    breadth-first tree never loses there (module docstring).  The rule 2
+    phase takes its bipaths from one scan (lemma C).
     A digraph on which no rule applies is returned unchanged, without
     normalization; normalization runs only after an actual rewrite, since
     shortcut arcs can violate the standing root assumptions.  The strip's
@@ -544,7 +545,7 @@ def kernelize(d):
     root.
     """
     steps = []
-    work = strip_cutvertices(WorkGraph(d), steps)
+    work = strip_cutvertices(d.thaw(), steps)
     tree = {}
     pair = find_rule3(work, start=min(work.vertices), tree=tree)
     while pair is not None:
@@ -560,7 +561,7 @@ def kernelize(d):
 
 
 def _contract_bipaths(work, steps):
-    """Rule 2 to exhaustion on the `WorkGraph` work, re-normalizing after
+    """Rule 2 to exhaustion on the working graph work, re-normalizing after
     every contraction and appending the steps, taking the bipaths that
     repeated `find_bipath4` scans would take.
 

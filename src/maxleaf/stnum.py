@@ -14,10 +14,10 @@ non-root vertex has indegree at most 2.  Each such vertex keeps the last
 arcs of two internally disjoint root paths; that alone keeps the digraph
 2-connected (see `reduce_indegrees`), so only the result is checked.  It
 then repeatedly eliminates the smallest vertex of outdegree 0 (delete) or 1
-(contract into its outneighbor) from the reduction's `WorkGraph` copy
-without the arcs into r, and finally reinserts the eliminated vertices in
-reverse order, each at the smallest gap where its own and its outneighbor's
-side constraints hold.  That gap always lies just after one element (the
+(contract into its outneighbor) from the reduction's working copy without
+the arcs into r, and finally reinserts the eliminated vertices in reverse
+order, each at the smallest gap where its own and its outneighbor's side
+constraints hold.  That gap always lies just after one element (the
 front, the outneighbor, or the vertex's first in-neighbor), so a linked list
 whose order labels are kept as in Bender, Cole, Demaine, Farach-Colton and
 Zito (ESA 2002) places each vertex in O(log n) amortized time, where a
@@ -83,7 +83,7 @@ from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .digraph import WorkGraph, is_2connected, search
+from .digraph import is_2connected, search
 from .errors import InternalInvariantError
 
 
@@ -263,8 +263,8 @@ def two_disjoint_root_paths(state, target):
 
 def reduce_indegrees(d):
     """Delete in-arcs until every non-root vertex has indegree at most 2;
-    returns a `WorkGraph` copy of `d` without the deleted arcs, and never
-    changes `d`.
+    returns a working copy of `d` (`RootedDigraph.thaw`) without the
+    deleted arcs, and never changes `d`.
 
     For each vertex x of indegree above 2, in ascending order, the two
     in-arcs that end a pair of internally disjoint root paths are kept and
@@ -306,8 +306,8 @@ def reduce_indegrees(d):
                 state.delete_arc(y, x)
                 cut.setdefault(y, []).append(x)
     del state
-    reduced = WorkGraph(d, ins=kept,
-                        outs={y: set(d._out[y]).difference(heads) for y, heads in cut.items()})
+    reduced = d.thaw(ins=kept,
+                     outs={y: set(d._out[y]).difference(heads) for y, heads in cut.items()})
     if not is_2connected(reduced):
         _reduction_failed(d, "indegree reduction broke 2-connectivity")
     return reduced
@@ -411,7 +411,7 @@ def _reinserted(r, remaining, records):
 def rr_numbering(d):
     """A valid root-to-root numbering of a 2-connected rooted digraph.
 
-    Works on the `WorkGraph` that `reduce_indegrees(d)` returns, without
+    Works on the working copy that `reduce_indegrees(d)` returns, without
     its arcs into the root r, eliminating on its adjacency sets in place;
     a stall hands that graph back to `reduce_indegrees`.  Arcs into r
     constrain no vertex, and without them a vertex whose only out-arc

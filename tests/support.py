@@ -10,7 +10,7 @@ from itertools import combinations
 from maxleaf import stnum
 from maxleaf.bounds import dominate_bipartite, topological_order
 from maxleaf.digraph import (NormDeleteStep, NormMergeStep, Outbranching, RootedDigraph,
-                             VerifyResult, WorkGraph, build, euler_intervals,
+                             VerifyResult, build, euler_intervals,
                              find_cutvertex, grow_tree, is_2connected, is_connected,
                              normalize, reachable)
 from maxleaf.errors import InfeasibleError, InternalInvariantError, PreconditionError
@@ -1010,11 +1010,11 @@ def checked_reduce_indegrees(d):
 
 def checked_reduce_to_work(d):
     """`checked_reduce_indegrees` in the shape of `stnum.reduce_indegrees`:
-    a `WorkGraph` result, for a `RootedDigraph` or `WorkGraph` input that
-    it leaves unchanged."""
-    if isinstance(d, WorkGraph):
-        d = d.freeze()
-    return WorkGraph(checked_reduce_indegrees(d))
+    a working result, for a frozen or working input that it leaves
+    unchanged."""
+    if not d.frozen:
+        d = d.thaw().freeze()
+    return checked_reduce_indegrees(d).thaw()
 
 
 def resorting_vertex_cover(vertices, edges):

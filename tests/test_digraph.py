@@ -9,15 +9,15 @@ from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
                              immediate_dominators, is_2connected, is_connected,
                              normalize, NormDeleteStep,
                              NormMergeStep, Outbranching, RootedDigraph,
-                             WorkGraph, reachable, verify_outbranching)
+                             reachable, verify_outbranching)
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.stnum import RootPathState, two_disjoint_root_paths
 
-from support import (broom, brute_cutvertices, brute_idom, dominator_chain, is_normalized,
-                     iterative_idom, lengauer_tarjan_idom, looped_digraph_maps,
-                     random_instances, raw_digraph, relabelled, simple_arcs,
-                     tuple_stack_euler_intervals)
+from support import (broom, brute_cutvertices, brute_idom, count_calls, dominator_chain,
+                     is_normalized, iterative_idom, lengauer_tarjan_idom,
+                     looped_digraph_maps, random_instances, raw_digraph, relabelled,
+                     simple_arcs, tuple_stack_euler_intervals)
 
 
 def test_build_smallest_star():
@@ -39,8 +39,47 @@ def test_constructor_matches_per_arc_loop():
         expected = looped_digraph_maps(ids, root, arcs)
         for given_arcs in (arcs, iter(arcs), (a for a in arcs), set(arcs)):
             d = RootedDigraph(reversed(ids), root, given_arcs)
-            assert (d.vertices, d._out, d._in, d._arcset) == expected
+            assert (d.vertices, d._out, d._in, d.arc_set()) == expected
             assert d.root == root
+
+
+def test_frozen_and_working_states_answer_alike():
+    """A frozen graph, its working copy and the per-arc loop agree on every
+    query; `normalize` gives the same result twice on one frozen input and
+    on its working copy, and no rewrite changes a frozen argument."""
+    rewritten = merged = 0
+    for seed in range(200):
+        raw = raw_digraph(seed)
+        ids = random.Random(seed).sample(range(3 * raw.n), raw.n)
+        name = dict(zip(raw.vertices, ids))
+        root = name[raw.root]
+        arcs = [(name[u], name[v]) for u in raw.vertices for v in raw._out[u]]
+        d = RootedDigraph(ids, root, arcs)
+        vs, _, _, arcset = looped_digraph_maps(ids, root, arcs)
+        snapshot = (d.vertices, dict(d._out), dict(d._in))
+        work = d.thaw()
+        probes = (-1, *sorted(set(range(3 * raw.n + 1)) - set(ids))[:3], *vs)
+        for g in (d, work):
+            assert (tuple(g.vertices), g.m, g.arc_set()) == (vs, len(arcset), arcset)
+            assert g.arcs() == sorted(arcset)
+            assert all(g.has_arc(u, v) == ((u, v) in arcset) for u in probes for v in probes)
+        assert d.vertices == vs and d.frozen and not work.frozen
+        assert d == work and work == d and hash(d) == hash(work)
+
+        first, again = normalize(d), normalize(d)
+        assert first == again and first[0].frozen
+        assert normalize(work) == first and not work.frozen
+        rewritten += bool(first[1])
+        merged += any(isinstance(s, NormMergeStep) for s in first[1])
+        v = next(v for v in vs if v != root)
+        outs = d.out_neighbors(v)
+        for rewrite in (lambda g: g.without_arcs(arcs[::2] + [(root, root)]),
+                        lambda g: g.without_vertex(v, [(root, w) for w in outs if w != root]),
+                        lambda g: g.contracted(root, v)):
+            got = rewrite(d)
+            assert got is not d and got.frozen and got == rewrite(d.thaw())
+        assert (d.vertices, d._out, d._in) == snapshot and d.frozen
+    assert rewritten > 150 and merged > 10
 
 
 def test_constructor_names_a_bad_arc_as_the_per_arc_loop_did():
@@ -102,36 +141,23 @@ def test_normalize_merges_single_outneighbor():
 
 
 def test_normalize_rewrites_a_frozen_digraph_in_one_copy(monkeypatch):
-    copies, builds = [], []
-    real_copy, real_build = WorkGraph.__init__, RootedDigraph.__init__
-
-    def counted_copy(self, *args):
-        copies.append(args)
-        real_copy(self, *args)
-
-    def counted_build(self, *args):
-        builds.append(args)
-        real_build(self, *args)
-
-    multi = 0
+    cases = []
     for d in [raw_digraph(seed) for seed in range(400, 700)] + [gen_t_l(4)]:
         ref = d
         for step in normalize(d)[1]:
             ref = step.apply(ref)  # one copy and one freeze per step
-        monkeypatch.setattr(WorkGraph, "__init__", counted_copy)
-        monkeypatch.setattr(RootedDigraph, "__init__", counted_build)
-        copies.clear()
-        builds.clear()
+        cases.append((d, ref))
+    thaws = count_calls(monkeypatch, RootedDigraph, "thaw")
+    builds = count_calls(monkeypatch, RootedDigraph, "__init__")
+    multi = 0
+    for d, ref in cases:
+        thaws.clear()
         got, steps = normalize(d)
-        monkeypatch.undo()
-        assert got == ref and isinstance(got, RootedDigraph)
-        # deletions before the first merge: one filtered build; from the
-        # merge on: one copy, frozen once
-        merges = any(isinstance(s, NormMergeStep) for s in steps)
-        first_deletes = bool(steps) and isinstance(steps[0], NormDeleteStep)
-        assert (len(copies), len(builds)) == (merges, merges + first_deletes)
+        assert got == ref and got.frozen
+        # one copy at the first rewrite, frozen in place at the end
+        assert (len(thaws), len(builds)) == (bool(steps), 0)
         assert steps or got is d
-        multi += merges and len(steps) >= 3
+        multi += any(isinstance(s, NormMergeStep) for s in steps) and len(steps) >= 3
     assert multi > 10
 
 
@@ -213,7 +239,7 @@ def test_is_2connected_matches_removal_scan_with_unreachable_vertices():
     for seed in range(300):
         d = raw_digraph(seed)
         expected = is_connected(d) and not brute_cutvertices(d)
-        assert is_2connected(d) == is_2connected(WorkGraph(d)) == expected
+        assert is_2connected(d) == is_2connected(d.thaw()) == expected
         kinds["2-connected" if expected else "cut" if is_connected(d) else "unreachable"] += 1
         if expected:
             n = d.n

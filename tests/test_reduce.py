@@ -6,7 +6,7 @@ import pytest
 
 from maxleaf import approx, digraph, reduce
 from maxleaf.approx import approximate
-from maxleaf.digraph import (NormDeleteStep, RootedDigraph, WorkGraph, bfs_tree, build,
+from maxleaf.digraph import (NormDeleteStep, RootedDigraph, bfs_tree, build,
                              cutvertices, find_cutvertex, immediate_dominators,
                              normalize, reachable, verify_outbranching)
 from maxleaf.errors import InfeasibleError, InternalInvariantError
@@ -240,7 +240,7 @@ def test_rule2_phase_matches_rescanning():
     rescans = 0
     for d in corpus:
         steps, want = [], []
-        got = reduce._contract_bipaths(WorkGraph(d), steps).freeze()
+        got = reduce._contract_bipaths(d.thaw(), steps).freeze()
         assert got == rescanning_rule2_phase(d, want)
         assert steps == want
         contractions.append(sum(isinstance(s, Rule2Step) for s in steps))
@@ -370,10 +370,15 @@ def test_kernelize_runs_each_rule_once(monkeypatch):
 
 
 def test_kernelize_builds_one_digraph(monkeypatch):
+    """The kernel, and approximate's stripped core, is the working copy
+    frozen in place: neither calls the validating constructor."""
     d = gen_random(800, 1.5 / 800, seed=2)
+    dense = gen_random(800, 4 / 800, seed=1)
     builds = count_calls(monkeypatch, digraph.RootedDigraph, "__init__")
     _, trace = kernelize(d)
-    assert len(trace) > 150 and len(builds) <= 1
+    assert len(trace) > 150 and builds == []
+    approximate(dense)  # its strip rewrites 20 times
+    assert builds == []
 
 
 def depth_first_tree(d):
@@ -477,8 +482,8 @@ def test_lift_matches_stepwise_lift(monkeypatch):
 
 
 def assert_same_digraph(work, d):
-    """The WorkGraph answers every query exactly as the RootedDigraph d."""
-    assert work.freeze() == d
+    """The working graph answers every query exactly as the frozen d."""
+    assert not work.frozen and work == d
     assert (list(work.vertices), work.root, work.n, work.m) == (list(d.vertices), d.root, d.n, d.m)
     assert work.root_out() == d.root_out()
     for v in d.vertices:
@@ -490,7 +495,7 @@ def assert_same_digraph(work, d):
 
 def test_work_graph_rewrites_match_rebuilt_digraphs():
     """Random sequences of rule 1, rule 2, rule 3 and normalization rewrites,
-    applied in place to one WorkGraph and rebuilt from the arc list."""
+    applied in place to one working graph and rebuilt from the arc list."""
     corpus = [d for d in map(raw_digraph, range(3000, 3300)) if rule0(d)]
     corpus += chain_planted_corpus(80, 3300, raw=True)
     # a new root whose one arc enters the old root: normalization merges
@@ -499,7 +504,7 @@ def test_work_graph_rewrites_match_rebuilt_digraphs():
     kinds = Counter()
     for i, d in enumerate(corpus):
         rng = random.Random(i)
-        work, ref = WorkGraph(d), d
+        work, ref = d.thaw(), d
         for _ in range(rng.randint(1, 12)):
             apps = all_rule_applications(ref)
             want_norm = normalize(ref)[1]

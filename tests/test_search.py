@@ -1,7 +1,7 @@
 import random
 
 from maxleaf.approx import _path_to_pending
-from maxleaf.digraph import (Outbranching, WorkGraph, classify, grow_tree, is_connected,
+from maxleaf.digraph import (Outbranching, classify, grow_tree, is_connected,
                              reachable, search, verify_outbranching)
 from maxleaf.errors import InternalInvariantError
 from maxleaf.gen import gen_t_l
@@ -53,7 +53,7 @@ def test_search_matches_the_loops_it_replaced():
         rng = random.Random(seed)
         connected = is_connected(d)
         counts["unconnected"] += not connected
-        for g in (d, WorkGraph(d)):
+        for g in (d, d.thaw()):
             for v in d.vertices:
                 if v != d.root:
                     assert reachable(g, [v]) == looped_reach(d.root, g._out, {v})
@@ -105,7 +105,7 @@ def test_search_matches_the_loops_it_replaced():
     cores = [relabelled(gen_t_l(k), k) for k in range(3, 13)]
     for d in chain_planted_corpus(40, 700, raw=False) + chain_planted_corpus(20, 800, raw=True):
         steps = []
-        cores.append(strip_cutvertices(renormalize(WorkGraph(d), steps), steps).freeze())
+        cores.append(strip_cutvertices(renormalize(d.thaw(), steps), steps).freeze())
     for d in cores:
         rng = random.Random(d.n)
         cls = classify(d)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxleaf import stnum
-from maxleaf.digraph import (RootedDigraph, WorkGraph, build, is_2connected, normalize,
+from maxleaf.digraph import (RootedDigraph, build, is_2connected, normalize,
                              reachable, verify_outbranching)
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.reduce import renormalize, rule0, strip_cutvertices
@@ -51,7 +51,7 @@ def test_validate_rejects_one_sided_vertex():
 def test_reduce_indegrees_noop_when_small():
     d, _ = normalize(gen_t_l(3))
     red = reduce_indegrees(d)
-    assert isinstance(red, WorkGraph) and red.freeze() == d
+    assert not red.frozen and red.freeze() == d
 
 
 def test_reduce_indegrees_trims_funnel():
@@ -271,7 +271,7 @@ def test_reduce_indegrees_checks_once(monkeypatch):
     red = reduce_indegrees(d)
     assert red.m < d.m
     assert checks == [red]  # the result only, not the input
-    assert builds == []  # the result is a `WorkGraph` copy, never frozen
+    assert builds == []  # the result is a working copy, never frozen
     assert len(trees) == 1  # one state, whose tree no deletion drops
     # nothing to delete: the one check is on the unchanged copy
     checks.clear()
@@ -360,8 +360,8 @@ def arcs_of(g):
 
 
 def test_reduce_indegrees_leaves_its_argument_unchanged(monkeypatch):
-    # the numbering reduces this core, a `RootedDigraph`, and then, on a
-    # stall, its own working `WorkGraph`
+    # the numbering reduces this core, a frozen graph, and then, on a
+    # stall, its own working graph
     d = cutvertex_free_core(gen_random(148, 3 / 148, seed=5208))
     deleted, inputs = [], []
     real_reduce, real_delete = stnum.reduce_indegrees, RootPathState.delete_arc
@@ -376,13 +376,13 @@ def test_reduce_indegrees_leaves_its_argument_unchanged(monkeypatch):
         assert arcs_of(g) == before
         assert arcs_of(red) == before - set(deleted[mark:])
         assert g.m - red.m == len(deleted) - mark > 0
-        inputs.append(type(g))
+        inputs.append(g.frozen)
         return red
 
     monkeypatch.setattr(RootPathState, "delete_arc", watched_delete)
     monkeypatch.setattr(stnum, "reduce_indegrees", watched_reduce)
     assert validate_numbering(d, rr_numbering(d).order)
-    assert inputs == [RootedDigraph, WorkGraph]
+    assert inputs == [True, False]
 
 
 def rescanning_corpus():
