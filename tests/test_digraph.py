@@ -16,7 +16,7 @@ from maxleaf.stnum import RootPathState, two_disjoint_root_paths
 
 from support import (broom, brute_cutvertices, brute_idom, count_calls, dominator_chain,
                      is_normalized, iterative_idom, lengauer_tarjan_idom,
-                     looped_digraph_maps, random_instances, raw_digraph, relabelled,
+                     looped_digraph_maps, random_instances, raw_digraph, rebuilt, relabelled,
                      simple_arcs, tuple_stack_euler_intervals)
 
 
@@ -72,12 +72,20 @@ def test_frozen_and_working_states_answer_alike():
         rewritten += bool(first[1])
         merged += any(isinstance(s, NormMergeStep) for s in first[1])
         v = next(v for v in vs if v != root)
-        outs = d.out_neighbors(v)
-        for rewrite in (lambda g: g.without_arcs(arcs[::2] + [(root, root)]),
-                        lambda g: g.without_vertex(v, [(root, w) for w in outs if w != root]),
-                        lambda g: g.contracted(root, v)):
+        rest = [w for w in ids if w != v]
+        shortcuts = [(root, w) for w in d.out_neighbors(v) if w != root]
+        into_root = {(root if a == v else a, root if b == v else b) for a, b in arcset}
+        # each rewrite against a rebuild from the filtered arc list
+        for rewrite, ref in (
+                (lambda g: g.without_arcs(arcs[::2] + [(root, root)]),
+                 RootedDigraph(ids, root, arcset - set(arcs[::2]))),
+                (lambda g: g.without_vertex(v, shortcuts),
+                 RootedDigraph(rest, root, [a for a in arcset if v not in a] + shortcuts)),
+                (lambda g: g.contracted(root, v),
+                 RootedDigraph(rest, root, [(a, b) for a, b in into_root if a != b]))):
             got = rewrite(d)
-            assert got is not d and got.frozen and got == rewrite(d.thaw())
+            assert got is not d and got.frozen and got == ref
+            assert rewrite(d.thaw()) == ref
         assert (d.vertices, d._out, d._in) == snapshot and d.frozen
     assert rewritten > 150 and merged > 10
 
@@ -145,7 +153,7 @@ def test_normalize_rewrites_a_frozen_digraph_in_one_copy(monkeypatch):
     for d in [raw_digraph(seed) for seed in range(400, 700)] + [gen_t_l(4)]:
         ref = d
         for step in normalize(d)[1]:
-            ref = step.apply(ref)  # one copy and one freeze per step
+            ref = rebuilt(ref, step)
         cases.append((d, ref))
     thaws = count_calls(monkeypatch, RootedDigraph, "thaw")
     builds = count_calls(monkeypatch, RootedDigraph, "__init__")

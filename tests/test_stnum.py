@@ -270,14 +270,15 @@ def test_reduce_indegrees_checks_once(monkeypatch):
     monkeypatch.setattr(RootPathState, "tree", counted_tree)
     red = reduce_indegrees(d)
     assert red.m < d.m
-    assert checks == [red]  # the result only, not the input
-    assert builds == []  # the result is a working copy, never frozen
+    assert len(checks) == 1 and checks[0] is red  # the result only, not the input
+    assert builds == [] and not red.frozen  # the result is a working copy, never frozen
     assert len(trees) == 1  # one state, whose tree no deletion drops
     # nothing to delete: the one check is on the unchanged copy
     checks.clear()
     small, _ = normalize(gen_t_l(3))
     red = reduce_indegrees(small)
-    assert checks == [red] and red is not small and red.freeze() == small
+    assert len(checks) == 1 and checks[0] is red and red is not small
+    assert not red.frozen and red.freeze() == small
 
 
 # digraphs that are not 2-connected, each with a vertex of indegree 3 that
