@@ -18,10 +18,10 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .digraph import Outbranching, RootedDigraph, bfs_tree, classify, search
-from .errors import InternalInvariantError
+from .errors import InfeasibleError, InternalInvariantError
 from .bounds import numbering_bound_trees
 from .reduce import (ReductionTrace, kernel_numbering_tree, kernelize,
-                     large_indegree_witness, renormalize, rule0,
+                     large_indegree_witness, renormalize,
                      strip_cutvertices, verified_lift)
 
 
@@ -217,13 +217,15 @@ def approximate(d0):
 
 
 def approximate_each_root(d):
-    """Run the approximation with every vertex as root; yields (root, tree, report)."""
+    """Run the approximation with every vertex as root; yields (root, tree,
+    report) for each root that reaches every vertex, skipping those whose
+    strip raises InfeasibleError."""
     arcs = d.arc_set()
     for v in d.vertices:
-        cand = RootedDigraph(d.vertices, v, arcs)
-        if not rule0(cand):
+        try:
+            tree, report = approximate(RootedDigraph(d.vertices, v, arcs))
+        except InfeasibleError:
             continue
-        tree, report = approximate(cand)
         yield v, tree, report
 
 

@@ -37,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InternalInvariantError
+from .errors import InfeasibleError, InternalInvariantError
 
 
 class RootedDigraph:
@@ -455,10 +455,13 @@ def dominators_from_maps(root, out_map, in_map):
 
 
 def cutvertices(d):
-    """All non-root vertices whose removal makes something unreachable, ascending."""
-    idom = immediate_dominators(d)  # maps the reachable vertices only
+    """All non-root vertices whose removal makes something unreachable,
+    ascending.  The dominator pass maps exactly the vertices reachable from
+    the root, so this is also rule 0's check: InfeasibleError when one is
+    missed."""
+    idom = immediate_dominators(d)
     if len(idom) != d.n:
-        raise ValueError("digraph is not connected from the root")
+        raise InfeasibleError("some vertex is unreachable from the root")
     cuts = {idom[v] for v in d.vertices if v != d.root}
     cuts.discard(d.root)
     return sorted(cuts)
@@ -591,10 +594,11 @@ def grow_tree(d, internal=None, parent=None):
 
 
 def bfs_tree(d):
-    """Breadth-first spanning out-tree; every outneighbor of r is a root child."""
+    """Breadth-first spanning out-tree; every outneighbor of r is a root
+    child.  InfeasibleError when the root does not reach every vertex."""
     tree = grow_tree(d)
     if len(tree.parent) != d.n - 1:
-        raise ValueError("digraph is not connected from the root")
+        raise InfeasibleError("some vertex is unreachable from the root")
     return tree
 
 

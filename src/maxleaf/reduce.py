@@ -6,7 +6,7 @@ rule 3 deletes an arc (y, x) whenever the other in-neighbors of x cut y from
 the root.  Each rule preserves the maximum leaf number, and a spanning
 out-tree of the rewritten digraph can be lifted back without losing leaves.
 
-Rule 1 runs on one dominator tree per strip.  The cutvertices are the
+Rule 1 runs on one dominator pass per strip.  The cutvertices are the
 non-root vertices with a child in the dominator tree.  Splice lemma: deleting
 a cutvertex x and adding its shortcuts gives the dominator tree of the
 result by splicing x out, each child of x taking idom(x) as its parent,
@@ -16,8 +16,10 @@ tree: an arc into r lies on no simple root path, and a root path through an
 arc into a root outneighbor z has the shortcut (r, z) on a subset of its
 vertices, so neither kind of deletion changes a dominator; a root merge
 absorbs the root's only outneighbor u, whose idom is r, which is the same
-splice.  The tree certifies each cutvertex that a strip rewrites, and one
-fresh pass after the strip's last rewrite checks that it missed none.
+splice.  A splice hands children only to a parent that already had one, so
+no cutvertex appears and each stays one until it leaves the digraph: one
+pass lists every cutvertex a strip rewrites, and one fresh pass after the
+strip's last rewrite checks that it missed none.
 
 Rule 3 is decided once per head x: with A the non-root in-neighbors of x
 (at least two of them), (y, x) goes exactly when no in-neighbor of y is
@@ -105,13 +107,11 @@ parent map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop
 from typing import Optional
 
 from .digraph import (NormMergeStep, Outbranching, RootedDigraph, bfs_tree,
-                      find_cutvertex, grow_tree, immediate_dominators,
-                      is_connected, normalize, reachable, search,
-                      verify_outbranching)
+                      cutvertices, find_cutvertex, grow_tree, is_connected,
+                      normalize, reachable, search, verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .bounds import numbering_bound_trees
 
@@ -271,15 +271,15 @@ def rule0(d):
     return is_connected(d)
 
 
-def apply_rule1(d, x, tree=None):
+def apply_rule1(d, x, cuts=None):
     """Delete cutvertex x, adding (v, z) for every v in N-(x), z in N+(x)-v.
 
-    `tree`, a `_DominatorTree` of d, certifies x by giving it a child; one
-    is built when none is given.  Raises InfeasibleError when d is not
-    connected from the root."""
-    if tree is None:
-        tree = _DominatorTree(d)
-    if x == d.root or x not in tree.children:
+    `cuts`, a collection of d's cutvertices, certifies x by holding it;
+    `cutvertices(d)` is listed when none is given.  Raises InfeasibleError
+    when d is not connected from the root."""
+    if cuts is None:
+        cuts = cutvertices(d)
+    if x not in cuts:
         raise ValueError(f"vertex {x} is not a cutvertex")
     in_nbrs = d.in_neighbors(x)
     out_nbrs = d.out_neighbors(x)
@@ -447,79 +447,30 @@ def renormalize(d, steps):
     return d
 
 
-class _DominatorTree:
-    """The dominator tree of a digraph connected from the root, following
-    the rule 1 rewrites and normalization events of a strip.
-
-    The dominator pass maps exactly the vertices reachable from the root,
-    so building the tree is also rule 0's check: a missed vertex raises
-    InfeasibleError.  A splice never gives a child to a vertex without one,
-    so the cutvertices only ever leave: they sit in a min-heap that
-    `smallest_cutvertex` cleans lazily."""
-
-    def __init__(self, d):
-        self.root = d.root
-        self.idom = immediate_dominators(d)
-        if len(self.idom) != d.n:
-            raise InfeasibleError("some vertex is unreachable from the root")
-        self.children = {}
-        for v, p in self.idom.items():
-            if v != d.root:
-                self.children.setdefault(p, set()).add(v)
-        self.heap = sorted(v for v in self.children if v != d.root)
-
-    def splice(self, x):
-        """Drop x, handing its children to idom(x)."""
-        p = self.idom.pop(x)
-        siblings = self.children[p]
-        siblings.discard(x)
-        for c in self.children.pop(x, ()):
-            self.idom[c] = p
-            siblings.add(c)
-        if not siblings:
-            del self.children[p]
-
-    def follow(self, step):
-        """Update the tree for one trace step of a strip."""
-        if isinstance(step, Rule1Step):
-            self.splice(step.x)
-        elif isinstance(step, NormMergeStep):
-            self.splice(step.absorbed)
-
-    def smallest_cutvertex(self):
-        heap = self.heap
-        while heap and heap[0] not in self.children:
-            heappop(heap)
-        return heap[0] if heap else None
-
-
 def strip_cutvertices(d, steps):
     """Apply rule 1 until no cutvertex is left, re-normalizing after every
     rewrite and appending the steps; d itself comes back when it has none.
     Raises InfeasibleError when d is not connected from the root.
 
     Each rewrite takes the smallest cutvertex, as `find_cutvertex` would.
-    One dominator pass serves the whole strip: by the splice lemma (module
-    docstring) a rule 1 rewrite of x and a root merge of u each splice that
-    vertex out of the tree, handing its children to its parent, and
-    normalization's arc deletions leave it as it is.  The tree certifies
-    each cutvertex it hands to `apply_rule1`, so no rewrite pays a
-    traversal.  After the last rewrite one `find_cutvertex` pass checks the
-    spliced tree: a cutvertex it missed raises InternalInvariantError.  A
-    digraph without a cutvertex costs the tree's pass alone.
+    One dominator pass lists them all: by the splice lemma (module
+    docstring) the cutvertices of the rewritten digraph are always the
+    listed ones still present, so the strip rewrites those in ascending
+    order, skipping any that a root merge has absorbed, and the list
+    certifies each one for `apply_rule1`.  After the last rewrite one
+    `find_cutvertex` pass checks the list: a cutvertex it missed raises
+    InternalInvariantError.  A digraph without a cutvertex costs the one
+    pass alone.
     """
-    tree = _DominatorTree(d)
-    x = tree.smallest_cutvertex()
-    if x is None:
+    cuts = cutvertices(d)
+    if not cuts:
         return d
-    while x is not None:
-        mark = len(steps)
-        d, st = apply_rule1(d, x, tree)
-        steps.append(st)
-        d = renormalize(d, steps)
-        for step in steps[mark:]:
-            tree.follow(step)
-        x = tree.smallest_cutvertex()
+    listed = set(cuts)
+    for x in cuts:
+        if x in d.vertices:
+            d, st = apply_rule1(d, x, listed)
+            steps.append(st)
+            d = renormalize(d, steps)
     left = find_cutvertex(d)
     if left is not None:
         raise InternalInvariantError(
@@ -713,7 +664,8 @@ def decide(d, k):
         if witness.leaf_count >= k:
             return settle(witness)
 
-    if reduced.n >= 2 and reduced.outdeg(reduced.root) >= k:
+    # a breadth-first tree has a leaf below each root child, or a lone root
+    if max(reduced.outdeg(reduced.root), 1) >= k:
         return settle(bfs_tree(reduced))
 
     verdict = KernelDecision("REDUCED", None, reduced, trace, k)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from maxleaf import approx, bounds, digraph, stnum
+from maxleaf import approx, bounds, digraph, reduce, stnum
 from maxleaf.approx import (approximate, approximate_each_root, majbound_tree,
                             sqrt_opt_tree, weak_bipaths)
 from maxleaf.digraph import build, classify, normalize, verify_outbranching
@@ -17,8 +17,8 @@ from maxleaf.graphio import format_tree
 from maxleaf.reduce import kernelize, renormalize, rule0, strip_cutvertices
 from maxleaf.stnum import rr_numbering
 
-from support import (chain_planted_corpus, count_calls, random_instances, relabelled,
-                     rescanning_majbound_tree, two_connected_instances)
+from support import (chain_planted_corpus, count_calls, random_instances, raw_digraph,
+                     relabelled, rescanning_majbound_tree, two_connected_instances)
 
 
 def anchored_chains(chains, chain_len=1):
@@ -262,6 +262,25 @@ def test_approximate_each_root():
     results = dict((root, tree.leaf_count)
                    for root, tree, _ in approximate_each_root(d))
     assert set(results) == {0, 1, 2, 3}  # the cycle makes every root feasible
+
+
+def test_approximate_each_root_skips_exactly_the_infeasible_roots(monkeypatch):
+    # the strip's dominator pass is the only connectivity check: no root
+    # pays a reachability search, and the roots kept are those rule 0 keeps
+    corpus = [build(5, 0, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (3, 0)])]
+    corpus += [raw_digraph(4000 + seed) for seed in range(60)]
+    want = [[v for v in d.vertices if rule0(digraph.RootedDigraph(d.vertices, v, d.arcs()))]
+            for d in corpus]
+    assert want[0] == [3, 4]
+    assert sum(0 < len(w) < d.n for w, d in zip(want, corpus)) >= 10
+    searches = [count_calls(monkeypatch, mod, "reachable")
+                for mod in (digraph, reduce)]
+    for d, roots in zip(corpus, want):
+        got = [(v, tree) for v, tree, _ in approximate_each_root(d)]
+        assert [v for v, _ in got] == roots
+        assert all(verify_outbranching(digraph.RootedDigraph(d.vertices, v, d.arcs()), t).ok
+                   for v, t in got)
+    assert not any(searches)
 
 
 def test_sqrt_opt_small_family():

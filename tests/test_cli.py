@@ -47,6 +47,15 @@ def test_decide_reduced_writes_kernel(tmp_path):
     assert tr.read_text() == ""  # T_3 is already reduced
 
 
+def test_decide_k1_settles_the_one_vertex_graph(tmp_path):
+    g, w = tmp_path / "one.graph", tmp_path / "one.tree"
+    g.write_text("1 0 0\n")
+    code, out, _ = run(["decide", str(g), "-k", "1", "--witness", str(w)])
+    assert code == 0 and out == "TRUE (witness leaves=1)\n"
+    code, out, _ = run(["verify", str(g), str(w)])
+    assert code == 0 and out == "OK leaves=1\n"
+
+
 def test_decide_unreachable_vertex_is_false(tmp_path):
     g = tmp_path / "u.graph"
     g.write_text("3 1 0\n0 1\n")
@@ -96,6 +105,14 @@ def test_approx_all_roots(tmp_path):
     code, out, _ = run(["approx", str(g), "--all-roots"])
     assert code == 0
     assert out.startswith("root=")
+
+
+def test_approx_all_roots_with_no_feasible_root_is_infeasible(tmp_path):
+    g = tmp_path / "u.graph"
+    g.write_text("3 1 0\n0 1\n")
+    code, out, err = run(["approx", str(g), "--all-roots"])
+    assert code == 3 and out == ""
+    assert err == "infeasible: no root reaches every vertex\n"
 
 
 def test_exact_witness_round_trip(tmp_path):

@@ -10,6 +10,7 @@ from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
                              normalize, NormDeleteStep,
                              NormMergeStep, Outbranching, RootedDigraph,
                              reachable, verify_outbranching)
+from maxleaf.errors import InfeasibleError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.stnum import RootPathState, two_disjoint_root_paths
@@ -312,6 +313,19 @@ def test_bfs_tree_puts_root_children_first():
     t = bfs_tree(d)
     assert t.parent[1] == 0 and t.parent[2] == 0
     assert verify_outbranching(d, t).ok
+
+
+def test_bfs_tree_and_cutvertices_reject_unreachable_vertices_alike():
+    seen = 0
+    for d in [build(3, 0, [(0, 1)]), *map(raw_digraph, range(300))]:
+        if is_connected(d):
+            assert len(bfs_tree(d).parent) == d.n - 1
+            continue
+        for check in (bfs_tree, cutvertices):
+            with pytest.raises(InfeasibleError, match=r"^some vertex is unreachable from the root$"):
+                check(d)
+        seen += 1
+    assert seen >= 40
 
 
 @settings(max_examples=60, deadline=None)

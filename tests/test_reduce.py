@@ -7,8 +7,8 @@ import pytest
 from maxleaf import approx, digraph, reduce
 from maxleaf.approx import approximate
 from maxleaf.digraph import (NormDeleteStep, RootedDigraph, bfs_tree, build,
-                             cutvertices, find_cutvertex, immediate_dominators,
-                             normalize, reachable, verify_outbranching)
+                             cutvertices, find_cutvertex, normalize, reachable,
+                             verify_outbranching)
 from maxleaf.errors import InfeasibleError, InternalInvariantError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_dipath, gen_random, gen_star, gen_t_l
@@ -57,7 +57,7 @@ def test_rule1_check_matches_cutvertices():
         d = raw_digraph(900 + seed)
         try:
             cuts = cutvertices(d)
-        except ValueError:
+        except InfeasibleError:
             cuts = None
             disconnected += 1
         for x in d.vertices:
@@ -109,24 +109,23 @@ def test_rule1_certificate_from_the_dominator_tree():
         if not rule0(d):
             continue
         cuts = cutvertices(d)
-        tree = reduce._DominatorTree(d)
         for x in d.vertices:
             if x in cuts:
-                assert apply_rule1(d, x, tree) == apply_rule1(d, x)
+                assert apply_rule1(d, x, set(cuts)) == apply_rule1(d, x)
                 checked += 1
             else:
                 with pytest.raises(ValueError, match="cutvertex"):
-                    apply_rule1(d, x, tree)
+                    apply_rule1(d, x, set(cuts))
     assert checked > 50
 
 
-def test_strip_checks_its_dominator_tree(monkeypatch):
-    # 3 dominates 4 and 5, and 4 dominates 5: a tree that hangs 5 below 3
-    # hides the cutvertex 4, and the strip must not return it as a kernel
+def test_strip_checks_its_cutvertex_list(monkeypatch):
+    # 3 dominates 4 and 5, and 4 dominates 5: a list that drops 4 hides a
+    # cutvertex, and the strip must not return it as a kernel; only the
+    # strip's binding is patched, since find_cutvertex shares digraph's
     d = build(6, 0, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
     assert cutvertices(d) == [3, 4]
-    real = reduce.immediate_dominators
-    monkeypatch.setattr(reduce, "immediate_dominators", lambda g: {**real(g), 5: 3})
+    monkeypatch.setattr(reduce, "cutvertices", lambda g: [v for v in cutvertices(g) if v != 4])
     with pytest.raises(InternalInvariantError, match="4 is still a cutvertex"):
         strip_cutvertices(d, [])
     with pytest.raises(InternalInvariantError, match="4 is still a cutvertex"):
@@ -138,32 +137,22 @@ def test_strip_rejects_input_not_connected_from_the_root():
         strip_cutvertices(build(4, 0, [(0, 1), (1, 2)]), [])
 
 
-def spliced_trees(d):
-    """Strip d's cutvertices, then replay the steps one by one, following
-    each with the strip's dominator tree; yields (step, tree, replayed
-    digraph)."""
-    steps = []
-    stripped = strip_cutvertices(d, steps)
-    tree = reduce._DominatorTree(d)
-    for step in steps:
-        d = step.apply(d)
-        tree.follow(step)
-        yield step, tree, d
-    assert d == stripped
-
-
-def test_strip_splices_the_dominator_tree():
+def test_strip_keeps_the_listed_cutvertices():
     # the root's only outneighbor 5 dominates everything; rule 1 takes 1
     # first, and the renormalization after it merges 5 into the root
     root_merge = build(6, 0, [(0, 5), (5, 1), (5, 2), (1, 4), (2, 3), (3, 2), (4, 0)])
     corpus = [root_merge] + [d for d in map(raw_digraph, range(2000, 2600)) if rule0(d)]
     merges = events = 0
     for i, d in enumerate(corpus):
-        for step, tree, g in spliced_trees(d):
-            assert tree.idom == immediate_dominators(g)
-            assert tree.smallest_cutvertex() == (cutvertices(g) or [None])[0]
+        listed, steps = cutvertices(d), []
+        stripped = strip_cutvertices(d, steps)
+        g = d
+        for step in steps:
+            g = step.apply(g)
+            assert [x for x in listed if x in g.vertices] == cutvertices(g)
             merges += isinstance(step, NormMergeStep)
             events += 1
+        assert g == stripped
         if i == 0:
             assert merges == 1
     assert merges >= 5 and events > 500
@@ -659,6 +648,14 @@ def test_decide_t3():
 def test_decide_rejects_bad_k():
     with pytest.raises(ValueError):
         decide(gen_star(2), 0)
+
+
+def test_decide_settles_the_one_vertex_instance():
+    d = build(1, 0, [])
+    dec = decide(d, 1)
+    assert dec.verdict == "TRUE" and dec.witness == digraph.Outbranching(0, {})
+    assert dec.witness.leaf_count == 1 and verify_outbranching(d, dec.witness).ok
+    assert decide(d, 2).verdict == "REDUCED"
 
 
 def test_decide_false_on_unreachable():
