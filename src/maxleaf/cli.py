@@ -21,7 +21,7 @@ from .errors import (GraphFormatError, InfeasibleError, InternalInvariantError,
                      PreconditionError)
 from .exact import DEFAULT_LIMIT, maxleaf_exact
 from .gen import FAMILIES, GenSpec, generate
-from .reduce import decide, kernelize, rule0
+from .reduce import decide, kernelize
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -106,8 +106,6 @@ def cmd_approx(args, out, err):
 
 def cmd_exact(args, out, err):
     d = graphio.load_graph(args.graph)
-    if not rule0(d):
-        raise InfeasibleError("some vertex is unreachable from the root")
     result = maxleaf_exact(d, limit=args.limit)
     out.write(f"{result.maxleaf}\n")
     if args.witness:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .digraph import Outbranching, grow_tree, is_connected
-from .errors import InternalInvariantError, PreconditionError
+from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 
 DEFAULT_LIMIT = 20
 
@@ -41,13 +41,14 @@ class ExactResult:
 def maxleaf_exact(d, limit=DEFAULT_LIMIT):
     """Exact maximum leaf count plus an optimal witness tree.
 
-    Rejects instances above `limit` vertices or not connected from the root.
+    Raises InfeasibleError when some vertex is unreachable from the root,
+    and otherwise PreconditionError above `limit` vertices.
     """
+    if not is_connected(d):
+        raise InfeasibleError("some vertex is unreachable from the root")
     if d.n > limit:
         raise PreconditionError(
             f"instance has {d.n} vertices, above the exact-search limit {limit}")
-    if not is_connected(d):
-        raise ValueError("instance is not connected from the root")
     if d.n == 1:
         return ExactResult(1, Outbranching(d.root, {}), 0)
 

@@ -110,8 +110,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .digraph import (NormMergeStep, Outbranching, RootedDigraph, bfs_tree,
-                      cutvertices, find_cutvertex, grow_tree, is_connected,
-                      normalize, reachable, search, verify_outbranching)
+                      cutvertices, find_cutvertex, grow_tree, normalize,
+                      reachable, search, verify_outbranching)
 from .errors import InfeasibleError, InternalInvariantError, PreconditionError
 from .bounds import numbering_bound_trees
 
@@ -264,11 +264,6 @@ def verified_lift(d, tree, trace):
 
 
 # -- the rules -----------------------------------------------------------
-
-
-def rule0(d):
-    """True when every vertex is reachable from the root."""
-    return is_connected(d)
 
 
 def apply_rule1(d, x, cuts=None):

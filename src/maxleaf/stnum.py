@@ -10,9 +10,10 @@ in both families, each would close a cycle.  `in_sides` is the one place
 that decides an arc's family; both bound trees read it.
 
 Construction first deletes in-arcs of high-indegree vertices until every
-non-root vertex has indegree at most 2.  Each such vertex keeps the last
-arcs of two internally disjoint root paths; that alone keeps the digraph
-2-connected (see `reduce_indegrees`), so only the result is checked.  It
+non-root vertex has indegree at most 2.  Each such vertex keeps its arcs
+from two tails, the tails of the last arcs of two internally disjoint root
+paths; that alone keeps the digraph 2-connected (see `reduce_indegrees`),
+so only the result is checked, and only the tails are ever found.  It
 then repeatedly eliminates the smallest vertex of outdegree 0 (delete) or 1
 (contract into its outneighbor) from the reduction's working copy without
 the arcs into r, and finally reinserts the eliminated vertices in reverse
@@ -23,12 +24,12 @@ whose order labels are kept as in Bender, Cole, Demaine, Farach-Colton and
 Zito (ESA 2002) places each vertex in O(log n) amortized time, where a
 Python list's `index` and `insert` took O(n) (see `rr_numbering`).
 
-Neither stage rescans the digraph per vertex.  The path pairs are those of
-two breadth-first augmentations in the node-split unit network (vertex v
-becomes in(v) -> out(v) of capacity 1, 2 for r, arc (u, v) becomes
-out(u) -> in(v), every edge list sorted by vertex), each stopping when it
-discovers in(t) for the target t.  They are found on the digraph's own
-sorted arc lists, without the arcs into r, which lead to in(r) and end
+Neither stage rescans the digraph per vertex.  The kept tails end the
+paths of two breadth-first augmentations in the node-split unit network
+(vertex v becomes in(v) -> out(v) of capacity 1, 2 for r, arc (u, v)
+becomes out(u) -> in(v), every edge list sorted by vertex), each stopping
+when it discovers in(t) for the target t.  They are found on the digraph's
+own sorted arc lists, without the arcs into r, which lead to in(r) and end
 there.
 
 Tree-arc lemma.  Without flow, in(v) leads only to out(v), so the network
@@ -52,7 +53,10 @@ of each vi (and out of r) is skipped, entering vi continues at vi-1 (a
 dead end for v1), vi's reversed split edge sits at vi's own place in its
 sorted out-list, and the search stops when it discovers t.  The flow is
 then P plus the arcs this search used forward, minus the arcs of P it
-reversed (see `two_disjoint_root_paths`).
+reversed.  Its two arcs into in(t) are the arc of P from vk, never
+reversed, and the arc from the vertex whose out-node discovered in(t): those
+are t's two tails, and neither path is walked (see
+`two_disjoint_root_paths`).
 
 Shortcut lemma.  Let S be T's subtree at v1.  Augmenting along a shortest
 path brings no node closer to the source, so the second search reaches no
@@ -70,9 +74,11 @@ then T reached it first by (b); either way T would have discovered b from
 it.  Now let y be the in-neighbor of t other than vk that T reaches
 first.  out(vk) never expands, so when y lies outside S the same argument
 shows that no other in-neighbor of t expands before y: the second search
-discovers t from y, its path is y's tree path, and no search is needed.
-On `gen_random(1600, 4/1600, seed=1)` that holds for 1,357 of the 1,404
-vertices that `reduce_indegrees` visits.
+discovers t from y, so t's tails are vk and y, and no search is needed.
+y lies outside S exactly when the root child on its tree path is not v1,
+which `RootPathState` records per vertex.  On the cutvertex-free core of
+`gen_random(1600, 4/1600, seed=1)` that holds for 1,357 of the 1,404
+vertices that `reduce_indegrees` visits, so the search runs 47 times.
 
 Elimination never raises an outdegree, so its candidates come from a heap
 (see `rr_numbering`).
@@ -139,20 +145,29 @@ class RootPathState:
     removed.  `tree()` is the breadth-first tree of the out-lists from the
     root, the `search` map from each reached vertex to its parent (None for
     the root).  It is built on first use, together with each reached
-    vertex's place in the search (`_rank`, the map's order), and kept until
-    `delete_arc` removes one of its arcs (tree-arc lemma, module docstring).
+    vertex's place in the search (`_rank`, the map's order) and the root
+    child its tree path leaves the root through (`_top`, None for the
+    root), and kept until `delete_arc` removes one of its arcs (tree-arc
+    lemma, module docstring).
     """
 
     def __init__(self, d):
         r = self.root = d.root
-        self.out = {v: [w for w in d.out_neighbors(v) if w != r] for v in d.vertices}
-        self.inn = {v: [] if v == r else list(d.in_neighbors(v)) for v in d.vertices}
+        out = self.out = {v: list(d.out_neighbors(v)) for v in d.vertices}
+        for y in d.in_neighbors(r):
+            out[y].remove(r)
+        self.inn = {v: list(d.in_neighbors(v)) for v in d.vertices}
+        self.inn[r] = []
         self._tree = None
 
     def tree(self):
         if self._tree is None:
-            self._tree = search(self.out, [self.root])
-            self._rank = {v: i for i, v in enumerate(self._tree)}
+            r = self.root
+            tree = self._tree = search(self.out, [r])
+            self._rank = {v: i for i, v in enumerate(tree)}
+            top = self._top = {}
+            for v, u in tree.items():  # a parent comes before its children
+                top[v] = v if u == r else top.get(u)
         return self._tree
 
     def delete_arc(self, u, v):
@@ -162,22 +177,12 @@ class RootPathState:
             self._tree = None
 
 
-def _tree_path(parent, v):
-    path = []
-    while v is not None:
-        path.append(v)
-        v = parent[v]
-    path.reverse()
-    return path
-
-
 def _second_search(out, parent, succ, r, target):
     """The second augmentation's search (search lemma, module docstring):
-    a map from each vertex z it discovered to the vertex y whose out-node
-    discovered in(z), y == z standing for a reversed split edge, or None
-    when it never discovers `target`.  `succ` maps each vertex of P but
-    `target` to its successor on P."""
-    via = {}
+    the vertex whose out-node discovers in(`target`), which is the tail of
+    the second path's last arc, or None when it never discovers `target`.
+    `succ` maps each vertex of P but `target` to its successor on P."""
+    seen = set()  # the vertices whose in-node the search discovered
     queue = [r]
     for y in queue:
         heads = out[y]
@@ -187,11 +192,11 @@ def _second_search(out, parent, succ, r, target):
             if y != r:
                 insort(heads, y)
         for z in heads:
-            if z in via:
+            if z in seen:
                 continue
-            via[z] = y
             if z == target:
-                return via
+                return y
+            seen.add(z)
             if z not in succ:
                 queue.append(z)
             elif parent[z] != r:
@@ -200,22 +205,23 @@ def _second_search(out, parent, succ, r, target):
 
 
 def two_disjoint_root_paths(state, target):
-    """Two internally vertex-disjoint paths from the root to `target` over
-    the live arc lists of a `RootPathState`, or None.
+    """The tails `(parent, other)` of the last arcs of two internally
+    vertex-disjoint paths from the root to `target` over the live arc lists
+    of a `RootPathState`, or None when no such pair exists.
 
-    These are the paths of two breadth-first augmentations in the
-    digraph's node-split unit network, read from the flow smallest first,
-    and found without that network (module docstring).  The first is
+    The paths are those of two breadth-first augmentations in the
+    digraph's node-split unit network, and their tails are found without
+    that network or the paths (module docstring).  The first path is
     `target`'s path P = r, v1, ..., target in `state.tree()` (tree-arc
-    lemma).  When the in-neighbor y of `target` that the tree's search
-    reached first, other than its parent, lies outside v1's subtree, the
-    second is y's tree path and `target` (shortcut lemma).  Otherwise a
-    breadth-first search of the out-lists finds it: the search skips the
-    arc of P out of each vertex of P, continues at v(i-1) on entering
-    v(i), and offers v(i) itself at its own place in v(i)'s out-list
-    (search lemma).  The flow is then P plus the arcs that search used
-    forward, minus the arcs of P it reversed.  Nothing in `state` changes,
-    also when the result is None.
+    lemma), so `parent` is `target`'s tree parent.  `other` is the
+    in-neighbor y of `target` that the tree's search reached first, other
+    than its parent, when y's tree path leaves the root through another
+    child than v1 (shortcut lemma).  Otherwise it is the vertex from which
+    a breadth-first search of the out-lists discovers `target`: the search
+    skips the arc of P out of each vertex of P, continues at v(i-1) on
+    entering v(i), and offers v(i) itself at its own place in v(i)'s
+    out-list (search lemma).  Nothing in `state` changes, also when the
+    result is None.
     """
     r = state.root
     if target == r:
@@ -223,42 +229,24 @@ def two_disjoint_root_paths(state, target):
     parent = state.tree()
     if target not in parent:
         return None
-    first = _tree_path(parent, target)
-    others = [y for y in state.inn[target] if y in parent and y != parent[target]]
-    if not others:
+    first, rank = parent[target], state._rank
+    other = None
+    for y in state.inn[target]:  # the first in the search, but for `first`
+        i = rank.get(y)
+        if i is not None and y != first and (other is None or i < least):
+            other, least = y, i
+    if other is None:
         return None  # out(parent) never expands, so nothing discovers in(target)
-    second = _tree_path(parent, min(others, key=state._rank.__getitem__))
-    if second[1] != first[1]:
-        return sorted([first, second + [target]])
+    if state._top[other] != state._top[target]:
+        return first, other
 
-    succ = dict(zip(first, first[1:]))
-    via = _second_search(state.out, parent, succ, r, target)
-    if via is None:
-        return None
-    # walk the second path back: out(y) was entered from in(y), or for y on
-    # P over the reversed arc from in(succ[y])
-    flow = set(succ.items())
-    x = target
-    while True:
-        y = via[x]
-        if y != x:
-            flow.add((y, x))
-        if y == r:
-            break
-        if y in succ:
-            flow.discard((y, succ[y]))
-            x = succ[y]
-        else:
-            x = y
-    nxt = {u: v for u, v in flow if u != r}
-    paths = []
-    for v in sorted(v for u, v in flow if u == r):
-        path = [r, v]
-        while v != target:
-            v = nxt[v]
-            path.append(v)
-        paths.append(path)
-    return paths
+    succ = {}
+    v = target
+    while v != r:
+        succ[parent[v]] = v
+        v = parent[v]
+    other = _second_search(state.out, parent, succ, r, target)
+    return None if other is None else (first, other)
 
 
 def reduce_indegrees(d):
@@ -266,21 +254,23 @@ def reduce_indegrees(d):
     returns a working copy of `d` (`RootedDigraph.thaw`) without the
     deleted arcs, and never changes `d`.
 
-    For each vertex x of indegree above 2, in ascending order, the two
-    in-arcs that end a pair of internally disjoint root paths are kept and
-    every other in-arc of x is deleted.  No deletion needs its own check:
-    if some z lost every root path avoiding a vertex w, its old path that
-    avoided w used a deleted arc (y, x); its suffix from x avoids w, and one
-    kept path to x avoids w too, so together they reach z again.  Deleting
+    For each vertex x of indegree above 2, in ascending order, the in-arcs
+    from x's two tails (`two_disjoint_root_paths`) are kept and every other
+    in-arc of x is deleted.  No deletion needs its own check: if some z
+    lost every root path avoiding a vertex w, its old path that avoided w
+    used a deleted arc (y, x); its suffix from x avoids w, and the two tails
+    end internally disjoint root paths, so one of them ends a root path
+    that avoids w and, with its kept arc, reaches x: together they reach z
+    again.  Deleting
     arcs never repairs a cut, so one 2-connectivity check of the result
     guards all deletions and proves the input 2-connected.  Only after a
     failure (no path pair, or a result that fails the check) is the input
     checked, to tell ValueError from a bug.
 
     One `RootPathState` serves every vertex, and its breadth-first tree is
-    never rebuilt.  The first path of x's pair is x's path in that tree,
-    and the second search stops on discovering x without continuing from
-    it, so it never reverses the tree arc into x: that arc is always kept.
+    never rebuilt.  x's first tail is its parent in that tree, and the
+    second search stops on discovering x without continuing from it, so it
+    never reverses the tree arc into x: that arc is always kept.
     Every deleted arc thus lies outside the tree, and since the search
     never used it to discover a vertex, the tree without it is the same
     (tree-arc lemma, module docstring).  The state is dropped before the
@@ -297,10 +287,10 @@ def reduce_indegrees(d):
             continue
         if state is None:
             state = RootPathState(d)
-        paths = two_disjoint_root_paths(state, x)
-        if paths is None:
+        pair = two_disjoint_root_paths(state, x)
+        if pair is None:
             _reduction_failed(d, f"no disjoint path pair to {x} in a 2-connected digraph")
-        kept[x] = keep = {p[-2] for p in paths}
+        kept[x] = keep = set(pair)
         for y in d.in_neighbors(x):
             if y not in keep:
                 state.delete_arc(y, x)

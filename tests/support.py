@@ -19,7 +19,7 @@ from maxleaf.gen import gen_random
 from maxleaf.reduce import (ReductionTrace, Rule1Step, Rule2Step, Rule3Step,
                             apply_rule1, apply_rule2, apply_rule3, find_bipath4,
                             find_rule3, iter_bipath4, iter_rule3, renormalize,
-                            rule0, strip_cutvertices)
+                            strip_cutvertices)
 from maxleaf.digraph import cutvertices as idom_cutvertices
 
 
@@ -197,7 +197,7 @@ def chain_planted_corpus(count, seed_base, raw):
             for u, v in zip([a] + chain, chain + [b]):
                 arcs += [(u, v), (v, u)]
         d = RootedDigraph(vertices, base.root, arcs)
-        if rule0(d):
+        if is_connected(d):
             out.append(d)
         seed += 1
     return out
@@ -1072,7 +1072,7 @@ def fixpoint_kernelize(d):
     """Rule 1 to exhaustion, rule 3 to exhaustion, then one rule 2
     contraction, re-normalizing after every rewrite, in a loop that repeats
     until a whole round rewrites nothing."""
-    if not rule0(d):
+    if not is_connected(d):
         raise InfeasibleError("some vertex is unreachable from the root")
     steps = []
     work = d

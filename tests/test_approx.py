@@ -9,12 +9,12 @@ import pytest
 from maxleaf import approx, bounds, digraph, reduce, stnum
 from maxleaf.approx import (approximate, approximate_each_root, majbound_tree,
                             sqrt_opt_tree, weak_bipaths)
-from maxleaf.digraph import build, classify, normalize, verify_outbranching
+from maxleaf.digraph import build, classify, is_connected, normalize, verify_outbranching
 from maxleaf.errors import InfeasibleError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_dipath, gen_random, gen_star, gen_t_l
 from maxleaf.graphio import format_tree
-from maxleaf.reduce import kernelize, renormalize, rule0, strip_cutvertices
+from maxleaf.reduce import kernelize, renormalize, strip_cutvertices
 from maxleaf.stnum import rr_numbering
 
 from support import (chain_planted_corpus, count_calls, random_instances, raw_digraph,
@@ -123,7 +123,7 @@ def chain_skeleton(seed):
 
 
 def test_majbound_matches_rescanning_reference(monkeypatch):
-    corpus = [d for d in map(chain_skeleton, range(40)) if rule0(d)]
+    corpus = [d for d in map(chain_skeleton, range(40)) if is_connected(d)]
     corpus += chain_planted_corpus(60, 9100, raw=False)
     for seed in range(30):
         n = random.Random(seed).randint(20, 80)
@@ -269,7 +269,7 @@ def test_approximate_each_root_skips_exactly_the_infeasible_roots(monkeypatch):
     # pays a reachability search, and the roots kept are those rule 0 keeps
     corpus = [build(5, 0, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (3, 0)])]
     corpus += [raw_digraph(4000 + seed) for seed in range(60)]
-    want = [[v for v in d.vertices if rule0(digraph.RootedDigraph(d.vertices, v, d.arcs()))]
+    want = [[v for v in d.vertices if is_connected(digraph.RootedDigraph(d.vertices, v, d.arcs()))]
             for d in corpus]
     assert want[0] == [3, 4]
     assert sum(0 < len(w) < d.n for w, d in zip(want, corpus)) >= 10

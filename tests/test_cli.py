@@ -172,8 +172,14 @@ def test_infeasible_exit_code(tmp_path):
     g.write_text("3 1 0\n0 1\n")
     code, _, _ = run(["approx", str(g)])
     assert code == 3
-    code, _, _ = run(["exact", str(g)])
-    assert code == 3
+    # exact makes one reachability check, inside maxleaf_exact, and makes it
+    # before the size check, so an unreachable vertex exits 3 at any size
+    big = tmp_path / "big.graph"
+    big.write_text("30 1 0\n0 1\n")
+    for path in (g, big):
+        code, _, err = run(["exact", str(path)])
+        assert code == 3
+        assert err == "infeasible: some vertex is unreachable from the root\n"
 
 
 def test_graph_file_round_trip(tmp_path):

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from maxleaf.digraph import build, is_connected, reachable, verify_outbranching
+from maxleaf.errors import InfeasibleError, PreconditionError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_bipath_chain, gen_random, gen_star, gen_t_l
 
@@ -31,10 +32,12 @@ def test_bipath_chain_has_one_leaf():
 
 
 def test_rejects_oversize_and_disconnected():
-    with pytest.raises(ValueError, match="limit"):
+    with pytest.raises(PreconditionError, match="limit"):
         maxleaf_exact(gen_star(25))
-    with pytest.raises(ValueError, match="connected"):
-        maxleaf_exact(build(3, 0, [(0, 1)]))
+    # reachability is checked first, as the CLI's exit code 3 reports it
+    for d in (build(3, 0, [(0, 1)]), build(25, 0, [(0, 1)])):
+        with pytest.raises(InfeasibleError, match="^some vertex is unreachable from the root$"):
+            maxleaf_exact(d)
     assert maxleaf_exact(gen_star(25), limit=30).maxleaf == 25
 
 
@@ -84,7 +87,7 @@ def test_matches_enumerating_oracle():
     searched = 0
     for d in cases:
         if not is_connected(d):
-            with pytest.raises(ValueError, match="connected"):
+            with pytest.raises(InfeasibleError, match="unreachable from the root"):
                 maxleaf_exact(d)
             continue
         want = enumerating_exact(d)

@@ -1,10 +1,9 @@
 import pytest
 
-from maxleaf.digraph import is_2connected
+from maxleaf.digraph import is_2connected, is_connected
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import (FAMILIES, GenSpec, gen_bipath_chain, gen_boloney,
                          gen_dipath, gen_random, gen_star, gen_t_l, generate)
-from maxleaf.reduce import rule0
 
 from support import is_normalized
 
@@ -52,7 +51,7 @@ def test_random_deterministic_and_normalized():
         b = gen_random(9, 0.35, seed)
         assert a == b
         assert is_normalized(a)
-        assert rule0(a)
+        assert is_connected(a)
 
 
 def test_star_dipath_bipath_shapes():

@@ -24,11 +24,11 @@ import sys
 from pathlib import Path
 
 from maxleaf.approx import approximate, sqrt_opt_tree
-from maxleaf.digraph import RootedDigraph, build, find_cutvertex, normalize
+from maxleaf.digraph import RootedDigraph, build, find_cutvertex, is_connected, normalize
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.graphio import format_graph
-from maxleaf.reduce import apply_rule1, decide, kernelize, rule0
+from maxleaf.reduce import apply_rule1, decide, kernelize
 from maxleaf.stnum import rr_numbering
 
 from support import random_with_chain, raw_digraph
@@ -141,7 +141,7 @@ def approx_core(d):
 
 
 def numbering_facet(d):
-    if not rule0(d):
+    if not is_connected(d):
         return None
     core = approx_core(d)
     return list(rr_numbering(core).order) if core.n > 2 else None

@@ -7,8 +7,8 @@ import pytest
 from maxleaf import approx, digraph, reduce
 from maxleaf.approx import approximate
 from maxleaf.digraph import (NormDeleteStep, RootedDigraph, bfs_tree, build,
-                             cutvertices, find_cutvertex, normalize, reachable,
-                             verify_outbranching)
+                             cutvertices, find_cutvertex, is_connected, normalize,
+                             reachable, verify_outbranching)
 from maxleaf.errors import InfeasibleError, InternalInvariantError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_dipath, gen_random, gen_star, gen_t_l
@@ -16,8 +16,7 @@ from maxleaf.reduce import (NormMergeStep, ReductionTrace, Rule1Step, Rule2Step,
                             Rule3Step, apply_rule1, apply_rule2, apply_rule3,
                             decide, find_bipath4, find_rule3, is_bipath4,
                             iter_bipath4, iter_rule3, kernelize,
-                            large_indegree_witness, lift, rule0,
-                            strip_cutvertices)
+                            large_indegree_witness, lift, strip_cutvertices)
 
 from support import (all_rule_applications, brute_cutvertices, chain_planted_corpus,
                      count_calls, fixpoint_kernelize, looped_large_indegree_witness,
@@ -27,9 +26,10 @@ from support import (all_rule_applications, brute_cutvertices, chain_planted_cor
 
 
 def test_rule0():
-    assert rule0(gen_star(2))
-    assert not rule0(build(3, 0, [(0, 1)]))
-    assert rule0(gen_random(8, 0.3, 3))
+    """Rule 0, every vertex reachable from the root, is `is_connected`."""
+    assert is_connected(gen_star(2))
+    assert not is_connected(build(3, 0, [(0, 1)]))
+    assert is_connected(gen_random(8, 0.3, 3))
 
 
 def test_rule1_smallest_case():
@@ -106,7 +106,7 @@ def test_rule1_accepts_exactly_the_brute_force_cutvertices():
 def test_rule1_certificate_from_the_dominator_tree():
     checked = 0
     for d in map(raw_digraph, range(1100, 1200)):
-        if not rule0(d):
+        if not is_connected(d):
             continue
         cuts = cutvertices(d)
         for x in d.vertices:
@@ -141,7 +141,7 @@ def test_strip_keeps_the_listed_cutvertices():
     # the root's only outneighbor 5 dominates everything; rule 1 takes 1
     # first, and the renormalization after it merges 5 into the root
     root_merge = build(6, 0, [(0, 5), (5, 1), (5, 2), (1, 4), (2, 3), (3, 2), (4, 0)])
-    corpus = [root_merge] + [d for d in map(raw_digraph, range(2000, 2600)) if rule0(d)]
+    corpus = [root_merge] + [d for d in map(raw_digraph, range(2000, 2600)) if is_connected(d)]
     merges = events = 0
     for i, d in enumerate(corpus):
         listed, steps = cutvertices(d), []
@@ -159,7 +159,7 @@ def test_strip_keeps_the_listed_cutvertices():
 
 
 def test_strip_traces_match_recomputing_strip():
-    corpus = [d for d in map(raw_digraph, range(2600, 2900)) if rule0(d)]
+    corpus = [d for d in map(raw_digraph, range(2600, 2900)) if is_connected(d)]
     corpus += random_instances(40, 20, 80, seed_base=2900, p_lo=0.02, p_hi=0.08)
     total = 0
     for d in corpus:
@@ -259,7 +259,7 @@ def test_rule3_decisions_match_per_arc_oracle():
     disconnected = accepted = 0
     for seed in range(200):
         d = raw_digraph(500 + seed)
-        disconnected += not rule0(d)
+        disconnected += not is_connected(d)
         want = [(x, y) for x in d.vertices if x != d.root
                 for y in d.in_neighbors(x) if y != d.root and per_arc_rule3(d, x, y)]
         assert list(iter_rule3(d)) == want
@@ -315,7 +315,7 @@ def test_kernelize_output_admits_no_rule():
 def test_kernelize_matches_fixpoint_loop():
     raw = chain_planted_corpus(150, 7000, raw=True)
     corpus = raw + chain_planted_corpus(150, 7000, raw=False)
-    corpus += [d for d in map(raw_digraph, range(7400, 7650)) if rule0(d)][:150]
+    corpus += [d for d in map(raw_digraph, range(7400, 7650)) if is_connected(d)][:150]
     for seed in range(7700, 7800):
         n = random.Random(seed).randint(10, 60)
         corpus.append(gen_random(n, random.Random(-seed).uniform(1.2 / n, 3 / n), seed))
@@ -417,7 +417,7 @@ def test_recorded_heads_match_the_full_illegal_arc_walk(monkeypatch):
     finds every illegal arc there."""
     corpus = chain_planted_corpus(60, 9100, raw=True)
     corpus += chain_planted_corpus(60, 9100, raw=False)
-    corpus += [d for d in map(raw_digraph, range(9300, 9500)) if rule0(d)]
+    corpus += [d for d in map(raw_digraph, range(9300, 9500)) if is_connected(d)]
     # a new root whose one arc enters the old root: normalization merges
     corpus += [RootedDigraph([*d.vertices, d.n], d.n, d.arcs() + [(d.n, d.root)])
                for d in corpus[:60]]
@@ -446,7 +446,7 @@ def test_lift_matches_stepwise_lift(monkeypatch):
     spanning trees of each kernel, lift as the step-by-step copies do."""
     corpus = chain_planted_corpus(60, 9600, raw=True)
     corpus += chain_planted_corpus(40, 9600, raw=False)
-    corpus += [d for d in map(raw_digraph, range(9700, 9900)) if rule0(d)]
+    corpus += [d for d in map(raw_digraph, range(9700, 9900)) if is_connected(d)]
     corpus += mixed_rule_corpus(40, seed_base=9900)
     corpus += [RootedDigraph([*d.vertices, d.n], d.n, d.arcs() + [(d.n, d.root)])
                for d in corpus[:60]]
@@ -485,7 +485,7 @@ def assert_same_digraph(work, d):
 def test_work_graph_rewrites_match_rebuilt_digraphs():
     """Random sequences of rule 1, rule 2, rule 3 and normalization rewrites,
     applied in place to one working graph and rebuilt from the arc list."""
-    corpus = [d for d in map(raw_digraph, range(3000, 3300)) if rule0(d)]
+    corpus = [d for d in map(raw_digraph, range(3000, 3300)) if is_connected(d)]
     corpus += chain_planted_corpus(80, 3300, raw=True)
     # a new root whose one arc enters the old root: normalization merges
     corpus += [RootedDigraph([*d.vertices, d.n], d.n, d.arcs() + [(d.n, d.root)])
@@ -520,7 +520,7 @@ def test_work_graph_rewrites_match_rebuilt_digraphs():
 
 
 def test_rule3_resumed_scan_matches_full_scan(monkeypatch):
-    corpus = [strip_cutvertices(d, []) for d in map(raw_digraph, range(3500, 3800)) if rule0(d)]
+    corpus = [strip_cutvertices(d, []) for d in map(raw_digraph, range(3500, 3800)) if is_connected(d)]
     corpus += [strip_cutvertices(d, []) for d in chain_planted_corpus(100, 3800, raw=False)]
     corpus += [relabelled(gen_t_l(l), l) for l in range(3, 8)]
     searched = []  # the number of non-root in-neighbors of each head searched
@@ -608,7 +608,7 @@ def test_large_indegree_witness_rejects_unreduced():
 
 def test_large_indegree_witness_searches_only_for_blocked_tree_paths(monkeypatch):
     searches = count_calls(monkeypatch, reduce, "search")
-    corpus = [kernelize(d)[0] for d in map(raw_digraph, range(200)) if rule0(d)]
+    corpus = [kernelize(d)[0] for d in map(raw_digraph, range(200)) if is_connected(d)]
     witnesses = 0
     for d in corpus:
         for x in d.vertices:
@@ -667,8 +667,8 @@ def test_entry_points_gate_connectivity_on_the_dominator_pass(monkeypatch):
     # is reported by the first dominator pass
     raw = list(map(raw_digraph, range(13000, 13150)))
     probe_free = [gen_t_l(4), gen_star(3), gen_dipath(5)]
-    connected = probe_free + [d for d in raw if rule0(d)]
-    unreachable = [build(3, 0, [(0, 1)])] + [d for d in raw if not rule0(d)]
+    connected = probe_free + [d for d in raw if is_connected(d)]
+    unreachable = [build(3, 0, [(0, 1)])] + [d for d in raw if not is_connected(d)]
     callers = []
     real = digraph.reachable
 

@@ -96,6 +96,11 @@ def test_search_matches_the_loops_it_replaced():
             expected_tree, expected_rank = looped_root_path_tree(state)
             assert list(tree.items()) == list(expected_tree.items())
             assert state._rank == expected_rank
+            for v in tree:  # the root child on v's tree path, None for the root
+                u = v
+                while tree[u] not in (None, state.root):
+                    u = tree[u]
+                assert state._top[v] == (None if v == state.root else u)
             counts["rank"] += 1
             live = [(u, v) for u in state.out for v in state.out[u]]
             if not live:

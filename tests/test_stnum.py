@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxleaf import stnum
-from maxleaf.digraph import (RootedDigraph, build, is_2connected, normalize,
+from maxleaf.digraph import (RootedDigraph, build, is_2connected, is_connected, normalize,
                              reachable, verify_outbranching)
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
-from maxleaf.reduce import renormalize, rule0, strip_cutvertices
+from maxleaf.reduce import renormalize, strip_cutvertices
 from maxleaf.errors import InternalInvariantError
 from maxleaf.stnum import (RootPathState, in_sides, reduce_indegrees, rr_numbering,
                            two_disjoint_root_paths, validate_numbering)
@@ -79,28 +79,45 @@ def test_reduce_indegrees_rejects_cut():
         reduce_indegrees(build(3, 0, [(0, 1), (1, 2)]))
 
 
+def path_tails(paths):
+    """The tails of the last arcs of an oracle's path pair, or None."""
+    return None if paths is None else {p[-2] for p in paths}
+
+
+def assert_tails(state, v, paths):
+    """`two_disjoint_root_paths(state, v)` is v's tree parent and one other
+    in-neighbor, and the two are the last tails of `paths`, an oracle's
+    path pair (None when it has none)."""
+    pair = two_disjoint_root_paths(state, v)
+    if paths is None:
+        assert pair is None
+    else:
+        assert pair[0] == state.tree()[v] and set(pair) == path_tails(paths)
+    return pair
+
+
 def test_two_disjoint_root_paths():
     d = sandwich_example()
-    paths = two_disjoint_root_paths(RootPathState(d), 3)
-    assert paths is not None
-    a, b = paths
-    assert a[0] == b[0] == 0 and a[-1] == b[-1] == 3
-    assert not (set(a[1:-1]) & set(b[1:-1]))
+    assert two_disjoint_root_paths(RootPathState(d), 3) == (1, 2)
     path = build(3, 0, [(0, 1), (1, 2)])
     assert two_disjoint_root_paths(RootPathState(path), 2) is None
 
 
-def test_second_search_walks_back_along_the_tree_path():
-    # the tree path to 4 is 0, 1, 2, 5, 4; the second search enters 5 from 7,
-    # reverses the arcs (2, 5) and (1, 2) through 2's split edge, and leaves 1
-    # for 9: 2 drops out of both paths
+def test_second_search_walks_back_along_the_tree_path(monkeypatch):
+    # the tree path to 4 is 0, 1, 2, 5, 4 and 4's other in-neighbor 8 hangs
+    # below 1 too, so the second search runs: it enters 5 from 7, reverses
+    # the arcs (2, 5) and (1, 2) through 2's split edge, and leaves 1 for 9,
+    # the paths 0, 1, 9, 8, 4 and 0, 6, 3, 7, 5, 4, which end in 8 and 5
     d = build(10, 0, [(0, 1), (0, 6), (1, 2), (1, 9), (2, 5), (3, 7), (5, 4), (6, 3),
                       (7, 5), (8, 4), (9, 8)])
     state = RootPathState(d)
     assert [state.tree()[v] for v in (4, 5, 2, 1)] == [5, 2, 1, 0]
-    expected = [[0, 1, 9, 8, 4], [0, 6, 3, 7, 5, 4]]
-    assert two_disjoint_root_paths(state, 4) == expected
-    assert rescanning_disjoint_root_paths(RootPathNetwork(d), 4) == expected
+    searches = []
+    real_search = stnum._second_search
+    monkeypatch.setattr(stnum, "_second_search",
+                        lambda *args: searches.append(args[-1]) or real_search(*args))
+    assert two_disjoint_root_paths(state, 4) == (5, 8) and searches == [4]
+    assert path_tails(rescanning_disjoint_root_paths(RootPathNetwork(d), 4)) == {8, 5}
 
 
 def test_numbering_on_families():
@@ -216,11 +233,15 @@ def test_reduce_indegrees_matches_checked_oracle(monkeypatch):
 
 
 def test_disjoint_root_paths_match_fresh_flow():
-    for d in oracle_corpus()[::3]:
+    found = missing = 0
+    for d in oracle_corpus()[::3] + raw_two_connected_with_root_in_arcs(50, seed_base=3200):
         state = RootPathState(d)
         for v in d.vertices:
             if v != d.root:
-                assert two_disjoint_root_paths(state, v) == flow_disjoint_root_paths(d, v)
+                pair = assert_tails(state, v, flow_disjoint_root_paths(d, v))
+                found += pair is not None
+                missing += pair is None
+    assert found > 1000 and missing > 0  # a root outneighbor may have no other in-arc
 
 
 def test_disjoint_root_paths_leave_the_state_unchanged():
@@ -234,7 +255,7 @@ def test_disjoint_root_paths_leave_the_state_unchanged():
 
         def snapshot():
             return ([{u: list(ws) for u, ws in lists.items()} for lists in (state.out, state.inn)]
-                    + [dict(tree), dict(state._rank)])
+                    + [dict(tree), dict(state._rank), dict(state._top)])
 
         before = snapshot()
         for v in d.vertices:
@@ -243,6 +264,19 @@ def test_disjoint_root_paths_leave_the_state_unchanged():
                 assert state.tree() is tree and snapshot() == before
                 checked += 1
     assert checked > 500 and missing > 0
+
+
+def test_reduce_indegrees_searches_for_few_tails(monkeypatch):
+    # the shortcut lemma's figures in the module docstring
+    d = cutvertex_free_core(gen_random(1600, 4 / 1600, seed=1))
+    pairs, searches = [], []
+    real_pair, real_search = stnum.two_disjoint_root_paths, stnum._second_search
+    monkeypatch.setattr(stnum, "two_disjoint_root_paths",
+                        lambda state, x: pairs.append(x) or real_pair(state, x))
+    monkeypatch.setattr(stnum, "_second_search",
+                        lambda *args: searches.append(args[-1]) or real_search(*args))
+    reduce_indegrees(d)
+    assert len(pairs) == 1404 and len(searches) == 47 and set(searches) <= set(pairs)
 
 
 def test_reduce_indegrees_checks_once(monkeypatch):
@@ -322,7 +356,7 @@ def test_reduce_indegrees_blames_itself_on_a_2connected_input(monkeypatch):
     with pytest.raises(InternalInvariantError, match="no disjoint path pair"):
         reduce_indegrees(d)
     # a bogus pair keeps one in-arc of 4 only: the result fails its check
-    monkeypatch.setattr(stnum, "two_disjoint_root_paths", lambda state, x: [[0, 1, x]] * 2)
+    monkeypatch.setattr(stnum, "two_disjoint_root_paths", lambda state, x: (1, 1))
     with pytest.raises(InternalInvariantError, match="broke 2-connectivity"):
         reduce_indegrees(d)
 
@@ -421,9 +455,7 @@ def test_disjoint_root_paths_match_rescanning_search(monkeypatch):
         rng = random.Random(i)
         for round_ in range(4):
             for v in targets:
-                paths = two_disjoint_root_paths(state, v)
-                assert paths == rescanning_disjoint_root_paths(network, v)
-                missing += paths is None
+                missing += assert_tails(state, v, rescanning_disjoint_root_paths(network, v)) is None
                 calls += 1
             if round_ == 3:
                 break
@@ -459,8 +491,8 @@ def test_disjoint_root_paths_exist_exactly_when_the_network_has_them(n, data):
     state, network = RootPathState(d), RootPathNetwork(d)
     for v in d.vertices:
         if v != root:
-            paths = two_disjoint_root_paths(state, v)
-            assert (paths is None) == (rescanning_disjoint_root_paths(network, v) is None)
+            paths = rescanning_disjoint_root_paths(network, v)
+            assert_tails(state, v, paths)
             if paths is not None:
                 assert all(p[0] == root and p[-1] == v for p in paths)
                 assert not set(paths[0][1:-1]) & set(paths[1][1:-1])
@@ -481,7 +513,8 @@ def test_reduce_indegrees_and_numbering_match_rescanning_search(monkeypatch):
     orders = [rr_numbering(d).order for d in corpus]
     assert len(tree_arcs_deleted) > 1000 and not any(tree_arcs_deleted)
     monkeypatch.setattr(stnum, "RootPathState", RootPathNetwork)
-    monkeypatch.setattr(stnum, "two_disjoint_root_paths", rescanning_disjoint_root_paths)
+    monkeypatch.setattr(stnum, "two_disjoint_root_paths",
+                        lambda network, x: path_tails(rescanning_disjoint_root_paths(network, x)))
     assert [reduce_indegrees(d).freeze() for d in corpus] == reduced
     assert [rr_numbering(d).order for d in corpus] == orders
 
@@ -495,7 +528,7 @@ def test_numbering_matches_rescanning_elimination():
 
 def test_bound_trees_match_split_and_trim_oracles():
     corpus = differential_corpus()
-    corpus += [approx_core(d) for _, d, _, every in golden_corpus() if every and rule0(d)]
+    corpus += [approx_core(d) for _, d, _, every in golden_corpus() if every and is_connected(d)]
     corpus += two_connected_instances(40, 5, 14, seed_base=2600)
     corpus += two_connected_instances(20, 5, 14, seed_base=50, oriented=True, p_lo=0.1, p_hi=0.3)
     anchored = 0
