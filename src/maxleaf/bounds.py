@@ -99,12 +99,6 @@ def _out_lists(ins):
     return out
 
 
-def topological_order(d):
-    """Topological order from the root, or None when the digraph has a cycle."""
-    order = _kahn(d._out, d._in, [v for v in d.vertices if not d.indeg(v)])
-    return order if len(order) == d.n else None
-
-
 def acyclic_many_leaves(root, ins):
     """Out-tree of an acyclic rooted digraph connected from the root with at
     least (l + d(r) - 1)/3 + 1 leaves, where l counts the indegree->=2

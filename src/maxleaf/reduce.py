@@ -54,31 +54,26 @@ u, x and z, and only by renaming y to x.  So on a digraph with no cutvertex
 and no rule 3 arc, the contraction and the normalization after it create
 neither.
 
-Resuming rule 3.  With A = N-(x) - r, rule 3 deletes (y, x) exactly when
-y is unreachable while avoiding A - y, so its decisions depend only on the
-in-neighbors of heads and on the sets reachable while avoiding a vertex
-set.  By lemma A a deletion keeps every such set and changes the
-in-neighbors of its own head only.  The normalization after it deletes
-arcs only, which keeps those sets as shown above, and a head whose
-in-neighbors it changes is a root outneighbor, left with the root as its
-only in-neighbor.  So no head before the last deletion's head gains a
-deletion, and the phase resumes its scan at that head.
-
-One certificate tree.  A breadth-first tree T is a shortest-path tree,
-and the rule 3 phase never deletes one of its arcs.  When rule 3 deletes
-(y, x), every root path to y meets some a in A - y before y, so
-dist(a) < dist(y), and x's tree parent p has dist(p) = dist(x) - 1 <=
-dist(a): p is not y.  Normalization deletes arcs into r, which has no
-parent, and arcs into a root outneighbor from tails other than r, its
-parent.  Deleting arcs never shortens a distance and T's paths survive,
-so T stays a shortest-path tree, and one T certifies for the whole phase.
+One scan.  With A = N-(x) - r, rule 3 deletes (y, x) exactly when y is
+unreachable while avoiding A - y, that is when no in-neighbor of y is
+reachable while avoiding A, so a probe at x lists exactly the tails that
+go.  Deleting some of them keeps the rest cut: with y and y' listed, a
+root path to y' that avoids A - {y, y'} must pass y before y', and every
+root path to y meets A - y before y, so that path would already have met
+y'.  A deletion at another head changes no set reachable while avoiding a
+vertex set (lemma A) and no other in-list.  The normalization after a
+deletion deletes arcs only, which keeps those sets as shown above; the
+only in-lists it changes are those of r and of root outneighbors, which
+it leaves with the root alone, and the phase skips a listed arc that is
+gone.  So one scan before any deletion lists every rule 3 deletion of the
+phase, each certified by its head's probe.
 
 Two in-neighbors.  The rule 3 phase runs without a cutvertex: rule 1 has
 run to exhaustion, and by lemma A neither a deletion nor the normalization
 after it creates one.  At a head x with exactly two non-root in-neighbors
 a and b, (a, x) goes only when a is unreachable while avoiding b, that is
 when b dominates a and so is a cutvertex.  Hence in that phase such a head
-keeps both arcs, and the resumed scans skip it without a search.
+keeps both arcs, and the phase's scan skips it without a search.
 
 Lemma C (rule 2).  Call v != r paired when its arcs are exactly the
 2-circuits with two vertices, its partners, and call y a middle when its
@@ -153,12 +148,8 @@ class Rule3Step:
     y: int
     x: int
 
-    @property
-    def arcs(self):
-        return ((self.y, self.x),)
-
     def apply(self, d):
-        return d.without_arcs(self.arcs)
+        return d.without_arcs(((self.y, self.x),))
 
     def __str__(self):
         return f"rule3 del {self.y}>{self.x}"
@@ -376,9 +367,9 @@ def _needs_search(d, tails, parent):
     return False
 
 
-def iter_rule3(d, start=None, tree=None):
-    """Every arc (y, x) rule 3 deletes, as (x, y), by ascending head x and
-    then tail y.
+def find_rule3(d, cut_free=False):
+    """Every head x at which rule 3 deletes arcs, with the tails of those
+    arcs: a list of (x, tails), heads and tails ascending.
 
     At the first head with enough non-root in-neighbors to search, a
     breadth-first spanning out-tree is grown once for the scan.  With A the
@@ -388,45 +379,41 @@ def iter_rule3(d, start=None, tree=None):
     and since the filter only keeps arcs, the result is that of the pass on
     every head.  When the root does not reach every vertex, every head pays.
 
-    `start` resumes kernelize's rule 3 phase, where d has no cutvertex
-    (module docstring): the scan begins at head `start` and skips every
-    head with exactly two non-root in-neighbors, which then keeps both arcs.
-
-    `tree`, a dict, carries the certificate across the calls of that
-    phase: an empty one is filled with the parent map of the tree the scan
-    grows, and a filled one is used as it is.  Any spanning out-tree of d
-    certifies, so the caller empties it only when a deletion removes one
-    of its arcs.
+    `cut_free` is for kernelize's rule 3 phase, where d has no cutvertex
+    (module docstring): the scan skips every head with exactly two non-root
+    in-neighbors, which then keeps both arcs.
     """
-    parent = {} if tree is None else tree
-    grown = bool(parent)
-    fewest = 2 if start is None else 3
+    parent = None  # grown at the first head with enough tails; {} if not spanning
+    fewest = 3 if cut_free else 2
+    found = []
     for x in d.vertices:
-        if x == d.root or (start is not None and x < start):
+        if x == d.root:
             continue
         tails = [y for y in d._in[x] if y != d.root]
         if len(tails) < fewest:
             continue
-        if not grown:
-            grown = True
-            parent.update(grow_tree(d).parent)
+        if parent is None:
+            parent = grow_tree(d).parent
             if len(parent) < d.n - 1:
-                parent.clear()
+                parent = {}
         if parent and not _needs_search(d, tails, parent):
             continue
-        for y in _rule3_tails(d, x):
-            yield x, y
+        cut = _rule3_tails(d, x)
+        if cut:
+            found.append((x, cut))
+    return found
 
 
-def find_rule3(d, start=None, tree=None):
-    return next(iter_rule3(d, start, tree), None)
+def apply_rule3(d, x, y, tails=None):
+    """Delete the arc (y, x) when the other in-neighbors of x cut y from r.
 
-
-def apply_rule3(d, x, y):
-    """Delete the arc (y, x) when the other in-neighbors of x cut y from r."""
+    `tails`, a set of the tails whose arcs into x rule 3 deletes, certifies
+    y by holding it; `_rule3_tails` probes x when none is given."""
     if not d.has_arc(y, x):
         raise ValueError(f"{y} is not an in-neighbor of {x}")
-    if y not in _rule3_tails(d, x):
+    if tails is None:
+        tails = _rule3_tails(d, x)
+    if y not in tails:
         raise ValueError(f"in-neighbors of {x} other than {y} do not cut {y} from the root")
     step = Rule3Step(y, x)
     return step.apply(d), step
@@ -479,10 +466,8 @@ def kernelize(d):
     reduced digraph and trace.
 
     The rewrites run on one working copy of d, frozen in place as the
-    kernel, and the rule 3 phase resumes its scan at the head of the last
-    deletion (module docstring).  That phase keeps one certificate tree,
-    grown again only after a deletion removes one of its arcs, which a
-    breadth-first tree never loses there (module docstring).  The rule 2
+    kernel.  The rule 3 phase takes every deletion from one scan made
+    before the first ("One scan" in the module docstring), and the rule 2
     phase takes its bipaths from one scan (lemma C).
     A digraph on which no rule applies is returned unchanged, without
     normalization; normalization runs only after an actual rewrite, since
@@ -492,16 +477,13 @@ def kernelize(d):
     """
     steps = []
     work = strip_cutvertices(d.thaw(), steps)
-    tree = {}
-    pair = find_rule3(work, start=min(work.vertices), tree=tree)
-    while pair is not None:
-        mark = len(steps)
-        work, st = apply_rule3(work, *pair)
-        steps.append(st)
-        work = renormalize(work, steps)
-        if any(tree.get(v) == u for step in steps[mark:] for u, v in step.arcs):
-            tree.clear()
-        pair = find_rule3(work, start=pair[0], tree=tree)
+    for x, tails in find_rule3(work, cut_free=True):
+        certified = set(tails)
+        for y in tails:
+            if work.has_arc(y, x):  # on raw input, a renormalization can remove it
+                work, st = apply_rule3(work, x, y, certified)
+                steps.append(st)
+                work = renormalize(work, steps)
     work = _contract_bipaths(work, steps)
     return (work.freeze() if steps else d), ReductionTrace(tuple(steps))
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from maxleaf import stnum
-from maxleaf.bounds import dominate_bipartite, topological_order
+from maxleaf.bounds import dominate_bipartite
 from maxleaf.digraph import (NormDeleteStep, NormMergeStep, Outbranching, RootedDigraph,
                              VerifyResult, build, euler_intervals,
                              find_cutvertex, grow_tree, is_2connected, is_connected,
@@ -18,8 +18,7 @@ from maxleaf.exact import DEFAULT_LIMIT, ExactResult
 from maxleaf.gen import gen_random
 from maxleaf.reduce import (ReductionTrace, Rule1Step, Rule2Step, Rule3Step,
                             apply_rule1, apply_rule2, apply_rule3, find_bipath4,
-                            find_rule3, iter_bipath4, iter_rule3, renormalize,
-                            strip_cutvertices)
+                            find_rule3, iter_bipath4, renormalize, strip_cutvertices)
 from maxleaf.digraph import cutvertices as idom_cutvertices
 
 
@@ -495,6 +494,33 @@ def relabelled(d, seed):
     ids = random.Random(seed).sample(range(d.n), d.n)
     name = dict(zip(d.vertices, ids))
     return RootedDigraph(ids, name[d.root], [(name[u], name[v]) for u, v in d.arcs()])
+
+
+def topological_order(d):
+    """Topological order by Kahn's algorithm from every vertex without
+    in-arcs, or None when the digraph has a cycle: the acyclicity oracle."""
+    left = {v: d.indeg(v) for v in d.vertices}
+    order = [v for v in d.vertices if not left[v]]
+    for u in order:
+        for v in d.out_neighbors(u):
+            left[v] -= 1
+            if not left[v]:
+                order.append(v)
+    return order if len(order) == d.n else None
+
+
+def rule3_pairs(d):
+    """`find_rule3`'s deletions as (x, y) pairs, by head and then tail."""
+    return [(x, y) for x, tails in find_rule3(d) for y in tails]
+
+
+def fan(k):
+    """Root 0, the two-way chain 1 ... k, the root arcs into 1 and k, and
+    an arc from every chain vertex to x = k + 1; raw, as built.  One probe
+    at x lists the k - 2 tails 2 ... k - 1, so a rule 3 phase that probes
+    x again after every deletion takes about k^2 steps."""
+    chain = [(i, i + 1) for i in range(1, k)] + [(i + 1, i) for i in range(1, k)]
+    return build(k + 2, 0, [(0, 1), (0, k)] + chain + [(i, k + 1) for i in range(1, k + 1)])
 
 
 def per_arc_rule3(d, x, y):
@@ -1080,10 +1106,11 @@ def fixpoint_kernelize(d):
         before = len(steps)
         work = strip_cutvertices(work, steps)
         while True:
-            pair = find_rule3(work)
-            if pair is None:
+            found = find_rule3(work)  # applies one arc, then scans again
+            if not found:
                 break
-            work, st = apply_rule3(work, *pair)
+            x, tails = found[0]
+            work, st = apply_rule3(work, x, tails[0])
             steps.append(st)
             work = renormalize(work, steps)
         p = find_bipath4(work)
@@ -1183,7 +1210,7 @@ def brute_min_vertex_cover(vertices, edges):
 def all_rule_applications(d):
     """Every single rule application available on d: (kind, payload) pairs."""
     apps = [("rule1", x) for x in idom_cutvertices(d)]
-    apps += [("rule3", pair) for pair in iter_rule3(d)]
+    apps += [("rule3", pair) for pair in rule3_pairs(d)]
     apps += [("rule2", p) for p in iter_bipath4(d)]
     return apps
 

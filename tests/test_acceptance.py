@@ -11,8 +11,7 @@ import pytest
 
 from maxleaf.approx import approximate, majbound_tree, sqrt_opt_tree, weak_bipaths
 from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree,
-                            numbering_bound_trees, topological_order,
-                            vertex_cover_third)
+                            numbering_bound_trees, vertex_cover_third)
 from maxleaf.digraph import (classify, is_2connected, reachable,
                              verify_outbranching)
 from maxleaf.exact import maxleaf_exact
@@ -22,7 +21,7 @@ from maxleaf.stnum import in_sides, rr_numbering
 
 from support import (all_rule_applications, in_lists, many_leaves_bound, mixed_rule_corpus,
                      numbered_sides, random_instances, random_undirected_graphs, split,
-                     two_connected_instances)
+                     topological_order, two_connected_instances)
 
 
 @contextmanager

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from maxleaf.digraph import (RootedDigraph, build, classify, is_connected, normalize,
                             verify_outbranching)
 from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree,
-                            dominate_bipartite, topological_order, vertex_cover_third)
+                            dominate_bipartite, vertex_cover_third)
 from maxleaf.errors import InternalInvariantError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_star, gen_t_l
@@ -17,7 +17,8 @@ from maxleaf.stnum import rr_numbering
 from support import (brute_min_vertex_cover, digraph_many_leaves, domination_scaffold,
                      in_lists, is_ancestor, many_leaves_bound, numbered_sides,
                      random_undirected_graphs, resorting_vertex_cover, split,
-                     transverse_decomposition, trim_to_indegree_two, two_connected_instances)
+                     topological_order, transverse_decomposition, trim_to_indegree_two,
+                     two_connected_instances)
 
 
 # -- vertex cover --------------------------------------------------------

@@ -15,14 +15,14 @@ from maxleaf.gen import gen_dipath, gen_random, gen_star, gen_t_l
 from maxleaf.reduce import (NormMergeStep, ReductionTrace, Rule1Step, Rule2Step,
                             Rule3Step, apply_rule1, apply_rule2, apply_rule3,
                             decide, find_bipath4, find_rule3, is_bipath4,
-                            iter_bipath4, iter_rule3, kernelize,
+                            iter_bipath4, kernelize,
                             large_indegree_witness, lift, strip_cutvertices)
 
 from support import (all_rule_applications, brute_cutvertices, chain_planted_corpus,
-                     count_calls, fixpoint_kernelize, looped_large_indegree_witness,
+                     count_calls, fan, fixpoint_kernelize, looped_large_indegree_witness,
                      mixed_rule_corpus, per_arc_rule3, random_instances, raw_digraph,
                      rebuilt, recomputing_strip, relabelled, rescanning_rule2_phase,
-                     stepwise_lift, walked_illegal_arcs, with_arcs)
+                     rule3_pairs, stepwise_lift, walked_illegal_arcs, with_arcs)
 
 
 def test_rule0():
@@ -177,7 +177,7 @@ def test_strip_and_first_rule3_scan_pass_counts(monkeypatch):
     core = strip_cutvertices(d, steps)
     assert len(steps) > 150 and len(passes) <= 2
     searches = count_calls(monkeypatch, reduce, "reachable")
-    assert find_rule3(core) is not None
+    assert find_rule3(core)
     assert len(searches) <= 10
 
 
@@ -239,14 +239,14 @@ def test_rule2_phase_matches_rescanning():
 
 def test_rule3_example():
     d = build(4, 0, [(0, 1), (1, 2), (2, 3), (1, 3)])
-    assert find_rule3(d) == (3, 2)
+    assert find_rule3(d) == [(3, [2])]
     d2, _ = apply_rule3(d, 3, 2)
     assert d2.arcs() == [(0, 1), (1, 2), (1, 3)]
     assert maxleaf_exact(d).maxleaf == maxleaf_exact(d2).maxleaf
 
 
 def test_rule3_none_on_star():
-    assert find_rule3(gen_star(2)) is None
+    assert find_rule3(gen_star(2)) == []
 
 
 def test_rule3_rejects_bad_pair():
@@ -262,7 +262,7 @@ def test_rule3_decisions_match_per_arc_oracle():
         disconnected += not is_connected(d)
         want = [(x, y) for x in d.vertices if x != d.root
                 for y in d.in_neighbors(x) if y != d.root and per_arc_rule3(d, x, y)]
-        assert list(iter_rule3(d)) == want
+        assert rule3_pairs(d) == want
         for x in d.vertices:
             for y in d.in_neighbors(x):
                 if per_arc_rule3(d, x, y):
@@ -285,7 +285,7 @@ def test_rule3_certificates_keep_every_decision(monkeypatch):
                 for y in d.in_neighbors(x) if y != d.root and per_arc_rule3(d, x, y)]
         heads += sum(1 for x in d.vertices if sum(y != d.root for y in d.in_neighbors(x)) >= 2)
         searches.clear()
-        assert list(iter_rule3(d)) == want
+        assert rule3_pairs(d) == want
         heads -= len(searches)
         deleted += len(want)
     assert deleted > 0 and heads > 1000
@@ -319,6 +319,7 @@ def test_kernelize_matches_fixpoint_loop():
     for seed in range(7700, 7800):
         n = random.Random(seed).randint(10, 60)
         corpus.append(gen_random(n, random.Random(-seed).uniform(1.2 / n, 3 / n), seed))
+    corpus += [fan(40), normalize(fan(40))[0]]
     fired = Counter()
     raw_first = Counter()
     for i, d in enumerate(corpus):
@@ -331,10 +332,23 @@ def test_kernelize_matches_fixpoint_loop():
         fired.update(kinds)
         if i < len(raw):
             raw_first.update(kinds[:1])
-    assert len(corpus) == 550 and fired[Rule2Step] > 1000 and fired[Rule3Step] > 200
-    # a raw input whose first rewrite is rule 3 resumes the rule 3 scan on
-    # a digraph that is not yet normalized
+    assert len(corpus) == 552 and fired[Rule2Step] > 1000 and fired[Rule3Step] > 200
+    # a raw input whose first rewrite is rule 3 takes the rest of the rule 3
+    # phase from a scan of a digraph that was not yet normalized
     assert raw_first[Rule2Step] > 0 and raw_first[Rule3Step] > 0
+
+
+def test_kernelize_skips_an_arc_that_a_renormalization_removed():
+    """The scan lists tails 2, 6 and 9 at the root outneighbor 1 of a raw
+    digraph without a cutvertex; the normalization after the first
+    deletion removes the other two arcs, which the phase then skips."""
+    d = raw_digraph(21686)
+    assert find_cutvertex(d) is None and d.has_arc(d.root, 1)
+    assert (1, [2, 6, 9]) in find_rule3(d, cut_free=True)
+    red, trace = kernelize(d)
+    assert [(s.y, s.x) for s in trace.steps if isinstance(s, Rule3Step)] == [(2, 1)]
+    want, want_trace = fixpoint_kernelize(d)
+    assert red == want and trace.to_text() == want_trace.to_text()
 
 
 def test_kernelize_runs_each_rule_once(monkeypatch):
@@ -343,16 +357,29 @@ def test_kernelize_runs_each_rule_once(monkeypatch):
     scans = {name: count_calls(monkeypatch, reduce, name)
              for name in ("find_cutvertex", "find_rule3", "find_bipath4")}
     passes = count_calls(monkeypatch, digraph, "dominators_from_maps")
+    probes = count_calls(monkeypatch, reduce, "_rule3_tails")
+    searches = count_calls(monkeypatch, reduce, "reachable")
+    real_apply = reduce.apply_rule3
+
+    def apply_without_search(d, x, y, tails=None):
+        before = len(searches)
+        got = real_apply(d, x, y, tails)
+        assert tails is not None and len(searches) == before
+        return got
+
+    monkeypatch.setattr(reduce, "apply_rule3", apply_without_search)
     fired = Counter()
     for d in corpus:
-        for calls in [*scans.values(), passes]:
+        for calls in [*scans.values(), passes, probes]:
             calls.clear()
         _, trace = kernelize(d)
         kinds = Counter(type(s) for s in trace.steps)
         # the strip's dominator tree, then one check when rule 1 fired
         assert len(scans["find_cutvertex"]) == (1 if kinds[Rule1Step] else 0)
         assert len(passes) == (2 if kinds[Rule1Step] else 1)
-        assert len(scans["find_rule3"]) == kinds[Rule3Step] + 1
+        assert len(scans["find_rule3"]) == 1
+        heads = [x for _, x in probes]
+        assert len(heads) == len(set(heads))  # no head is probed twice
         assert len(scans["find_bipath4"]) == 1  # later middles come from that scan
         fired.update(kinds)
     assert fired[Rule1Step] and fired[Rule2Step] and fired[Rule3Step]
@@ -396,19 +423,27 @@ def test_kernelize_keeps_one_certificate_tree(monkeypatch):
     for d, (red, trace) in zip(corpus, results):
         grown.clear()
         assert kernelize(d)[0] == red
-        assert len(grown) <= 1  # a breadth-first tree loses no arc (module docstring)
+        assert len(grown) <= 1  # one tree for the one scan
         deletions += sum(isinstance(s, Rule3Step) for s in trace.steps)
     assert deletions > 100
-    # any spanning out-tree certifies; one that loses arcs is grown again
-    monkeypatch.setattr(reduce, "grow_tree", depth_first_tree)
-    grown = count_calls(monkeypatch, reduce, "grow_tree")
-    regrown = 0
+    # the tree is read only before the first deletion, so any spanning
+    # out-tree certifies, even one whose arcs the phase then deletes
+    trees = []
+
+    def recorded_depth_first_tree(d):
+        trees.append(depth_first_tree(d))
+        return trees[-1]
+
+    monkeypatch.setattr(reduce, "grow_tree", recorded_depth_first_tree)
+    lost = 0
     for d, (red, trace) in zip(corpus, results):
-        grown.clear()
+        trees.clear()
         got, got_trace = kernelize(d)
         assert got == red and got_trace.to_text() == trace.to_text()
-        regrown += max(len(grown) - 1, 0)
-    assert regrown > 20
+        assert len(trees) <= 1
+        lost += sum(isinstance(s, Rule3Step) and trees[0].parent.get(s.x) == s.y
+                    for s in trace.steps)
+    assert lost > 20
 
 
 def test_recorded_heads_match_the_full_illegal_arc_walk(monkeypatch):
@@ -519,7 +554,7 @@ def test_work_graph_rewrites_match_rebuilt_digraphs():
     assert kinds[NormMergeStep] > 40
 
 
-def test_rule3_resumed_scan_matches_full_scan(monkeypatch):
+def test_rule3_cut_free_scan_matches_full_scan(monkeypatch):
     corpus = [strip_cutvertices(d, []) for d in map(raw_digraph, range(3500, 3800)) if is_connected(d)]
     corpus += [strip_cutvertices(d, []) for d in chain_planted_corpus(100, 3800, raw=False)]
     corpus += [relabelled(gen_t_l(l), l) for l in range(3, 8)]
@@ -532,17 +567,15 @@ def test_rule3_resumed_scan_matches_full_scan(monkeypatch):
 
     monkeypatch.setattr(reduce, "_rule3_tails", counted)
     pairs = two_tail_searches = 0
-    for i, d in enumerate(corpus):
+    for d in corpus:
         assert find_cutvertex(d) is None
         searched.clear()
-        full = list(iter_rule3(d))
+        full = find_rule3(d)
         two_tail_searches += searched.count(2)
         searched.clear()
-        assert list(iter_rule3(d, start=min(d.vertices))) == full
-        start = random.Random(i).choice(sorted(d.vertices))
-        assert list(iter_rule3(d, start=start)) == [(x, y) for x, y in full if x >= start]
+        assert find_rule3(d, cut_free=True) == full
         assert 2 not in searched  # a head with two non-root in-neighbors keeps both arcs
-        pairs += len(full)
+        pairs += sum(len(tails) for _, tails in full)
     assert pairs > 100 and two_tail_searches > 100
 
 

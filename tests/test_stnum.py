@@ -12,12 +12,12 @@ from maxleaf.reduce import renormalize, strip_cutvertices
 from maxleaf.errors import InternalInvariantError
 from maxleaf.stnum import (RootPathState, in_sides, reduce_indegrees, rr_numbering,
                            two_disjoint_root_paths, validate_numbering)
-from maxleaf.bounds import bound1_tree, bound2_tree, topological_order
+from maxleaf.bounds import bound1_tree, bound2_tree
 
 from support import (RootPathNetwork, any_scan_validate_numbering, checked_reduce_indegrees,
                      checked_reduce_to_work, digraph_many_leaves, flow_disjoint_root_paths,
                      listed_reinsertion, relabelled, rescanning_disjoint_root_paths,
-                     rescanning_rr_numbering, split, splitting_bound1_tree,
+                     rescanning_rr_numbering, split, splitting_bound1_tree, topological_order,
                      transverse_decomposition, trimming_transverse_decomposition,
                      two_connected_instances)
 from test_golden import approx_core, corpus as golden_corpus
