@@ -192,15 +192,21 @@ class ApproxReport:
 def approximate(d0):
     """Factor-92 approximation; returns (tree on the input digraph, report).
     The strip's dominator pass raises InfeasibleError when d0 is not
-    connected from the root."""
+    connected from the root.  The strip does not check that its core is
+    2-connected: numbering the core does, once (`stnum.reduce_indegrees`),
+    and since the strip promised that core, a ValueError from the
+    numbering is an InternalInvariantError."""
     steps = []
     work = strip_cutvertices(renormalize(d0.thaw(), steps), steps)
     core = work.freeze() if steps else d0
     trace = ReductionTrace(tuple(steps))
+    try:
+        t1, t2 = numbering_bound_trees(core)
+    except ValueError as exc:
+        raise InternalInvariantError(f"numbering the stripped core failed: {exc}") from exc
     cls = classify(core)
     paths = weak_bipaths(core, cls)
     l, h = len(cls.special), len(paths)
-    t1, t2 = numbering_bound_trees(core)
     t3 = majbound_tree(core, cls, paths)
     trees = {"bound1": t1, "bound2": t2, "majbound": t3}
     chosen = max(trees, key=lambda k: trees[k].leaf_count)  # earliest wins ties

@@ -478,11 +478,13 @@ def find_cutvertex(d):
 
 
 def is_2connected(d):
-    """No cut of size at most 1, from one dominator pass: it maps exactly
-    the vertices reachable from the root, and a vertex is a cutvertex
-    exactly when it is the immediate dominator of another."""
-    idom = dominators_from_maps(d.root, d._out, d._in)
-    return len(idom) == d.n and all(p == d.root for p in idom.values())
+    """No cut of size at most 1: the root reaches every vertex and
+    `find_cutvertex` finds none, from its one dominator pass (its
+    InfeasibleError means False)."""
+    try:
+        return find_cutvertex(d) is None
+    except InfeasibleError:
+        return False
 
 
 # -- classification ----------------------------------------------------

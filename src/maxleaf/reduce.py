@@ -18,8 +18,10 @@ vertices, so neither kind of deletion changes a dominator; a root merge
 absorbs the root's only outneighbor u, whose idom is r, which is the same
 splice.  A splice hands children only to a parent that already had one, so
 no cutvertex appears and each stays one until it leaves the digraph: one
-pass lists every cutvertex a strip rewrites, and one fresh pass after the
-strip's last rewrite checks that it missed none.
+pass lists every cutvertex a strip rewrites.  The strip does not check
+that it missed none; `kernelize` does, with one fresh pass after the
+strip's last rewrite, and `approximate` relies on the 2-connectivity check
+that numbering its core makes (`stnum.reduce_indegrees`).
 
 Rule 3 is decided once per head x: with A the non-root in-neighbors of x
 (at least two of them), (y, x) goes exactly when no in-neighbor of y is
@@ -439,24 +441,17 @@ def strip_cutvertices(d, steps):
     docstring) the cutvertices of the rewritten digraph are always the
     listed ones still present, so the strip rewrites those in ascending
     order, skipping any that a root merge has absorbed, and the list
-    certifies each one for `apply_rule1`.  After the last rewrite one
-    `find_cutvertex` pass checks the list: a cutvertex it missed raises
-    InternalInvariantError.  A digraph without a cutvertex costs the one
-    pass alone.
+    certifies each one for `apply_rule1`.  The strip does not check its
+    result; the callers that need it free of cutvertices do (`kernelize`,
+    `approximate`).
     """
     cuts = cutvertices(d)
-    if not cuts:
-        return d
     listed = set(cuts)
     for x in cuts:
         if x in d.vertices:
             d, st = apply_rule1(d, x, listed)
             steps.append(st)
             d = renormalize(d, steps)
-    left = find_cutvertex(d)
-    if left is not None:
-        raise InternalInvariantError(
-            f"vertex {left} is still a cutvertex after the strip")
     return d
 
 
@@ -473,10 +468,17 @@ def kernelize(d):
     normalization; normalization runs only after an actual rewrite, since
     shortcut arcs can violate the standing root assumptions.  The strip's
     dominator pass raises InfeasibleError when d is not connected from the
-    root.
+    root.  The rule 3 phase relies on a digraph without cutvertices, so
+    after a strip that rewrote something one `find_cutvertex` pass checks
+    that none is left, raising InternalInvariantError otherwise.
     """
     steps = []
     work = strip_cutvertices(d.thaw(), steps)
+    if steps:
+        left = find_cutvertex(work)
+        if left is not None:
+            raise InternalInvariantError(
+                f"vertex {left} is still a cutvertex after the strip")
     for x, tails in find_rule3(work, cut_free=True):
         certified = set(tails)
         for y in tails:

@@ -263,9 +263,10 @@ def reduce_indegrees(d):
     that avoids w and, with its kept arc, reaches x: together they reach z
     again.  Deleting
     arcs never repairs a cut, so one 2-connectivity check of the result
-    guards all deletions and proves the input 2-connected.  Only after a
-    failure (no path pair, or a result that fails the check) is the input
-    checked, to tell ValueError from a bug.
+    guards all deletions and proves the input 2-connected; it is also
+    `approximate`'s one proof that its stripped core is 2-connected.  Only
+    after a failure (no path pair, or a result that fails the check) is the
+    input checked, to tell ValueError from a bug.
 
     One `RootPathState` serves every vertex, and its breadth-first tree is
     never rebuilt.  x's first tail is its parent in that tree, and the

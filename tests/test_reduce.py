@@ -121,15 +121,16 @@ def test_rule1_certificate_from_the_dominator_tree():
 
 def test_strip_checks_its_cutvertex_list(monkeypatch):
     # 3 dominates 4 and 5, and 4 dominates 5: a list that drops 4 hides a
-    # cutvertex, and the strip must not return it as a kernel; only the
-    # strip's binding is patched, since find_cutvertex shares digraph's
+    # cutvertex, and neither a kernel nor a core may keep it; only the
+    # strip's binding is patched, since find_cutvertex and the numbering's
+    # check share digraph's
     d = build(6, 0, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
     assert cutvertices(d) == [3, 4]
     monkeypatch.setattr(reduce, "cutvertices", lambda g: [v for v in cutvertices(g) if v != 4])
     with pytest.raises(InternalInvariantError, match="4 is still a cutvertex"):
-        strip_cutvertices(d, [])
-    with pytest.raises(InternalInvariantError, match="4 is still a cutvertex"):
         kernelize(d)
+    with pytest.raises(InternalInvariantError, match="stripped core"):
+        approximate(d)
 
 
 def test_strip_rejects_input_not_connected_from_the_root():
@@ -383,6 +384,23 @@ def test_kernelize_runs_each_rule_once(monkeypatch):
         assert len(scans["find_bipath4"]) == 1  # later middles come from that scan
         fired.update(kinds)
     assert fired[Rule1Step] and fired[Rule2Step] and fired[Rule3Step]
+
+
+def test_approximate_proves_its_core_once(monkeypatch):
+    """The strip's dominator pass, then the numbering's one 2-connectivity
+    check of the core: two passes whether rule 1 fires or not."""
+    corpus = chain_planted_corpus(40, 7900, raw=True)
+    corpus += chain_planted_corpus(40, 7900, raw=False)
+    passes = count_calls(monkeypatch, digraph, "dominators_from_maps")
+    rewrites = count_calls(monkeypatch, reduce, "apply_rule1")
+    fired = Counter()
+    for d in corpus:
+        passes.clear()
+        rewrites.clear()
+        approximate(d)
+        assert len(passes) == 2
+        fired[bool(rewrites)] += 1
+    assert fired[True] and fired[False]
 
 
 def test_kernelize_builds_one_digraph(monkeypatch):

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,9 @@ from maxleaf.stnum import (RootPathState, in_sides, reduce_indegrees, rr_numberi
                            two_disjoint_root_paths, validate_numbering)
 from maxleaf.bounds import bound1_tree, bound2_tree
 
-from support import (RootPathNetwork, any_scan_validate_numbering, checked_reduce_indegrees,
-                     checked_reduce_to_work, digraph_many_leaves, flow_disjoint_root_paths,
+from support import (RootPathNetwork, any_scan_validate_numbering, brute_cutvertices,
+                     checked_reduce_indegrees, checked_reduce_to_work,
+                     digraph_many_leaves, flow_disjoint_root_paths,
                      listed_reinsertion, relabelled, rescanning_disjoint_root_paths,
                      rescanning_rr_numbering, split, splitting_bound1_tree, topological_order,
                      transverse_decomposition, trimming_transverse_decomposition,
@@ -46,6 +49,32 @@ def test_validate_rejects_one_sided_vertex():
     d = sandwich_example()
     assert not validate_numbering(d, (3, 1, 2))  # both in-neighbors after 3
     assert not validate_numbering(d, (1, 2))     # not a permutation
+
+
+def test_validate_accepts_no_order_without_2_connectivity():
+    """A valid numbering certifies 2-connectivity from the root (the low-high
+    orders of Georgiadis and Tarjan, ICALP 2012): on small raw digraphs that
+    the root does not span, or that have a cutvertex, every order of the
+    non-root vertices fails validation, and some order of each 2-connected
+    one passes."""
+    kinds = Counter()
+    for seed in range(1200):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        p = rng.uniform(0.2, 0.7)
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+        d = RootedDigraph(range(n), rng.randrange(n), arcs)
+        orders = permutations([v for v in d.vertices if v != d.root])
+        if not is_connected(d):
+            kinds["unreachable"] += 1
+        elif brute_cutvertices(d):
+            kinds["cutvertex"] += 1
+        else:
+            assert any(validate_numbering(d, order) for order in orders), d
+            continue
+        for order in orders:
+            assert not validate_numbering(d, order), (d, order)
+    assert kinds["unreachable"] > 100 and kinds["cutvertex"] > 100
 
 
 def test_reduce_indegrees_noop_when_small():
