@@ -1,13 +1,14 @@
-"""Deterministic instance generators: extremal families and random instances."""
+"""Deterministic instance generators: extremal and ring-like families and random instances."""
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .digraph import RootedDigraph, build, normalize
 from .errors import PreconditionError
 
-FAMILIES = ("t_l", "boloney", "random", "star", "dipath", "bipath_chain")
+FAMILIES = ("t_l", "boloney", "random", "star", "dipath", "bipath_chain", "necklace", "comb")
 
 
 @dataclass(frozen=True)
@@ -76,19 +77,48 @@ def gen_boloney(k):
 
 
 def gen_random(n, arc_probability, seed):
-    """Random normalized instance: planted spanning arborescence plus noise arcs."""
+    """Random normalized instance: planted spanning arborescence plus noise
+    arcs, each non-loop pair (u, v) with v != 0 drawn independently with
+    probability `arc_probability`, in O(n + m) time."""
     if n < 2:
         raise PreconditionError("need at least two vertices")
     if not 0.0 <= arc_probability <= 1.0:
         raise PreconditionError("arc probability must lie in [0, 1]")
     rng = random.Random(seed)
     arcs = [(rng.randrange(v), v) for v in range(1, n)]
-    for u in range(n):
-        for v in range(1, n):
-            if u != v and rng.random() < arc_probability:
-                arcs.append((u, v))
+    arcs += _noise_arcs(n, arc_probability, rng)
     d, _ = normalize(build(n, 0, arcs))
     return d
+
+
+def _noise_arcs(n, p, rng):
+    """Each pair (u, v) with u != v and v != 0, independently with
+    probability p, in row-major order.
+
+    Skip sampling (Batagelj & Brandes, "Efficient Generation of Large Random
+    Networks", Phys. Rev. E 71, 036113, 2005): the n(n-1) slots (u, v) with
+    v >= 1 are numbered row by row, and the gap to the next chosen slot is
+    geometric, floor(log(1 - U) / log(1 - p)), so the work is one draw per
+    chosen slot rather than one per slot.  A chosen loop slot (v, v) is
+    dropped, which leaves every other slot independent.
+    """
+    if p == 0.0:
+        return []
+    if p == 1.0:
+        return [(u, v) for u in range(n) for v in range(1, n) if u != v]
+    width = n - 1
+    last = n * width - 1
+    log_q = math.log1p(-p)
+    arcs = []
+    slot = -1
+    while True:
+        gap = math.log(1.0 - rng.random()) / log_q
+        if gap >= last - slot:  # a float compare: the gap may be inf
+            return arcs
+        slot += 1 + int(gap)
+        u, v = divmod(slot, width)
+        if u != v + 1:
+            arcs.append((u, v + 1))
 
 
 def gen_star(k):
@@ -116,6 +146,46 @@ def gen_bipath_chain(length):
     return build(length + 1, 0, arcs)
 
 
+def gen_necklace(size):
+    """Ring 1..N (N = `size`, even) with both arcs between cyclic neighbors,
+    root arcs (0, 1) and (0, N/2 + 1), and a chord into each even v from
+    u = (v + 2) mod N + 1.
+
+    2-connected, with N/2 heads of indegree 3 and a breadth-first tree
+    Theta(N) deep; rule 3 deletes nothing for every N but 8, where the
+    chords wrap round.  Not normalized: the ring's arcs into the two root
+    outneighbors stay.
+    """
+    if size < 6 or size % 2:
+        raise PreconditionError("necklace size N must be even and at least 6")
+    arcs = [(0, 1), (0, size // 2 + 1)]
+    for v in range(1, size + 1):
+        w = v % size + 1
+        arcs += [(v, w), (w, v)]
+        if v % 2 == 0:
+            arcs.append(((v + 2) % size + 1, v))
+    return build(size + 1, 0, arcs)
+
+
+def gen_comb(size):
+    """Path 1..N (N = `size`) with both arcs between neighbors, root arcs
+    (0, 1) and (0, N), and for each i < N - 1 a tooth N + i with in-arcs
+    from i, i + 1 and i + 2 and the one out-arc (N + i, i + 1).
+
+    N - 2 teeth of indegree 3; rule 3 deletes 2N - 4 arcs, and the
+    normalizations after it two more.
+    """
+    if size < 3:
+        raise PreconditionError("comb size N must be at least 3")
+    arcs = [(0, 1), (0, size)]
+    for i in range(1, size):
+        arcs += [(i, i + 1), (i + 1, i)]
+    for i in range(1, size - 1):
+        tooth = size + i
+        arcs += [(i, tooth), (i + 1, tooth), (i + 2, tooth), (tooth, i + 1)]
+    return build(2 * size - 1, 0, arcs)
+
+
 def generate(spec: GenSpec) -> RootedDigraph:
     if spec.family == "t_l":
         return gen_t_l(spec.size)
@@ -129,4 +199,8 @@ def generate(spec: GenSpec) -> RootedDigraph:
         return gen_dipath(spec.size)
     if spec.family == "bipath_chain":
         return gen_bipath_chain(spec.size)
+    if spec.family == "necklace":
+        return gen_necklace(spec.size)
+    if spec.family == "comb":
+        return gen_comb(spec.size)
     raise PreconditionError(f"unknown family {spec.family!r}; choose from {FAMILIES}")

@@ -77,8 +77,11 @@ shows that no other in-neighbor of t expands before y: the second search
 discovers t from y, so t's tails are vk and y, and no search is needed.
 y lies outside S exactly when the root child on its tree path is not v1,
 which `RootPathState` records per vertex.  On the cutvertex-free core of
-`gen_random(1600, 4/1600, seed=1)` that holds for 1,357 of the 1,404
-vertices that `reduce_indegrees` visits, so the search runs 47 times.
+the n = 1600, p = 4/1600, seed 1 instance of the per-pair generator that
+`gen_random` used before skip sampling (kept as the tests' fixture
+`legacy_gen_random`, which `test_reduce_indegrees_searches_for_few_tails`
+pins), that holds for 1,357 of the 1,404 vertices that `reduce_indegrees`
+visits, so the search runs 47 times.
 
 Elimination never raises an outdegree, so its candidates come from a heap
 (see `rr_numbering`).

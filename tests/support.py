@@ -15,7 +15,6 @@ from maxleaf.digraph import (NormDeleteStep, NormMergeStep, Outbranching, Rooted
                              normalize, reachable)
 from maxleaf.errors import InfeasibleError, InternalInvariantError, PreconditionError
 from maxleaf.exact import DEFAULT_LIMIT, ExactResult
-from maxleaf.gen import gen_random
 from maxleaf.reduce import (ReductionTrace, Rule1Step, Rule2Step, Rule3Step,
                             apply_rule1, apply_rule2, apply_rule3, find_bipath4,
                             find_rule3, iter_bipath4, renormalize, strip_cutvertices)
@@ -23,6 +22,24 @@ from maxleaf.digraph import cutvertices as idom_cutvertices
 
 
 # -- helpers that only the tests read ------------------------------------
+
+
+def legacy_gen_random(n, arc_probability, seed):
+    """`gen.gen_random` as it was before skip sampling, one `random()` per
+    ordered pair: the golden corpus, the sha256 pins and every test that
+    pins an exact instance draw from it, so their instances never move."""
+    if n < 2:
+        raise PreconditionError("need at least two vertices")
+    if not 0.0 <= arc_probability <= 1.0:
+        raise PreconditionError("arc probability must lie in [0, 1]")
+    rng = random.Random(seed)
+    arcs = [(rng.randrange(v), v) for v in range(1, n)]
+    for u in range(n):
+        for v in range(1, n):
+            if u != v and rng.random() < arc_probability:
+                arcs.append((u, v))
+    d, _ = normalize(build(n, 0, arcs))
+    return d
 
 
 def with_arcs(d, arcs):
@@ -120,7 +137,7 @@ def random_instances(count, n_lo, n_hi, seed_base, p_lo=0.15, p_hi=0.5):
         rng = random.Random(seed)
         n = rng.randint(n_lo, n_hi)
         p = rng.uniform(p_lo, p_hi)
-        out.append(gen_random(n, p, seed))
+        out.append(legacy_gen_random(n, p, seed))
         seed += 1
     return out
 
@@ -129,7 +146,7 @@ def random_with_chain(seed):
     """Random instance with a planted chain of 2-circuits between two vertices,
     so that the bipath contraction rule has material to work on."""
     rng = random.Random(seed)
-    base = gen_random(rng.randint(4, 6), rng.uniform(0.2, 0.45), seed * 31 + 7)
+    base = legacy_gen_random(rng.randint(4, 6), rng.uniform(0.2, 0.45), seed * 31 + 7)
     root_out = set(base.root_out())
     pool = [v for v in base.vertices if v != base.root and v not in root_out]
     if len(pool) < 2:
@@ -172,7 +189,7 @@ def raw_digraph(seed):
 
 def chain_planted_corpus(count, seed_base, raw):
     """Digraphs connected from the root: a raw base (`raw_digraph`) or a
-    `gen_random` base with n from 6 to 30 and p from 1.2/n to 3/n, plus 1 to
+    `legacy_gen_random` base with n from 6 to 30 and p from 1.2/n to 3/n, plus 1 to
     3 chains of 2-circuits, each of 3 to 10 new vertices, between two
     distinct vertices of the base (the root only when it has in-arcs).  The
     results are not normalized."""
@@ -184,7 +201,7 @@ def chain_planted_corpus(count, seed_base, raw):
             base = raw_digraph(seed)
         else:
             n = rng.randint(6, 30)
-            base = gen_random(n, rng.uniform(1.2 / n, 3 / n), seed)
+            base = legacy_gen_random(n, rng.uniform(1.2 / n, 3 / n), seed)
         ends = [v for v in base.vertices if v != base.root or base.indeg(base.root)]
         vertices = list(base.vertices)
         arcs = list(base.arc_set())
@@ -211,7 +228,7 @@ def mixed_rule_corpus(count, seed_base):
             d = random_with_chain(seed)
         else:
             rng = random.Random(seed)
-            d = gen_random(rng.randint(4, 9), rng.uniform(0.15, 0.5), seed)
+            d = legacy_gen_random(rng.randint(4, 9), rng.uniform(0.15, 0.5), seed)
         if d.n <= 10:
             out.append(d)
         seed += 1
@@ -269,7 +286,7 @@ def two_connected_instances(count, n_lo, n_hi, seed_base, oriented=False,
         rng = random.Random(seed)
         n = rng.randint(n_lo, n_hi)
         p = rng.uniform(p_lo, p_hi)
-        d = random_oriented(n, p, seed) if oriented else gen_random(n, p, seed)
+        d = random_oriented(n, p, seed) if oriented else legacy_gen_random(n, p, seed)
         if d.n >= 4 and is_2connected(d):
             out.append(d)
         seed += 1

@@ -17,8 +17,9 @@ from maxleaf.graphio import format_tree
 from maxleaf.reduce import kernelize, renormalize, strip_cutvertices
 from maxleaf.stnum import rr_numbering
 
-from support import (chain_planted_corpus, count_calls, random_instances, raw_digraph,
-                     relabelled, rescanning_majbound_tree, two_connected_instances)
+from support import (chain_planted_corpus, count_calls, legacy_gen_random, random_instances,
+                     raw_digraph, relabelled, rescanning_majbound_tree,
+                     two_connected_instances)
 
 
 def anchored_chains(chains, chain_len=1):
@@ -127,8 +128,8 @@ def test_majbound_matches_rescanning_reference(monkeypatch):
     corpus += chain_planted_corpus(60, 9100, raw=False)
     for seed in range(30):
         n = random.Random(seed).randint(20, 80)
-        corpus.append(gen_random(n, 4 / n, 9200 + seed))
-        corpus.append(gen_random(n, 2 / n, 9300 + seed))
+        corpus.append(legacy_gen_random(n, 4 / n, 9200 + seed))
+        corpus.append(legacy_gen_random(n, 2 / n, 9300 + seed))
     corpus += [relabelled(gen_t_l(l), l) for l in range(3, 9)]
     corpus += [relabelled(gen_boloney(k), k) for k in (3, 5, 8, 13)]
     searches = []
@@ -156,7 +157,7 @@ APPROX_PINS = {
     # sha256 of the report, the lifted tree and the three candidate trees
     "t_l(40)": (lambda: gen_t_l(40),
                 "932633c782e315ba5cbcdca509e4364a58a61bb69e37b83c05be6900da002cc6"),
-    "random(800)": (lambda: gen_random(800, 4 / 800, seed=1),
+    "random(800)": (lambda: legacy_gen_random(800, 4 / 800, seed=1),
                     "df698373a3a2345a38aeab923397be7afe35d7390ca34cdadd65c04286fedca5"),
 }
 

@@ -6,8 +6,10 @@ import pytest
 from maxleaf.cli import main
 from maxleaf.digraph import Outbranching, grow_tree, verify_outbranching
 from maxleaf.graphio import format_graph, load_graph, load_tree, parse_graph
-from maxleaf.gen import gen_random, gen_t_l
+from maxleaf.gen import gen_comb, gen_necklace, gen_t_l
 from maxleaf.reduce import kernelize
+
+from support import legacy_gen_random
 
 
 def run(argv):
@@ -24,6 +26,15 @@ def test_gen_then_exact_t3(tmp_path):
     code, out, _ = run(["exact", str(g)])
     assert code == 0
     assert out.strip() == "4"
+
+
+def test_gen_ring_families(tmp_path):
+    for family, size, want in (("necklace", 8, gen_necklace(8)), ("comb", 5, gen_comb(5))):
+        g = tmp_path / f"{family}.graph"
+        code, _, _ = run(["gen", "--family", family, "--size", str(size), "--out", str(g)])
+        assert code == 0 and load_graph(g) == want
+    code, out, err = run(["gen", "--family", "necklace", "--size", "7"])
+    assert code == 5 and out == "" and "even" in err
 
 
 def test_decide_k1_true(tmp_path):
@@ -65,7 +76,7 @@ def test_decide_unreachable_vertex_is_false(tmp_path):
 
 
 def test_kernelize_writes_kernel_and_trace(tmp_path):
-    d = gen_random(30, 1.5 / 30, 3)
+    d = legacy_gen_random(30, 1.5 / 30, 3)  # kernelize takes 9 steps
     reduced, trace = kernelize(d)
     assert len(trace) > 0
     g, red, tr = tmp_path / "g.graph", tmp_path / "red.graph", tmp_path / "steps.txt"

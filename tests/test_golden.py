@@ -26,12 +26,12 @@ from pathlib import Path
 from maxleaf.approx import approximate, sqrt_opt_tree
 from maxleaf.digraph import RootedDigraph, build, find_cutvertex, is_connected, normalize
 from maxleaf.exact import maxleaf_exact
-from maxleaf.gen import gen_boloney, gen_random, gen_t_l
+from maxleaf.gen import gen_boloney, gen_t_l
 from maxleaf.graphio import format_graph
 from maxleaf.reduce import apply_rule1, decide, kernelize
 from maxleaf.stnum import rr_numbering
 
-from support import random_with_chain, raw_digraph
+from support import legacy_gen_random, random_with_chain, raw_digraph
 
 GOLDEN = Path(__file__).with_name("golden.json")
 EXACT_MAX_N = 14
@@ -76,10 +76,10 @@ def corpus():
         out.append((f"raw/{i}", raw_digraph(7000 + i), DECIDE_KS, True))
     for i in range(8):
         n = random.Random(8000 + i).randint(20, 60)
-        out.append((f"random-sparse/{i}", gen_random(n, 1.5 / n, 8000 + i), DECIDE_KS, True))
+        out.append((f"random-sparse/{i}", legacy_gen_random(n, 1.5 / n, 8000 + i), DECIDE_KS, True))
     for i in range(4):
         n = random.Random(8100 + i).randint(20, 60)
-        out.append((f"random-dense/{i}", gen_random(n, 4 / n, 8100 + i), DECIDE_KS, True))
+        out.append((f"random-dense/{i}", legacy_gen_random(n, 4 / n, 8100 + i), DECIDE_KS, True))
     for i in range(66):
         out.append((f"chain/{i}", random_with_chain(9000 + i), DECIDE_KS, True))
     for l in range(2, 7):
@@ -202,7 +202,7 @@ def test_golden_corpus_matches():
 def test_kernelize_n3000_matches_pinned_digests():
     # the corpus above stops near n = 600; this pins one kernel an order of
     # magnitude larger, with its 156-step trace
-    red, trace = kernelize(gen_random(3000, 0.001, seed=1))
+    red, trace = kernelize(legacy_gen_random(3000, 0.001, seed=1))
     assert (red.n, red.m, len(trace)) == (2848, 14633, 156)
     assert hashlib.sha256(format_graph(red).encode()).hexdigest() == (
         "4ab7aced0cc345b201632c3f5321998000bd14b5998ff0cbdf3faefe836fd791")

@@ -19,10 +19,10 @@ from maxleaf.reduce import (NormMergeStep, ReductionTrace, Rule1Step, Rule2Step,
                             large_indegree_witness, lift, strip_cutvertices)
 
 from support import (all_rule_applications, brute_cutvertices, chain_planted_corpus,
-                     count_calls, fan, fixpoint_kernelize, looped_large_indegree_witness,
-                     mixed_rule_corpus, per_arc_rule3, random_instances, raw_digraph,
-                     rebuilt, recomputing_strip, relabelled, rescanning_rule2_phase,
-                     rule3_pairs, stepwise_lift, walked_illegal_arcs, with_arcs)
+                     count_calls, fan, fixpoint_kernelize, legacy_gen_random,
+                     looped_large_indegree_witness, mixed_rule_corpus, per_arc_rule3,
+                     random_instances, raw_digraph, rebuilt, recomputing_strip, relabelled,
+                     rescanning_rule2_phase, rule3_pairs, stepwise_lift, walked_illegal_arcs, with_arcs)
 
 
 def test_rule0():
@@ -172,7 +172,7 @@ def test_strip_traces_match_recomputing_strip():
 
 
 def test_strip_and_first_rule3_scan_pass_counts(monkeypatch):
-    d = gen_random(800, 1.5 / 800, seed=2)
+    d = legacy_gen_random(800, 1.5 / 800, seed=2)
     passes = count_calls(monkeypatch, digraph, "dominators_from_maps")
     steps = []
     core = strip_cutvertices(d, steps)
@@ -406,8 +406,8 @@ def test_approximate_proves_its_core_once(monkeypatch):
 def test_kernelize_builds_one_digraph(monkeypatch):
     """The kernel, and approximate's stripped core, is the working copy
     frozen in place: neither calls the validating constructor."""
-    d = gen_random(800, 1.5 / 800, seed=2)
-    dense = gen_random(800, 4 / 800, seed=1)
+    d = legacy_gen_random(800, 1.5 / 800, seed=2)
+    dense = legacy_gen_random(800, 4 / 800, seed=1)
     builds = count_calls(monkeypatch, digraph.RootedDigraph, "__init__")
     _, trace = kernelize(d)
     assert len(trace) > 150 and builds == []
@@ -434,7 +434,7 @@ def depth_first_tree(d):
 
 def test_kernelize_keeps_one_certificate_tree(monkeypatch):
     corpus = chain_planted_corpus(60, 8100, raw=True)
-    corpus += [gen_random(n, 1.5 / n, 8200 + n) for n in range(40, 100, 2)]
+    corpus += [legacy_gen_random(n, 1.5 / n, 8200 + n) for n in range(40, 100, 2)]
     results = [kernelize(d) for d in corpus]
     grown = count_calls(monkeypatch, reduce, "grow_tree")
     deletions = 0
@@ -474,7 +474,7 @@ def test_recorded_heads_match_the_full_illegal_arc_walk(monkeypatch):
     # a new root whose one arc enters the old root: normalization merges
     corpus += [RootedDigraph([*d.vertices, d.n], d.n, d.arcs() + [(d.n, d.root)])
                for d in corpus[:60]]
-    corpus.append(gen_random(800, 1.5 / 800, seed=2))
+    corpus.append(legacy_gen_random(800, 1.5 / 800, seed=2))
     real = digraph._illegal_arcs
     found = Counter()
 
@@ -503,7 +503,7 @@ def test_lift_matches_stepwise_lift(monkeypatch):
     corpus += mixed_rule_corpus(40, seed_base=9900)
     corpus += [RootedDigraph([*d.vertices, d.n], d.n, d.arcs() + [(d.n, d.root)])
                for d in corpus[:60]]
-    corpus.append(gen_random(800, 1.5 / 800, seed=2))
+    corpus.append(legacy_gen_random(800, 1.5 / 800, seed=2))
     real = reduce.lift
     lifted = Counter()
 
@@ -668,9 +668,9 @@ def test_large_indegree_witness_searches_only_for_blocked_tree_paths(monkeypatch
                 witnesses += 1
     # one shared tree per witness, and some in-neighbors still need a search
     assert witnesses > 500 and len(searches) > witnesses
-    # the kernel of the CI scale graph: 28 of the 30 in-neighbors of its
-    # largest-indegree vertex are certified by the shared tree
-    d, _ = kernelize(gen_random(3000, 0.001, seed=1))
+    # the kernel of the legacy n = 3000 instance: 28 of the 30 in-neighbors
+    # of its largest-indegree vertex are certified by the shared tree
+    d, _ = kernelize(legacy_gen_random(3000, 0.001, seed=1))
     x = max(d.vertices, key=lambda v: (d.indeg(v), -v))
     del searches[:]
     witness = large_indegree_witness(d, x)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from maxleaf import stnum
 from maxleaf.digraph import (RootedDigraph, build, is_2connected, is_connected, normalize,
                              reachable, verify_outbranching)
-from maxleaf.gen import gen_boloney, gen_random, gen_t_l
+from maxleaf.gen import gen_boloney, gen_t_l
 from maxleaf.reduce import renormalize, strip_cutvertices
 from maxleaf.errors import InternalInvariantError
 from maxleaf.stnum import (RootPathState, in_sides, reduce_indegrees, rr_numbering,
@@ -18,7 +18,7 @@ from maxleaf.bounds import bound1_tree, bound2_tree
 
 from support import (RootPathNetwork, any_scan_validate_numbering, brute_cutvertices,
                      checked_reduce_indegrees, checked_reduce_to_work,
-                     digraph_many_leaves, flow_disjoint_root_paths,
+                     digraph_many_leaves, flow_disjoint_root_paths, legacy_gen_random,
                      listed_reinsertion, relabelled, rescanning_disjoint_root_paths,
                      rescanning_rr_numbering, split, splitting_bound1_tree, topological_order,
                      transverse_decomposition, trimming_transverse_decomposition,
@@ -236,13 +236,13 @@ def cutvertex_free_core(d):
 
 
 def oracle_corpus():
-    """Seeded 2-connected cores: gen_random at p = 4/n (n 20-60) and at
+    """Seeded 2-connected cores: legacy_gen_random at p = 4/n (n 20-60) and at
     p in 0.3-0.6 (n 6-24), plus t_l and boloney."""
     out = []
     for seed in range(60):
         rng = random.Random(seed)
         n = rng.randint(20, 60)
-        out.append(cutvertex_free_core(gen_random(n, 4 / n, 7000 + seed)))
+        out.append(cutvertex_free_core(legacy_gen_random(n, 4 / n, 7000 + seed)))
     out += two_connected_instances(30, 6, 24, seed_base=7100, p_lo=0.3, p_hi=0.6)
     out += [normalize(gen_t_l(l))[0] for l in range(2, 7)]
     out += [gen_boloney(k) for k in range(2, 9)]
@@ -297,7 +297,7 @@ def test_disjoint_root_paths_leave_the_state_unchanged():
 
 def test_reduce_indegrees_searches_for_few_tails(monkeypatch):
     # the shortcut lemma's figures in the module docstring
-    d = cutvertex_free_core(gen_random(1600, 4 / 1600, seed=1))
+    d = cutvertex_free_core(legacy_gen_random(1600, 4 / 1600, seed=1))
     pairs, searches = [], []
     real_pair, real_search = stnum.two_disjoint_root_paths, stnum._second_search
     monkeypatch.setattr(stnum, "two_disjoint_root_paths",
@@ -309,7 +309,7 @@ def test_reduce_indegrees_searches_for_few_tails(monkeypatch):
 
 
 def test_reduce_indegrees_checks_once(monkeypatch):
-    d = cutvertex_free_core(gen_random(200, 4 / 200, seed=1))
+    d = cutvertex_free_core(legacy_gen_random(200, 4 / 200, seed=1))
     assert any(d.indeg(v) > 2 for v in d.vertices)
     checks, builds, trees = [], [], []
     real_check, real_init = stnum.is_2connected, RootedDigraph.__init__
@@ -393,7 +393,7 @@ def test_reduce_indegrees_blames_itself_on_a_2connected_input(monkeypatch):
 def test_rr_numbering_reduces_again_and_checks_only_inside_reduction(monkeypatch):
     # contractions raise indegrees on this core until no vertex of outdegree
     # at most 1 is left, so the working digraph is reduced a second time
-    d = cutvertex_free_core(gen_random(148, 3 / 148, seed=5208))
+    d = cutvertex_free_core(legacy_gen_random(148, 3 / 148, seed=5208))
     assert d.n == 143
     reductions, outside, inside = [], [], [False]
     real_check, real_reduce = stnum.is_2connected, stnum.reduce_indegrees
@@ -426,7 +426,7 @@ def arcs_of(g):
 def test_reduce_indegrees_leaves_its_argument_unchanged(monkeypatch):
     # the numbering reduces this core, a frozen graph, and then, on a
     # stall, its own working graph
-    d = cutvertex_free_core(gen_random(148, 3 / 148, seed=5208))
+    d = cutvertex_free_core(legacy_gen_random(148, 3 / 148, seed=5208))
     deleted, inputs = [], []
     real_reduce, real_delete = stnum.reduce_indegrees, RootPathState.delete_arc
 
@@ -460,11 +460,11 @@ def rescanning_corpus():
 
 def differential_corpus():
     """`rescanning_corpus`, raw 2-connected digraphs with arcs into the root,
-    and the approx-dense benchmark's cores, `gen_random(n, 4/n)` for n
-    86-115."""
+    and cores of the approx-dense benchmark's sizes, `legacy_gen_random(n,
+    4/n)` for n 86-115."""
     out = rescanning_corpus()
     out += raw_two_connected_with_root_in_arcs(150, seed_base=3100)
-    out += [cutvertex_free_core(gen_random(n, 4 / n, seed=n)) for n in range(86, 116)]
+    out += [cutvertex_free_core(legacy_gen_random(n, 4 / n, seed=n)) for n in range(86, 116)]
     return out
 
 
@@ -550,7 +550,7 @@ def test_reduce_indegrees_and_numbering_match_rescanning_search(monkeypatch):
 
 def test_numbering_matches_rescanning_elimination():
     corpus = rescanning_corpus()
-    corpus.append(cutvertex_free_core(gen_random(148, 3 / 148, seed=5208)))
+    corpus.append(cutvertex_free_core(legacy_gen_random(148, 3 / 148, seed=5208)))
     for d in corpus:
         assert rr_numbering(d).order == rescanning_rr_numbering(d)
 
