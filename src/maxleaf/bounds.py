@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .digraph import Outbranching, euler_intervals, search
 from .errors import InternalInvariantError
-from .stnum import in_sides, rr_numbering
+from .stnum import rr_numbering
 
 
 # -- covers and domination ----------------------------------------------
@@ -147,8 +147,8 @@ def bound1_tree(d, sides):
 
     Takes the numbering-induced acyclic cover with more indegree-2 vertices,
     ties to the forward one, and extracts a many-leaves tree from its
-    in-lists, each cut to its first two.  `sides` is
-    `in_sides(d, numbering)`.
+    in-lists, each cut to its first two.  `sides` is a numbering's
+    `in_sides` split, `RRNumbering.sides`.
     """
     fwd, bwd = sides
 
@@ -215,6 +215,6 @@ def bound2_tree(d, sides):
 
 def numbering_bound_trees(d):
     """(bound1_tree, bound2_tree) of the 2-connected digraph d, both built
-    on its one numbering and that numbering's one `in_sides` split."""
-    sides = in_sides(d, rr_numbering(d))
+    on the `in_sides` split that its one numbering carries."""
+    sides = rr_numbering(d).sides
     return bound1_tree(d, sides), bound2_tree(d, sides)

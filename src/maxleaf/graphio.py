@@ -42,9 +42,8 @@ def _scan_graph(text):
         ids = list(map(int, body.split()))
     except ValueError:
         return None
-    it = iter(ids)
     if (head != f"{n} {m} {r}" or not 0 <= r < n or len(ids) != 2 * m
-            or body != "".join(map("{} {}\n".format, it, it))):
+            or body != "%d %d\n" * m % tuple(ids)):
         return None
     if ids and (min(ids) < 0 or max(ids) >= n or any(map(int.__eq__, ids[::2], ids[1::2]))):
         return None
@@ -101,9 +100,10 @@ def format_graph(d):
     if order != list(range(d.n)):
         pairs = " ".join(f"{newid[v]}={v}" for v in order)
         lines.append(f"# original-ids: {pairs}")
-    lines.append(f"{d.n} {d.m} {newid[d.root]}")
-    lines.extend(f"{i} {newid[v]}" for i, u in enumerate(order) for v in d.out_neighbors(u))
-    return "\n".join(lines) + "\n"
+    m = d.m
+    lines.append(f"{d.n} {m} {newid[d.root]}\n")
+    ids = [x for i, u in enumerate(order) for v in d.out_neighbors(u) for x in (i, newid[v])]
+    return "\n".join(lines) + "%d %d\n" * m % tuple(ids)
 
 
 def save_graph(d, path):

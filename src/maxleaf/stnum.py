@@ -7,7 +7,8 @@ each together with the out-arcs of r, gives two acyclic connected spanning
 subdigraphs that share exactly the out-arcs of r.  Arcs into r belong to
 neither family: they constrain no vertex, and since r reaches every vertex
 in both families, each would close a cycle.  `in_sides` is the one place
-that decides an arc's family; both bound trees read it.
+that decides an arc's family, and it checks the numbering in the same walk;
+`rr_numbering` carries that split, and both bound trees read it.
 
 Construction first deletes in-arcs of high-indegree vertices until every
 non-root vertex has indegree at most 2.  Each such vertex keeps its arcs
@@ -100,41 +101,40 @@ from .errors import InternalInvariantError
 class RRNumbering:
     order: tuple
     position: dict
+    sides: tuple  # the `in_sides` split (forward, backward)
 
 
-def validate_numbering(d, order):
-    """True when `order` lists the non-root vertices once and every vertex
-    that is not an outneighbor of r has in-neighbors on both sides."""
-    expected = set(d.vertices) - {d.root}
-    if len(order) != len(expected) or set(order) != expected:
-        return False
+def in_sides(d, order):
+    """The position map of `order` and its split (forward, backward): the
+    in-neighbor lists of every non-root vertex per side, ascending.  u is a
+    forward in-neighbor of v when it comes before v in the order and a
+    backward one when it comes after, and r is on both sides.  Arcs into r
+    are on neither side.
+
+    The same walk checks that `order` is a root-to-root numbering of d and
+    raises InternalInvariantError when it is not: it lists every non-root
+    vertex exactly once, and every vertex has an in-neighbor on each side,
+    which for a vertex that is not a root outneighbor is a non-root one."""
     r = d.root
     pos = {v: i for i, v in enumerate(order)}
-    root_out = set(d.root_out())
-    for p, x in enumerate(order):
-        if x in root_out:
-            continue
-        sides = [pos[u] for u in d.in_neighbors(x) if u != r]
-        if not sides or min(sides) > p or max(sides) < p:
-            return False
-    return True
-
-
-def in_sides(d, numbering):
-    """The forward and backward in-neighbor lists of every non-root vertex,
-    ascending: u is a forward in-neighbor of v when it comes before v in the
-    numbering and a backward one when it comes after, and r is on both
-    sides.  Arcs into r are on neither side.  Does not check the numbering."""
-    r, pos = d.root, numbering.position
+    if len(pos) != len(order):
+        raise InternalInvariantError("the numbering lists a vertex twice")
     fwd, bwd = {}, {}
-    for v in d.vertices:
-        if v == r:
-            continue
-        p = pos[v]
-        ins = d.in_neighbors(v)
-        fwd[v] = [u for u in ins if u == r or pos[u] < p]
-        bwd[v] = [u for u in ins if u == r or pos[u] > p]
-    return fwd, bwd
+    try:
+        for v in d.vertices:
+            if v == r:
+                continue
+            p = pos[v]
+            ins = d.in_neighbors(v)
+            fwd[v] = f = [u for u in ins if u == r or pos[u] < p]
+            bwd[v] = b = [u for u in ins if u == r or pos[u] > p]
+            if not (f and b):
+                raise InternalInvariantError(f"vertex {v} has no in-neighbor on one side")
+    except KeyError as exc:
+        raise InternalInvariantError(f"the numbering misses vertex {exc}") from None
+    if len(pos) != len(fwd):
+        raise InternalInvariantError("the numbering lists the root or a vertex not in the digraph")
+    return pos, (fwd, bwd)
 
 
 # -- indegree reduction -------------------------------------------------
@@ -403,7 +403,8 @@ def _reinserted(r, remaining, records):
 
 
 def rr_numbering(d):
-    """A valid root-to-root numbering of a 2-connected rooted digraph.
+    """A valid root-to-root numbering of a 2-connected rooted digraph,
+    with its `in_sides` split, whose walk checks the order.
 
     Works on the working copy that `reduce_indegrees(d)` returns, without
     its arcs into the root r, eliminating on its adjacency sets in place;
@@ -493,8 +494,5 @@ def rr_numbering(d):
                 heappush(candidates, y)
         records.append((v, v_in - {r}, r in v_in, u, u_others, u_exempt))
 
-    sigma = _reinserted(r, sorted(inn.keys() - {r}), records)
-    if not validate_numbering(d, sigma):
-        raise InternalInvariantError("constructed numbering failed validation")
-    order = tuple(sigma)
-    return RRNumbering(order, {v: i for i, v in enumerate(order)})
+    order = tuple(_reinserted(r, sorted(inn.keys() - {r}), records))
+    return RRNumbering(order, *in_sides(d, order))

@@ -86,11 +86,31 @@ class NumberingSplit:
     backward: RootedDigraph
 
 
+def validate_numbering(d, order):
+    """True when `order` lists the non-root vertices once and every vertex
+    that is not an outneighbor of r has in-neighbors on both sides: the
+    oracle for the check that `stnum.in_sides` makes in its walk."""
+    expected = set(d.vertices) - {d.root}
+    if len(order) != len(expected) or set(order) != expected:
+        return False
+    r = d.root
+    pos = {v: i for i, v in enumerate(order)}
+    root_out = set(d.root_out())
+    for p, x in enumerate(order):
+        if x in root_out:
+            continue
+        sides = [pos[u] for u in d.in_neighbors(x) if u != r]
+        if not sides or min(sides) > p or max(sides) < p:
+            return False
+    return True
+
+
 def split(d, numbering):
-    """Forward and backward subdigraphs induced by a valid numbering."""
-    if not stnum.validate_numbering(d, numbering.order):
+    """Forward and backward subdigraphs of the split that a valid numbering
+    carries."""
+    if not validate_numbering(d, numbering.order):
         raise ValueError("numbering is not valid for this digraph")
-    fwd, bwd = stnum.in_sides(d, numbering)
+    fwd, bwd = numbering.sides
     return NumberingSplit(side_digraph(d, fwd), side_digraph(d, bwd))
 
 
@@ -105,8 +125,9 @@ def in_lists(d):
 
 
 def numbered_sides(d):
-    """`in_sides` of d's `rr_numbering`: the split the bound trees take."""
-    return stnum.in_sides(d, stnum.rr_numbering(d))
+    """The `in_sides` split that d's `rr_numbering` carries: the split the
+    bound trees take."""
+    return stnum.rr_numbering(d).sides
 
 
 def many_leaves_bound(d):
@@ -737,7 +758,7 @@ def listed_reinsertion(r, remaining, records):
 
 
 def any_scan_validate_numbering(d, order):
-    """`stnum.validate_numbering` with two `any` scans per vertex."""
+    """`validate_numbering` with two `any` scans per vertex."""
     expected = set(d.vertices) - {d.root}
     if len(order) != len(expected) or set(order) != expected:
         return False

@@ -17,11 +17,11 @@ from maxleaf.digraph import (classify, is_2connected, reachable,
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_t_l
 from maxleaf.reduce import decide, kernelize, lift
-from maxleaf.stnum import in_sides, rr_numbering
+from maxleaf.stnum import rr_numbering
 
 from support import (all_rule_applications, in_lists, many_leaves_bound, mixed_rule_corpus,
                      numbered_sides, random_instances, random_undirected_graphs, split,
-                     topological_order, two_connected_instances)
+                     topological_order, two_connected_instances, validate_numbering)
 
 
 @contextmanager
@@ -118,7 +118,6 @@ def test_criterion_04_kernel_decision_soundness():
 
 def test_criterion_05_numbering_validity(corpus_2conn):
     with criterion("5 (numberings)"):
-        from maxleaf.stnum import validate_numbering
         assert len(corpus_2conn) >= 200
         for d in corpus_2conn:
             num = rr_numbering(d)
@@ -140,7 +139,7 @@ def test_criterion_06_constructive_bounds(corpus_2conn):
                 tree = acyclic_many_leaves(part.root, in_lists(part))
                 assert verify_outbranching(d, tree).ok
                 assert Fraction(tree.leaf_count) >= many_leaves_bound(part)
-            sides = in_sides(d, num)
+            sides = num.sides
             t1 = bound1_tree(d, sides)
             l3 = sum(1 for v in d.vertices if v != d.root and d.indeg(v) >= 3)
             assert verify_outbranching(d, t1).ok

@@ -13,7 +13,7 @@ from maxleaf.gen import gen_boloney, gen_t_l
 from maxleaf.reduce import renormalize, strip_cutvertices
 from maxleaf.errors import InternalInvariantError
 from maxleaf.stnum import (RootPathState, in_sides, reduce_indegrees, rr_numbering,
-                           two_disjoint_root_paths, validate_numbering)
+                           two_disjoint_root_paths)
 from maxleaf.bounds import bound1_tree, bound2_tree
 
 from support import (RootPathNetwork, any_scan_validate_numbering, brute_cutvertices,
@@ -22,7 +22,7 @@ from support import (RootPathNetwork, any_scan_validate_numbering, brute_cutvert
                      listed_reinsertion, relabelled, rescanning_disjoint_root_paths,
                      rescanning_rr_numbering, split, splitting_bound1_tree, topological_order,
                      transverse_decomposition, trimming_transverse_decomposition,
-                     two_connected_instances)
+                     two_connected_instances, validate_numbering)
 from test_golden import approx_core, corpus as golden_corpus
 
 
@@ -186,7 +186,7 @@ def test_split_two_circuit_goes_both_ways():
 def test_split_rejects_invalid_numbering():
     from maxleaf.stnum import RRNumbering
     d = sandwich_example()
-    bad = RRNumbering((3, 1, 2), {3: 0, 1: 1, 2: 2})
+    bad = RRNumbering((3, 1, 2), {3: 0, 1: 1, 2: 2}, ({}, {}))
     with pytest.raises(ValueError):
         split(d, bad)
 
@@ -225,7 +225,7 @@ def test_numbering_and_bound_trees_with_root_in_arcs():
     for d in [minimal] + raw_two_connected_with_root_in_arcs(150, seed_base=3100):
         num = rr_numbering(d)
         assert validate_numbering(d, num.order)
-        sides = in_sides(d, num)
+        sides = num.sides
         for tree in (bound1_tree(d, sides), bound2_tree(d, sides)):
             assert verify_outbranching(d, tree).ok
 
@@ -563,7 +563,7 @@ def test_bound_trees_match_split_and_trim_oracles():
     anchored = 0
     for d in corpus:
         num = rr_numbering(d)
-        sides = in_sides(d, num)
+        sides = num.sides
         assert bound1_tree(d, sides) == splitting_bound1_tree(d, num)
         dec, old = transverse_decomposition(d, sides), trimming_transverse_decomposition(d, num)
         for field in ("t_f", "t_b", "transverse_f", "transverse_b", "chosen", "s_left", "s_right"):
@@ -655,6 +655,46 @@ def test_validate_numbering_matches_any_scans():
         orders.append(rng.sample(order, len(order)))
         for candidate in orders:
             verdict = validate_numbering(d, candidate)
-            assert verdict == any_scan_validate_numbering(d, candidate)
+            assert verdict == any_scan_validate_numbering(d, candidate) == splits(d, candidate)
             verdicts[verdict] += 1
     assert min(verdicts.values()) > 200
+
+
+def splits(d, order):
+    """Whether `in_sides` accepts `order`: True when it splits, False when
+    it raises."""
+    try:
+        in_sides(d, order)
+    except InternalInvariantError:
+        return False
+    return True
+
+
+def one_sided_swap(d, order):
+    """`order` with the first adjacent pair swapped that leaves a vertex
+    with every non-root in-neighbor on one side."""
+    for i in range(len(order) - 1):
+        swapped = list(order)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        if not validate_numbering(d, swapped):
+            return swapped
+    raise AssertionError("every adjacent swap keeps the numbering valid")
+
+
+BAD_ORDERS = {
+    "swapped": one_sided_swap,
+    "missing": lambda d, order: order[1:],
+    "twice": lambda d, order: order + order[-1:],  # every position as it was
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_ORDERS))
+def test_rr_numbering_rejects_a_bad_reinsertion(monkeypatch, kind):
+    d = cutvertex_free_core(legacy_gen_random(148, 3 / 148, seed=5208))
+    order = list(rr_numbering(d).order)
+    bad = BAD_ORDERS[kind](d, order)
+    assert not validate_numbering(d, bad)
+    assert (sorted(bad) == sorted(order)) == (kind == "swapped")
+    monkeypatch.setattr(stnum, "_reinserted", lambda *args: list(bad))
+    with pytest.raises(InternalInvariantError):
+        rr_numbering(d)
