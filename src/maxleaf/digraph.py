@@ -10,7 +10,7 @@ removal leaves some vertex unreachable from r, and the digraph is 2-connected
 when it has no cut of size at most 1.  A cut of size 1 is a cutvertex.
 
 `search` is the one breadth-first search: reachability, `grow_tree`, the
-tree check, `stnum.RootPathState`, the bound trees' `acyclic_many_leaves`,
+tree check, `stnum.root_path_tree`, the bound trees' `acyclic_many_leaves`,
 `large_indegree_witness` and `majbound_tree`'s path search all read it;
 only `stnum`'s residual second-path search keeps its own loop.
 

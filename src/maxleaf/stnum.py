@@ -29,9 +29,9 @@ Neither stage rescans the digraph per vertex.  The kept tails end the
 paths of two breadth-first augmentations in the node-split unit network
 (vertex v becomes in(v) -> out(v) of capacity 1, 2 for r, arc (u, v)
 becomes out(u) -> in(v), every edge list sorted by vertex), each stopping
-when it discovers in(t) for the target t.  They are found on the digraph's
-own sorted arc lists, without the arcs into r, which lead to in(r) and end
-there.
+when it discovers in(t) for the target t.  They are found on copies of
+the digraph's sorted out-lists without the arcs into r, which lead to in(r)
+and end there, and without the arcs deleted so far.
 
 Tree-arc lemma.  Without flow, in(v) leads only to out(v), so the network
 search is a breadth-first search of the out-lists, and the first
@@ -40,8 +40,8 @@ breadth-first tree T.  The second augmentation stops on reaching in(t)
 without expanding it, so it never cancels the flow on the arc of P into
 t, which is always kept.  The reduction thus deletes only arcs outside T,
 and deleting an arc that the search never used to discover a vertex leaves
-T as it is, so one T serves every vertex until a deletion removes a tree
-arc (see `RootPathState` and `reduce_indegrees`).
+T as it is, so one T, built at the first vertex visited, serves every
+vertex (see `root_path_tree` and `reduce_indegrees`).
 
 Search lemma.  Take the network with one unit of flow on P.  Every
 out-node has exactly one in-edge with residual capacity: the split edge
@@ -77,7 +77,7 @@ first.  out(vk) never expands, so when y lies outside S the same argument
 shows that no other in-neighbor of t expands before y: the second search
 discovers t from y, so t's tails are vk and y, and no search is needed.
 y lies outside S exactly when the root child on its tree path is not v1,
-which `RootPathState` records per vertex.  On the cutvertex-free core of
+which `root_path_tree` records per vertex.  On the cutvertex-free core of
 the n = 1600, p = 4/1600, seed 1 instance of the per-pair generator that
 `gen_random` used before skip sampling (kept as the tests' fixture
 `legacy_gen_random`, which `test_reduce_indegrees_searches_for_few_tails`
@@ -100,16 +100,14 @@ from .errors import InternalInvariantError
 @dataclass(frozen=True)
 class RRNumbering:
     order: tuple
-    position: dict
     sides: tuple  # the `in_sides` split (forward, backward)
 
 
 def in_sides(d, order):
-    """The position map of `order` and its split (forward, backward): the
-    in-neighbor lists of every non-root vertex per side, ascending.  u is a
-    forward in-neighbor of v when it comes before v in the order and a
-    backward one when it comes after, and r is on both sides.  Arcs into r
-    are on neither side.
+    """The split (forward, backward) of `order`: the in-neighbor lists of
+    every non-root vertex per side, ascending.  u is a forward in-neighbor
+    of v when it comes before v in the order and a backward one when it
+    comes after, and r is on both sides.  Arcs into r are on neither side.
 
     The same walk checks that `order` is a root-to-root numbering of d and
     raises InternalInvariantError when it is not: it lists every non-root
@@ -134,50 +132,23 @@ def in_sides(d, order):
         raise InternalInvariantError(f"the numbering misses vertex {exc}") from None
     if len(pos) != len(fwd):
         raise InternalInvariantError("the numbering lists the root or a vertex not in the digraph")
-    return pos, (fwd, bwd)
+    return fwd, bwd
 
 
 # -- indegree reduction -------------------------------------------------
 
 
-class RootPathState:
-    """The live arc lists of a rooted digraph and their breadth-first tree.
-
-    `out[v]` and `inn[v]` list v's out- and in-neighbors in ascending
-    order, without the arcs into the root and without the arcs `delete_arc`
-    removed.  `tree()` is the breadth-first tree of the out-lists from the
-    root, the `search` map from each reached vertex to its parent (None for
-    the root).  It is built on first use, together with each reached
-    vertex's place in the search (`_rank`, the map's order) and the root
-    child its tree path leaves the root through (`_top`, None for the
-    root), and kept until `delete_arc` removes one of its arcs (tree-arc
-    lemma, module docstring).
-    """
-
-    def __init__(self, d):
-        r = self.root = d.root
-        out = self.out = {v: list(d.out_neighbors(v)) for v in d.vertices}
-        for y in d.in_neighbors(r):
-            out[y].remove(r)
-        self.inn = {v: list(d.in_neighbors(v)) for v in d.vertices}
-        self.inn[r] = []
-        self._tree = None
-
-    def tree(self):
-        if self._tree is None:
-            r = self.root
-            tree = self._tree = search(self.out, [r])
-            self._rank = {v: i for i, v in enumerate(tree)}
-            top = self._top = {}
-            for v, u in tree.items():  # a parent comes before its children
-                top[v] = v if u == r else top.get(u)
-        return self._tree
-
-    def delete_arc(self, u, v):
-        self.out[u].remove(v)
-        self.inn[v].remove(u)
-        if self._tree is not None and self._tree.get(v) == u:
-            self._tree = None
+def root_path_tree(out, r):
+    """The breadth-first tree of the out-lists `out` from the root r, as
+    `(parent, rank, top)`: the `search` map from each reached vertex to its
+    parent (None for r), each reached vertex's place in that search, and
+    the root child its tree path leaves r through (None for r)."""
+    parent = search(out, [r])
+    rank = {v: i for i, v in enumerate(parent)}
+    top = {}
+    for v, u in parent.items():  # a parent comes before its children
+        top[v] = v if u == r else top.get(u)
+    return parent, rank, top
 
 
 def _second_search(out, parent, succ, r, target):
@@ -207,40 +178,42 @@ def _second_search(out, parent, succ, r, target):
     return None
 
 
-def two_disjoint_root_paths(state, target):
+def two_disjoint_root_paths(d, out, tree, target):
     """The tails `(parent, other)` of the last arcs of two internally
-    vertex-disjoint paths from the root to `target` over the live arc lists
-    of a `RootPathState`, or None when no such pair exists.
+    vertex-disjoint paths from the root of d to `target` over the out-lists
+    `out`, or None when no such pair exists.
 
-    The paths are those of two breadth-first augmentations in the
-    digraph's node-split unit network, and their tails are found without
-    that network or the paths (module docstring).  The first path is
-    `target`'s path P = r, v1, ..., target in `state.tree()` (tree-arc
-    lemma), so `parent` is `target`'s tree parent.  `other` is the
-    in-neighbor y of `target` that the tree's search reached first, other
-    than its parent, when y's tree path leaves the root through another
-    child than v1 (shortcut lemma).  Otherwise it is the vertex from which
-    a breadth-first search of the out-lists discovers `target`: the search
-    skips the arc of P out of each vertex of P, continues at v(i-1) on
-    entering v(i), and offers v(i) itself at its own place in v(i)'s
-    out-list (search lemma).  Nothing in `state` changes, also when the
-    result is None.
+    `out` maps every vertex to its out-neighbors in ascending order, without
+    the arcs into the root, and `tree` is their `root_path_tree`; `target`'s
+    in-list is read from d, so `out` must hold every arc of d into it.  The
+    paths are those of two breadth-first augmentations in the node-split
+    unit network, and their tails are found without that network or the
+    paths (module docstring).  The first path is `target`'s tree path P =
+    r, v1, ..., target (tree-arc lemma), so `parent` is `target`'s tree
+    parent.  `other` is the in-neighbor y of `target` that the tree's search
+    reached first, other than its parent, when y's tree path leaves the root
+    through another child than v1 (shortcut lemma).  Otherwise it is the
+    vertex from which a breadth-first search of the out-lists discovers
+    `target`: the search skips the arc of P out of each vertex of P,
+    continues at v(i-1) on entering v(i), and offers v(i) itself at its own
+    place in v(i)'s out-list (search lemma).  Neither `out` nor `tree`
+    changes, also when the result is None.
     """
-    r = state.root
+    r = d.root
     if target == r:
         raise ValueError("target must differ from the root")
-    parent = state.tree()
+    parent, rank, top = tree
     if target not in parent:
         return None
-    first, rank = parent[target], state._rank
+    first = parent[target]
     other = None
-    for y in state.inn[target]:  # the first in the search, but for `first`
+    for y in d.in_neighbors(target):  # the first in the search, but for `first`
         i = rank.get(y)
         if i is not None and y != first and (other is None or i < least):
             other, least = y, i
     if other is None:
         return None  # out(parent) never expands, so nothing discovers in(target)
-    if state._top[other] != state._top[target]:
+    if top[other] != top[target]:
         return first, other
 
     succ = {}
@@ -248,7 +221,7 @@ def two_disjoint_root_paths(state, target):
     while v != r:
         succ[parent[v]] = v
         v = parent[v]
-    other = _second_search(state.out, parent, succ, r, target)
+    other = _second_search(out, parent, succ, r, target)
     return None if other is None else (first, other)
 
 
@@ -271,35 +244,43 @@ def reduce_indegrees(d):
     after a failure (no path pair, or a result that fails the check) is the
     input checked, to tell ValueError from a bug.
 
-    One `RootPathState` serves every vertex, and its breadth-first tree is
-    never rebuilt.  x's first tail is its parent in that tree, and the
-    second search stops on discovering x without continuing from it, so it
-    never reverses the tree arc into x: that arc is always kept.
+    The tails are found on one map of live out-lists, copied from d at the
+    first vertex visited without the arcs into the root, from which each
+    deleted arc is removed, and on one `root_path_tree` of them, built
+    then and never rebuilt.  x's first tail is its parent in that tree,
+    and the second search stops on discovering x without continuing from
+    it, so it never reverses the tree arc into x: that arc is always kept.
     Every deleted arc thus lies outside the tree, and since the search
     never used it to discover a vertex, the tree without it is the same
-    (tree-arc lemma, module docstring).  The state is dropped before the
-    copy is taken, so the two are never held in memory together.  The copy
-    is built without the deleted arcs: a visited vertex's in-set is its two
-    kept tails, and only the out-sets of the deleted arcs' tails are
-    filtered, so no set is copied whole and then emptied.
+    (tree-arc lemma, module docstring).  No arc into x is deleted before x
+    is visited, so x's in-list is read from d.  The lists and the tree are
+    dropped before the copy is taken, so the two are never held in memory
+    together.  The copy is built without the deleted arcs: a visited
+    vertex's in-set is its two kept tails, and only the out-sets of the
+    deleted arcs' tails are filtered, so no set is copied whole and then
+    emptied.
     """
-    state = None
+    r = d.root
+    out = tree = None
     kept = {}  # each visited vertex's two kept tails
     cut = {}   # the heads of each tail's deleted arcs
     for x in d.vertices:
-        if x == d.root or d.indeg(x) <= 2:
+        if x == r or d.indeg(x) <= 2:
             continue
-        if state is None:
-            state = RootPathState(d)
-        pair = two_disjoint_root_paths(state, x)
+        if out is None:
+            out = {v: list(d.out_neighbors(v)) for v in d.vertices}
+            for y in d.in_neighbors(r):
+                out[y].remove(r)
+            tree = root_path_tree(out, r)
+        pair = two_disjoint_root_paths(d, out, tree, x)
         if pair is None:
             _reduction_failed(d, f"no disjoint path pair to {x} in a 2-connected digraph")
         kept[x] = keep = set(pair)
         for y in d.in_neighbors(x):
             if y not in keep:
-                state.delete_arc(y, x)
+                out[y].remove(x)
                 cut.setdefault(y, []).append(x)
-    del state
+    del out, tree
     reduced = d.thaw(ins=kept,
                      outs={y: set(d._out[y]).difference(heads) for y, heads in cut.items()})
     if not is_2connected(reduced):
@@ -495,4 +476,4 @@ def rr_numbering(d):
         records.append((v, v_in - {r}, r in v_in, u, u_others, u_exempt))
 
     order = tuple(_reinserted(r, sorted(inn.keys() - {r}), records))
-    return RRNumbering(order, *in_sides(d, order))
+    return RRNumbering(order, in_sides(d, order))

@@ -615,30 +615,40 @@ def flow_disjoint_root_paths(d, target):
     return paths
 
 
-class RootPathNetwork:
-    """Node-split unit-capacity flow network of a rooted digraph, the oracle
-    that `stnum.two_disjoint_root_paths` replaces.
+def root_path_lists(d):
+    """d's out-lists as the `stnum.two_disjoint_root_paths` callers keep
+    them: a list per vertex, ascending, without the arcs into the root."""
+    out = {v: list(d.out_neighbors(v)) for v in d.vertices}
+    for y in d.in_neighbors(d.root):
+        out[y].remove(d.root)
+    return out
 
-    The i-th vertex becomes an in-node 2i and an out-node 2i + 1 joined by
-    edge 2i of capacity 1 (2 for the root); each arc (u, v), also one into
-    the root, becomes an edge out(u) -> in(v) of capacity 1.  Edge e's
-    residual twin is e ^ 1, so forward edges have even ids.  Every node's
-    edge list is sorted by head, which makes augmenting paths break ties by
-    ascending vertex id.  `delete_arc` sets an arc's capacity to 0, so the
-    network stands in for a `stnum.RootPathState`.
+
+class RootPathNetwork:
+    """Node-split unit-capacity flow network of the digraph with root `root`
+    and out-lists `out`, the oracle that `stnum.two_disjoint_root_paths`
+    replaces.
+
+    The i-th vertex of `out` becomes an in-node 2i and an out-node 2i + 1
+    joined by edge 2i of capacity 1 (2 for the root); each arc (u, v), also
+    one into the root, becomes an edge out(u) -> in(v) of capacity 1.  Edge
+    e's residual twin is e ^ 1, so forward edges have even ids.  Every
+    node's edge list is sorted by head, which makes augmenting paths break
+    ties by ascending vertex id.
     """
 
-    def __init__(self, d):
-        self.root = d.root
-        self.vertices = tuple(d.vertices)
+    def __init__(self, root, out):
+        self.root = root
+        self.vertices = tuple(out)
         self.node = {v: 2 * i for i, v in enumerate(self.vertices)}
         self.head = []
         self.cap = []
-        self.edges = [[] for _ in range(2 * d.n)]
+        self.edges = [[] for _ in range(2 * len(self.vertices))]
         for v in self.vertices:
-            self._add(self.node[v], self.node[v] + 1, 2 if v == d.root else 1)
-        self.arc_edge = {(u, v): self._add(self.node[u] + 1, self.node[v], 1)
-                         for u in self.vertices for v in d.out_neighbors(u)}
+            self._add(self.node[v], self.node[v] + 1, 2 if v == root else 1)
+        for u in self.vertices:
+            for v in out[u]:
+                self._add(self.node[u] + 1, self.node[v], 1)
         for edges in self.edges:
             edges.sort()
 
@@ -649,9 +659,6 @@ class RootPathNetwork:
         self.edges[a].append((b, e))
         self.edges[b].append((a, e + 1))
         return e
-
-    def delete_arc(self, u, v):
-        self.cap[self.arc_edge[(u, v)]] = 0
 
 
 def rescanning_disjoint_root_paths(network, target):
@@ -971,7 +978,7 @@ def _trim_one_forward_one_backward(d, num):
     """One incoming forward and one incoming backward arc per non-root vertex,
     keeping a simple in-arc for every nice vertex."""
     simple = simple_arcs(d)
-    pos = num.position
+    pos = {v: i for i, v in enumerate(num.order)}
     root_out = set(d.root_out())
     arcs = [(d.root, y) for y in root_out]
     for v in d.vertices:
@@ -998,7 +1005,7 @@ def trimming_transverse_decomposition(d, num):
     with one forward and one backward in-arc per vertex, built from its own
     forward/backward test and its own classification."""
     trimmed = _trim_one_forward_one_backward(d, num)
-    pos = num.position
+    pos = {v: i for i, v in enumerate(num.order)}
     root_out = set(trimmed.root_out())
 
     parent_f, parent_b = {}, {}
@@ -1327,11 +1334,11 @@ def looped_verify_outbranching(d, t):
     return VerifyResult(True, t.leaf_count)
 
 
-def looped_root_path_tree(state):
-    """`stnum.RootPathState.tree` before `digraph.search`, as (tree, rank)."""
-    out = state.out
-    parent = {state.root: None}
-    queue = [state.root]
+def looped_root_path_tree(out, root):
+    """The tree and ranks of `stnum.root_path_tree` before `digraph.search`,
+    as (tree, rank)."""
+    parent = {root: None}
+    queue = [root]
     for u in queue:
         for v in out[u]:
             if v not in parent:

@@ -13,12 +13,12 @@ from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
 from maxleaf.errors import InfeasibleError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
-from maxleaf.stnum import RootPathState, two_disjoint_root_paths
+from maxleaf.stnum import root_path_tree, two_disjoint_root_paths
 
 from support import (broom, brute_cutvertices, brute_idom, count_calls, dominator_chain,
                      is_normalized, iterative_idom, lengauer_tarjan_idom,
                      looped_digraph_maps, random_instances, raw_digraph, rebuilt, relabelled,
-                     simple_arcs, tuple_stack_euler_intervals)
+                     root_path_lists, simple_arcs, tuple_stack_euler_intervals)
 
 
 def test_build_smallest_star():
@@ -233,9 +233,10 @@ def test_is_2connected_examples():
 
 def test_is_2connected_matches_disjoint_paths():
     for d in random_instances(25, 4, 10, seed_base=501):
-        state = RootPathState(d)
+        out = root_path_lists(d)
+        tree = root_path_tree(out, d.root)
         expected = is_connected(d) and all(
-            two_disjoint_root_paths(state, v) is not None
+            two_disjoint_root_paths(d, out, tree, v) is not None
             for v in d.vertices if v != d.root and v not in d.root_out())
         assert is_2connected(d) == expected
 

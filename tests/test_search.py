@@ -6,12 +6,12 @@ from maxleaf.digraph import (Outbranching, classify, grow_tree, is_connected,
 from maxleaf.errors import InternalInvariantError
 from maxleaf.gen import gen_t_l
 from maxleaf.reduce import kernelize, large_indegree_witness, renormalize, strip_cutvertices
-from maxleaf.stnum import RootPathState
+from maxleaf.stnum import root_path_tree
 
 from support import (chain_planted_corpus, looped_grow_tree, looped_large_indegree_witness,
                      looped_path_to_pending, looped_reach, looped_root_path_tree,
                      looped_verify_outbranching, raw_digraph, relabelled,
-                     two_connected_instances)
+                     root_path_lists, two_connected_instances)
 
 
 def test_search_contract():
@@ -90,22 +90,23 @@ def test_search_matches_the_loops_it_replaced():
 
     for d in two_connected_instances(30, 6, 24, 400):
         rng = random.Random(d.n)
-        state = RootPathState(d)
+        out = root_path_lists(d)
         for _ in range(12):
-            tree = state.tree()
-            expected_tree, expected_rank = looped_root_path_tree(state)
+            tree, rank, top = root_path_tree(out, d.root)
+            expected_tree, expected_rank = looped_root_path_tree(out, d.root)
             assert list(tree.items()) == list(expected_tree.items())
-            assert state._rank == expected_rank
+            assert rank == expected_rank
             for v in tree:  # the root child on v's tree path, None for the root
                 u = v
-                while tree[u] not in (None, state.root):
+                while tree[u] not in (None, d.root):
                     u = tree[u]
-                assert state._top[v] == (None if v == state.root else u)
+                assert top[v] == (None if v == d.root else u)
             counts["rank"] += 1
-            live = [(u, v) for u in state.out for v in state.out[u]]
+            live = [(u, v) for u in out for v in out[u]]
             if not live:
                 break
-            state.delete_arc(*rng.choice(live))
+            u, v = rng.choice(live)
+            out[u].remove(v)
 
     cores = [relabelled(gen_t_l(k), k) for k in range(3, 13)]
     for d in chain_planted_corpus(40, 700, raw=False) + chain_planted_corpus(20, 800, raw=True):

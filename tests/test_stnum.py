@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import permutations
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxleaf import stnum
+from maxleaf.approx import approximate
 from maxleaf.digraph import (RootedDigraph, build, is_2connected, is_connected, normalize,
                              reachable, verify_outbranching)
-from maxleaf.gen import gen_boloney, gen_t_l
+from maxleaf.gen import gen_boloney, gen_comb, gen_necklace, gen_t_l
+from maxleaf.graphio import format_tree
 from maxleaf.reduce import renormalize, strip_cutvertices
 from maxleaf.errors import InternalInvariantError
-from maxleaf.stnum import (RootPathState, in_sides, reduce_indegrees, rr_numbering,
+from maxleaf.stnum import (in_sides, reduce_indegrees, root_path_tree, rr_numbering,
                            two_disjoint_root_paths)
 from maxleaf.bounds import bound1_tree, bound2_tree
 
@@ -20,7 +23,7 @@ from support import (RootPathNetwork, any_scan_validate_numbering, brute_cutvert
                      checked_reduce_indegrees, checked_reduce_to_work,
                      digraph_many_leaves, flow_disjoint_root_paths, legacy_gen_random,
                      listed_reinsertion, relabelled, rescanning_disjoint_root_paths,
-                     rescanning_rr_numbering, split, splitting_bound1_tree, topological_order,
+                     rescanning_rr_numbering, root_path_lists, split, splitting_bound1_tree, topological_order,
                      transverse_decomposition, trimming_transverse_decomposition,
                      two_connected_instances, validate_numbering)
 from test_golden import approx_core, corpus as golden_corpus
@@ -35,7 +38,7 @@ def test_numbering_on_forced_example():
     num = rr_numbering(d)
     assert validate_numbering(d, num.order)
     # vertex 3 must sit strictly between its in-neighbors 1 and 2
-    pos = num.position
+    pos = {v: i for i, v in enumerate(num.order)}
     assert min(pos[1], pos[2]) < pos[3] < max(pos[1], pos[2])
 
 
@@ -113,23 +116,34 @@ def path_tails(paths):
     return None if paths is None else {p[-2] for p in paths}
 
 
-def assert_tails(state, v, paths):
-    """`two_disjoint_root_paths(state, v)` is v's tree parent and one other
-    in-neighbor, and the two are the last tails of `paths`, an oracle's
-    path pair (None when it has none)."""
-    pair = two_disjoint_root_paths(state, v)
+def root_paths(d):
+    """The out-lists and tree that `reduce_indegrees` starts from on d."""
+    out = root_path_lists(d)
+    return out, root_path_tree(out, d.root)
+
+
+def network_of(d):
+    """The `RootPathNetwork` of d with every arc, also those into the root."""
+    return RootPathNetwork(d.root, {v: d.out_neighbors(v) for v in d.vertices})
+
+
+def assert_tails(d, out, tree, v, paths):
+    """`two_disjoint_root_paths(d, out, tree, v)` is v's tree parent and one
+    other in-neighbor, and the two are the last tails of `paths`, an
+    oracle's path pair (None when it has none)."""
+    pair = two_disjoint_root_paths(d, out, tree, v)
     if paths is None:
         assert pair is None
     else:
-        assert pair[0] == state.tree()[v] and set(pair) == path_tails(paths)
+        assert pair[0] == tree[0][v] and set(pair) == path_tails(paths)
     return pair
 
 
 def test_two_disjoint_root_paths():
     d = sandwich_example()
-    assert two_disjoint_root_paths(RootPathState(d), 3) == (1, 2)
+    assert two_disjoint_root_paths(d, *root_paths(d), 3) == (1, 2)
     path = build(3, 0, [(0, 1), (1, 2)])
-    assert two_disjoint_root_paths(RootPathState(path), 2) is None
+    assert two_disjoint_root_paths(path, *root_paths(path), 2) is None
 
 
 def test_second_search_walks_back_along_the_tree_path(monkeypatch):
@@ -139,14 +153,14 @@ def test_second_search_walks_back_along_the_tree_path(monkeypatch):
     # the paths 0, 1, 9, 8, 4 and 0, 6, 3, 7, 5, 4, which end in 8 and 5
     d = build(10, 0, [(0, 1), (0, 6), (1, 2), (1, 9), (2, 5), (3, 7), (5, 4), (6, 3),
                       (7, 5), (8, 4), (9, 8)])
-    state = RootPathState(d)
-    assert [state.tree()[v] for v in (4, 5, 2, 1)] == [5, 2, 1, 0]
+    out, tree = root_paths(d)
+    assert [tree[0][v] for v in (4, 5, 2, 1)] == [5, 2, 1, 0]
     searches = []
     real_search = stnum._second_search
     monkeypatch.setattr(stnum, "_second_search",
                         lambda *args: searches.append(args[-1]) or real_search(*args))
-    assert two_disjoint_root_paths(state, 4) == (5, 8) and searches == [4]
-    assert path_tails(rescanning_disjoint_root_paths(RootPathNetwork(d), 4)) == {8, 5}
+    assert two_disjoint_root_paths(d, out, tree, 4) == (5, 8) and searches == [4]
+    assert path_tails(rescanning_disjoint_root_paths(network_of(d), 4)) == {8, 5}
 
 
 def test_numbering_on_families():
@@ -186,7 +200,7 @@ def test_split_two_circuit_goes_both_ways():
 def test_split_rejects_invalid_numbering():
     from maxleaf.stnum import RRNumbering
     d = sandwich_example()
-    bad = RRNumbering((3, 1, 2), {3: 0, 1: 1, 2: 2}, ({}, {}))
+    bad = RRNumbering((3, 1, 2), ({}, {}))
     with pytest.raises(ValueError):
         split(d, bad)
 
@@ -264,10 +278,10 @@ def test_reduce_indegrees_matches_checked_oracle(monkeypatch):
 def test_disjoint_root_paths_match_fresh_flow():
     found = missing = 0
     for d in oracle_corpus()[::3] + raw_two_connected_with_root_in_arcs(50, seed_base=3200):
-        state = RootPathState(d)
+        out, tree = root_paths(d)
         for v in d.vertices:
             if v != d.root:
-                pair = assert_tails(state, v, flow_disjoint_root_paths(d, v))
+                pair = assert_tails(d, out, tree, v, flow_disjoint_root_paths(d, v))
                 found += pair is not None
                 missing += pair is None
     assert found > 1000 and missing > 0  # a root outneighbor may have no other in-arc
@@ -276,21 +290,19 @@ def test_disjoint_root_paths_match_fresh_flow():
 def test_disjoint_root_paths_leave_the_state_unchanged():
     checked = missing = 0
     for d in oracle_corpus()[::4] + raw_two_connected_with_root_in_arcs(20, seed_base=3300):
-        state = RootPathState(d)
         cut = min((v for v in d.vertices if v != d.root), key=lambda v: (-d.indeg(v), v))
-        for y in d.in_neighbors(cut)[1:]:
-            state.delete_arc(y, cut)  # leaves cut one in-arc: no path pair
-        tree = state.tree()
+        # leaves cut one in-arc: no path pair
+        d = d.without_arcs([(y, cut) for y in d.in_neighbors(cut)[1:]])
+        out, tree = root_paths(d)
 
         def snapshot():
-            return ([{u: list(ws) for u, ws in lists.items()} for lists in (state.out, state.inn)]
-                    + [dict(tree), dict(state._rank), dict(state._top)])
+            return [{u: list(ws) for u, ws in out.items()}] + [dict(part) for part in tree]
 
         before = snapshot()
         for v in d.vertices:
             if v != d.root:
-                missing += two_disjoint_root_paths(state, v) is None
-                assert state.tree() is tree and snapshot() == before
+                missing += two_disjoint_root_paths(d, out, tree, v) is None
+                assert snapshot() == before
                 checked += 1
     assert checked > 500 and missing > 0
 
@@ -301,7 +313,7 @@ def test_reduce_indegrees_searches_for_few_tails(monkeypatch):
     pairs, searches = [], []
     real_pair, real_search = stnum.two_disjoint_root_paths, stnum._second_search
     monkeypatch.setattr(stnum, "two_disjoint_root_paths",
-                        lambda state, x: pairs.append(x) or real_pair(state, x))
+                        lambda d, out, tree, x: pairs.append(x) or real_pair(d, out, tree, x))
     monkeypatch.setattr(stnum, "_second_search",
                         lambda *args: searches.append(args[-1]) or real_search(*args))
     reduce_indegrees(d)
@@ -313,7 +325,7 @@ def test_reduce_indegrees_checks_once(monkeypatch):
     assert any(d.indeg(v) > 2 for v in d.vertices)
     checks, builds, trees = [], [], []
     real_check, real_init = stnum.is_2connected, RootedDigraph.__init__
-    real_tree = RootPathState.tree
+    real_tree = stnum.root_path_tree
 
     def counted_check(g):
         checks.append(g)
@@ -323,23 +335,23 @@ def test_reduce_indegrees_checks_once(monkeypatch):
         builds.append(self)
         real_init(self, *args, **kwargs)
 
-    def counted_tree(state):
-        if state._tree is None:
-            trees.append(state)
-        return real_tree(state)
+    def counted_tree(out, r):
+        trees.append(out)
+        return real_tree(out, r)
 
     monkeypatch.setattr(stnum, "is_2connected", counted_check)
     monkeypatch.setattr(RootedDigraph, "__init__", counted_init)
-    monkeypatch.setattr(RootPathState, "tree", counted_tree)
+    monkeypatch.setattr(stnum, "root_path_tree", counted_tree)
     red = reduce_indegrees(d)
     assert red.m < d.m
     assert len(checks) == 1 and checks[0] is red  # the result only, not the input
     assert builds == [] and not red.frozen  # the result is a working copy, never frozen
-    assert len(trees) == 1  # one state, whose tree no deletion drops
-    # nothing to delete: the one check is on the unchanged copy
+    assert len(trees) == 1  # one tree, which no deletion drops
+    # nothing to delete: no tree, and the one check is on the unchanged copy
     checks.clear()
     small, _ = normalize(gen_t_l(3))
     red = reduce_indegrees(small)
+    assert len(trees) == 1
     assert len(checks) == 1 and checks[0] is red and red is not small
     assert not red.frozen and red.freeze() == small
 
@@ -357,35 +369,32 @@ def test_reduce_indegrees_checks_once(monkeypatch):
 def test_reduce_indegrees_rejects_a_bad_input_after_visiting_it(monkeypatch, name, n, arcs):
     d = build(n, 0, arcs)
     assert max(d.indeg(v) for v in d.vertices) >= 3 and not is_2connected(d)
-    found, deleted = [], []
-    real_paths, real_delete = stnum.two_disjoint_root_paths, RootPathState.delete_arc
+    found, checked = [], []
+    real_paths, real_check = stnum.two_disjoint_root_paths, stnum.is_2connected
 
-    def watched_paths(state, x):
-        found.append(real_paths(state, x))
+    def watched_paths(*args):
+        found.append(real_paths(*args))
         return found[-1]
 
-    def watched_delete(state, u, v):
-        deleted.append((u, v))
-        real_delete(state, u, v)
-
     monkeypatch.setattr(stnum, "two_disjoint_root_paths", watched_paths)
-    monkeypatch.setattr(RootPathState, "delete_arc", watched_delete)
+    monkeypatch.setattr(stnum, "is_2connected", lambda g: checked.append(arcs_of(g)) or real_check(g))
     with pytest.raises(ValueError, match="requires a 2-connected digraph"):
         reduce_indegrees(d)
     assert found  # the reduction visited the indegree-3 vertex
     if name == "result check":
-        assert None not in found and deleted == [(3, 4)]
+        # the result, without the one deleted arc, fails its check; then the input
+        assert None not in found and checked == [arcs_of(d) - {(3, 4)}, arcs_of(d)]
     else:
-        assert found[-1] is None
+        assert found[-1] is None and checked == [arcs_of(d)]
 
 
 def test_reduce_indegrees_blames_itself_on_a_2connected_input(monkeypatch):
     d = build(5, 0, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
-    monkeypatch.setattr(stnum, "two_disjoint_root_paths", lambda state, x: None)
+    monkeypatch.setattr(stnum, "two_disjoint_root_paths", lambda d, out, tree, x: None)
     with pytest.raises(InternalInvariantError, match="no disjoint path pair"):
         reduce_indegrees(d)
     # a bogus pair keeps one in-arc of 4 only: the result fails its check
-    monkeypatch.setattr(stnum, "two_disjoint_root_paths", lambda state, x: (1, 1))
+    monkeypatch.setattr(stnum, "two_disjoint_root_paths", lambda d, out, tree, x: (1, 1))
     with pytest.raises(InternalInvariantError, match="broke 2-connectivity"):
         reduce_indegrees(d)
 
@@ -419,6 +428,28 @@ def test_rr_numbering_reduces_again_and_checks_only_inside_reduction(monkeypatch
     assert outside == []
 
 
+STALL_PINS = {
+    # approximate's numbering stalls and reduces again on the necklace;
+    # sha256 of the lifted tree and the report, and reduce_indegrees calls
+    "necklace(400)": (lambda: gen_necklace(400), 17,
+                      "c9b27eef36293576e569f7902757f5bdf4d1ba71a941a3bf85ad20c01044547c"),
+    "comb(200)": (lambda: gen_comb(200), 1,
+                  "e6170fb7ba14f2073e0c57eddb32b3a9c7d8eae08643430ccd855288b073cece"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALL_PINS))
+def test_approximate_output_pinned_on_ring_families(monkeypatch, name):
+    make, reductions, digest = STALL_PINS[name]
+    calls = []
+    real_reduce = stnum.reduce_indegrees
+    monkeypatch.setattr(stnum, "reduce_indegrees", lambda g: calls.append(g) or real_reduce(g))
+    tree, report = approximate(make())
+    assert len(calls) == reductions
+    text = format_tree(tree) + report.format()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def arcs_of(g):
     return {(u, v) for u in g.vertices for v in g.out_neighbors(u)}
 
@@ -428,11 +459,12 @@ def test_reduce_indegrees_leaves_its_argument_unchanged(monkeypatch):
     # stall, its own working graph
     d = cutvertex_free_core(legacy_gen_random(148, 3 / 148, seed=5208))
     deleted, inputs = [], []
-    real_reduce, real_delete = stnum.reduce_indegrees, RootPathState.delete_arc
+    real_reduce, real_paths = stnum.reduce_indegrees, stnum.two_disjoint_root_paths
 
-    def watched_delete(state, u, v):
-        deleted.append((u, v))
-        real_delete(state, u, v)
+    def watched_paths(g, out, tree, x):
+        pair = real_paths(g, out, tree, x)
+        deleted.extend((y, x) for y in g.in_neighbors(x) if y not in pair)
+        return pair
 
     def watched_reduce(g):
         before, mark = arcs_of(g), len(deleted)
@@ -443,7 +475,7 @@ def test_reduce_indegrees_leaves_its_argument_unchanged(monkeypatch):
         inputs.append(g.frozen)
         return red
 
-    monkeypatch.setattr(RootPathState, "delete_arc", watched_delete)
+    monkeypatch.setattr(stnum, "two_disjoint_root_paths", watched_paths)
     monkeypatch.setattr(stnum, "reduce_indegrees", watched_reduce)
     assert validate_numbering(d, rr_numbering(d).order)
     assert inputs == [True, False]
@@ -479,29 +511,29 @@ def test_disjoint_root_paths_match_rescanning_search(monkeypatch):
     monkeypatch.setattr(stnum, "_second_search", counted_search)
     calls = rebuilt = missing = 0
     for i, d in enumerate(differential_corpus()):
-        state, network = RootPathState(d), RootPathNetwork(d)
+        g, out = d.thaw(), root_path_lists(d)
         targets = [v for v in d.vertices if v != d.root]
         rng = random.Random(i)
         for round_ in range(4):
+            tree, network = root_path_tree(out, d.root), network_of(g)
             for v in targets:
-                missing += assert_tails(state, v, rescanning_disjoint_root_paths(network, v)) is None
+                paths = rescanning_disjoint_root_paths(network, v)
+                missing += assert_tails(g, out, tree, v, paths) is None
                 calls += 1
             if round_ == 3:
                 break
-            # three rounds of deletions, each with a tree arc, which drops
-            # the tree, and two arcs drawn from all live ones
-            tree = state.tree()
-            tree_arcs = [(tree[v], v) for v in targets if v in tree]
-            arcs = [(u, v) for u in sorted(state.out) for v in state.out[u]]
+            # three rounds of deletions, each with a tree arc, after which
+            # the tree is built again, and two arcs drawn from all live ones
+            parent = tree[0]
+            tree_arcs = [(parent[v], v) for v in targets if v in parent]
+            arcs = [(u, v) for u in sorted(out) for v in out[u]]
             deletions = set(rng.sample(arcs, min(2, len(arcs))))
             if tree_arcs:
                 deletions.add(rng.choice(tree_arcs))
-            for u, v in sorted(deletions):
-                state.delete_arc(u, v)
-                network.delete_arc(u, v)
-            if tree_arcs:
-                assert state._tree is None
                 rebuilt += 1
+            for u, v in deletions:
+                out[u].remove(v)
+            g.without_arcs(deletions)
     # both the shortcut and the search answer thousands of the calls
     assert rebuilt > 600 and missing > 1000
     assert 2000 < len(searches) < calls - missing - 2000
@@ -517,11 +549,11 @@ def test_disjoint_root_paths_exist_exactly_when_the_network_has_them(n, data):
     arcs += [(v, root) for v in data.draw(st.sets(st.integers(0, n - 1), min_size=1))
              if v != root]
     d = build(n, root, arcs)
-    state, network = RootPathState(d), RootPathNetwork(d)
+    (out, tree), network = root_paths(d), network_of(d)
     for v in d.vertices:
         if v != root:
             paths = rescanning_disjoint_root_paths(network, v)
-            assert_tails(state, v, paths)
+            assert_tails(d, out, tree, v, paths)
             if paths is not None:
                 assert all(p[0] == root and p[-1] == v for p in paths)
                 assert not set(paths[0][1:-1]) & set(paths[1][1:-1])
@@ -530,22 +562,58 @@ def test_disjoint_root_paths_exist_exactly_when_the_network_has_them(n, data):
 
 def test_reduce_indegrees_and_numbering_match_rescanning_search(monkeypatch):
     corpus = rescanning_corpus()
-    tree_arcs_deleted = []
-    real_delete = RootPathState.delete_arc
+    trees, deleted = [], []
+    real_tree, real_reduce = stnum.root_path_tree, stnum.reduce_indegrees
 
-    def watched_delete(state, u, v):
-        tree_arcs_deleted.append((state._tree or {}).get(v) == u)
-        real_delete(state, u, v)
+    def watched_reduce(g):
+        mark = len(trees)
+        red = real_reduce(g)
+        # the tree-arc lemma: no reduction deletes an arc of its one tree
+        assert len(trees) - mark == (red.m < g.m)
+        for parent, _, _ in trees[mark:]:
+            assert all(red.has_arc(u, v) for v, u in parent.items() if u is not None)
+        deleted.append(g.m - red.m)
+        return red
 
-    monkeypatch.setattr(RootPathState, "delete_arc", watched_delete)
-    reduced = [reduce_indegrees(d).freeze() for d in corpus]
+    monkeypatch.setattr(stnum, "root_path_tree",
+                        lambda out, r: trees.append(real_tree(out, r)) or trees[-1])
+    monkeypatch.setattr(stnum, "reduce_indegrees", watched_reduce)
+    reduced = [stnum.reduce_indegrees(d).freeze() for d in corpus]
     orders = [rr_numbering(d).order for d in corpus]
-    assert len(tree_arcs_deleted) > 1000 and not any(tree_arcs_deleted)
-    monkeypatch.setattr(stnum, "RootPathState", RootPathNetwork)
-    monkeypatch.setattr(stnum, "two_disjoint_root_paths",
-                        lambda network, x: path_tails(rescanning_disjoint_root_paths(network, x)))
-    assert [reduce_indegrees(d).freeze() for d in corpus] == reduced
+    assert sum(deleted) > 1000
+    # the oracle answers from the live out-lists it is handed
+    monkeypatch.setattr(stnum, "two_disjoint_root_paths", lambda d, out, tree, x: path_tails(
+        rescanning_disjoint_root_paths(RootPathNetwork(d.root, out), x)))
+    assert [stnum.reduce_indegrees(d).freeze() for d in corpus] == reduced
     assert [rr_numbering(d).order for d in corpus] == orders
+
+
+def test_reduce_indegrees_searches_lists_without_its_deleted_arcs(monkeypatch):
+    # every path pair is found on d's out-lists without the arcs into the
+    # root and without the in-arcs that the heads visited before lost
+    corpus = rescanning_corpus() + raw_two_connected_with_root_in_arcs(50, seed_base=3400)
+    real_paths = stnum.two_disjoint_root_paths
+    current = {"out": None}
+    calls = late = 0
+
+    def watched_paths(d, out, tree, x):
+        nonlocal calls, late
+        if out is not current["out"]:
+            current.update(out=out, deleted=set())
+        deleted = current["deleted"]
+        expected = root_path_lists(d)
+        assert out == {v: [w for w in ws if (v, w) not in deleted] for v, ws in expected.items()}
+        calls += 1
+        late += bool(deleted)
+        pair = real_paths(d, out, tree, x)
+        deleted.update((y, x) for y in d.in_neighbors(x) if y not in pair)
+        return pair
+
+    monkeypatch.setattr(stnum, "two_disjoint_root_paths", watched_paths)
+    for d in corpus:
+        reduce_indegrees(d)
+        rr_numbering(d)
+    assert calls > 1000 and late > 500
 
 
 def test_numbering_matches_rescanning_elimination():
