@@ -226,7 +226,7 @@ def approximate_each_root(d):
     """Run the approximation with every vertex as root; yields (root, tree,
     report) for each root that reaches every vertex, skipping those whose
     strip raises InfeasibleError."""
-    arcs = d.arc_set()
+    arcs = d.arcs()
     for v in d.vertices:
         try:
             tree, report = approximate(RootedDigraph(d.vertices, v, arcs))

@@ -27,9 +27,12 @@ Vertex ids are stable across transformations: derived digraphs keep the ids
 of surviving vertices, so trees and reports always speak in the coordinates
 of the instance they started from.  `RootedDigraph` is the one graph
 class: frozen as built, with ascending tuples as adjacency lists, or
-working, with sets.  Rewriting algorithms `thaw` their input into one
-working copy, rewrite that in place, and `freeze` it in place once, or
-never when only its sets are read, as in `stnum.rr_numbering`.
+working, where each list is either the tuple it shares with the graph it
+was thawed from or a set of its own, taken at the first write to it.
+Rewriting algorithms `thaw` their input into one working copy, at the
+cost of copying two dicts, rewrite that in place, and `freeze` it in
+place once, sorting only the sets, or never when its lists are only read
+or rewritten in place, as in `stnum.rr_numbering`.
 """
 from __future__ import annotations
 
@@ -45,19 +48,30 @@ class RootedDigraph:
     one of two states.
 
     Frozen, as built: each vertex's out- and in-list is an ascending tuple,
-    traversals read them in that order, and `has_arc` bisects.  Working, as
-    `thaw` returns it: the lists are sets, which the rewriting algorithms
-    change in place; `out_neighbors`, `in_neighbors` and `root_out` still
-    answer sorted tuples for the choices that shape an output, and
-    `vertices` is a live ascending view, since a working copy keeps its
-    source's order and only ever deletes.  `freeze` sorts the sets into
-    tuples in place.
+    traversals read them in that order, and `has_arc` bisects.  The
+    constructor puts each arc in its tail's bucket, in vertex order, and
+    sorts each bucket, which is linear on arcs that come ascending, as a
+    graph file and the generators give them; walking the tails in order
+    then fills every in-list ascending, without a sort or an arc set.
+
+    Working, as `thaw` returns it: each list is either the ascending tuple
+    it shares with the graph it was thawed from, or a set that this graph
+    alone owns.  `thaw` shares every tuple and copies every set, so two
+    graphs never share a set; the writers turn a tuple into a set at their
+    first write to it, so a rewrite never reaches another graph, and
+    `freeze` sorts only the sets.  `out_neighbors`, `in_neighbors` and
+    `root_out` answer sorted tuples in both states, a shared tuple as it
+    is, for the choices that shape an output, and `vertices` is a live
+    ascending view, since a working copy keeps its source's order and only
+    ever deletes.  A caller that rewrites the lists itself takes them from
+    `owned_lists`, which turns every tuple still shared into a set first.
 
     The constructor rejects a loop or an arc on an unknown vertex with a
     ValueError naming the smallest.  `without_arcs`, `without_vertex` and
     `contracted` rewrite a working graph in place, in time linear in the
     arcs they touch, and return it, so code written as `d = step.apply(d)`
-    serves both states; a frozen graph gets a rewritten frozen copy.
+    serves both states; a frozen graph gets a rewritten frozen copy, for
+    the cost of copying its two dicts and the lists the rewrite touches.
 
     From its first normalization on, a working graph records the heads of
     the arcs added since the last one, so that `normalize` reads only their
@@ -74,46 +88,72 @@ class RootedDigraph:
         if root not in out:
             raise ValueError(f"root {root} is not a vertex")
         inn = {v: [] for v in vs}
-        arcset = set(arcs)
+        arcs = list(arcs)
         try:
-            for u, v in arcset:
-                if u == v:
-                    raise KeyError(u)
+            for u, v in arcs:
                 out[u].append(v)
-                inn[v].append(u)
+            for u, ws in out.items():  # tails ascending, so every in-list is too
+                ws.sort()
+                if u in ws:
+                    raise KeyError(u)
+                prev = None
+                for v in ws:
+                    if v != prev:
+                        inn[v].append(u)
+                        prev = v
         except KeyError:
-            u, v = min((u, v) for u, v in arcset if u == v or u not in out or v not in out)
+            u, v = min((u, v) for u, v in arcs if u == v or u not in out or v not in out)
             if u == v:
                 raise ValueError(f"loop arc ({u}, {v})") from None
             raise ValueError(f"arc ({u}, {v}) uses an unknown vertex") from None
+        if sum(map(len, inn.values())) != len(arcs):  # duplicates, adjacent once sorted
+            out = {u: dict.fromkeys(ws) for u, ws in out.items()}
         self.root = root
-        self._out, self._in = out, inn
-        self.frozen = False
-        self.freeze()
+        self.vertices = vs
+        self._out = dict(zip(vs, map(tuple, out.values())))
+        self._in = dict(zip(vs, map(tuple, inn.values())))
+        self.frozen = True
+        self._new_heads = None
 
     def thaw(self, ins=None, outs=None):
-        """A working copy, in which the vertices that `ins` and `outs` map
-        take the sets they map them to as in- and out-sets (the caller
-        keeps the two consistent) instead of copies of their lists."""
-        ins, outs = ins or {}, outs or {}
+        """A working copy, which shares this graph's tuples and copies its
+        sets, and in which the vertices that `ins` and `outs` map take the
+        sets they map them to as in- and out-sets (the caller keeps the two
+        consistent)."""
         work = RootedDigraph.__new__(RootedDigraph)
         work.root = self.root
-        work._out = {v: outs[v] if v in outs else set(ws) for v, ws in self._out.items()}
-        work._in = {v: ins[v] if v in ins else set(ws) for v, ws in self._in.items()}
+        if self.frozen:  # a frozen graph holds tuples only
+            work._out, work._in = self._out.copy(), self._in.copy()
+        else:
+            work._out, work._in = _shared(self._out), _shared(self._in)
+        work._out.update(outs or ())
+        work._in.update(ins or ())
         work.vertices = work._out.keys()
         work.frozen = False
         work._new_heads = None
         return work
 
     def freeze(self):
-        """Sort a working graph's sets into tuples, in place; returns it."""
+        """Sort a working graph's own sets into tuples, in place; returns it."""
         if not self.frozen:
-            self._out = {v: tuple(sorted(ws)) for v, ws in self._out.items()}
-            self._in = {v: tuple(sorted(ws)) for v, ws in self._in.items()}
+            for lists in (self._out, self._in):
+                for v, ws in lists.items():
+                    if type(ws) is not tuple:
+                        lists[v] = tuple(sorted(ws))
             self.vertices = tuple(self._out)
             self.frozen = True
             self._new_heads = None
         return self
+
+    def owned_lists(self):
+        """The out- and in-maps of a working graph, every list a set of its
+        own, for a caller that rewrites them in place: each tuple it still
+        shares becomes a set first."""
+        for lists in (self._out, self._in):
+            for v, ws in lists.items():
+                if type(ws) is tuple:
+                    lists[v] = set(ws)
+        return self._out, self._in
 
     def take_new_heads(self):
         """The heads recorded since the last call, None on the first call
@@ -135,11 +175,11 @@ class RootedDigraph:
 
     def out_neighbors(self, v):
         ws = self._out[v]
-        return ws if self.frozen else tuple(sorted(ws))
+        return ws if type(ws) is tuple else tuple(sorted(ws))
 
     def in_neighbors(self, v):
         ws = self._in[v]
-        return ws if self.frozen else tuple(sorted(ws))
+        return ws if type(ws) is tuple else tuple(sorted(ws))
 
     def outdeg(self, v):
         return len(self._out[v])
@@ -149,7 +189,7 @@ class RootedDigraph:
 
     def has_arc(self, u, v):
         ws = self._out.get(u, ())
-        if self.frozen:
+        if type(ws) is tuple:
             i = bisect_left(ws, v)
             return i < len(ws) and ws[i] == v
         return v in ws
@@ -185,8 +225,8 @@ class RootedDigraph:
             return self.thaw().without_arcs(arcs).freeze()
         for u, v in arcs:
             if self.has_arc(u, v):
-                self._out[u].remove(v)
-                self._in[v].remove(u)
+                _owned(self._out, u).remove(v)
+                _owned(self._in, v).remove(u)
         return self
 
     def without_vertex(self, v, extra_arcs=()):
@@ -198,9 +238,9 @@ class RootedDigraph:
         outs = self._out.pop(v)
         ins = self._in.pop(v)
         for z in outs:
-            self._in[z].remove(v)
+            _owned(self._in, z).remove(v)
         for u in ins:
-            self._out[u].remove(v)
+            _owned(self._out, u).remove(v)
         for u, z in extra_arcs:
             self._add_arc(u, z)
         return self
@@ -220,10 +260,25 @@ class RootedDigraph:
             raise ValueError(f"loop arc ({u}, {v})")
         if u not in self._out or v not in self._out:
             raise ValueError(f"arc ({u}, {v}) uses an unknown vertex")
-        self._out[u].add(v)
-        self._in[v].add(u)
+        _owned(self._out, u).add(v)
+        _owned(self._in, v).add(u)
         if self._new_heads is not None:
             self._new_heads.add(v)
+
+
+def _shared(lists):
+    """A copy of the working adjacency map `lists` that shares its tuples
+    and copies its sets."""
+    return {v: ws if type(ws) is tuple else set(ws) for v, ws in lists.items()}
+
+
+def _owned(lists, v):
+    """v's list in the working adjacency map `lists`, as a set of its own:
+    a shared tuple is replaced by a set on the first write."""
+    ws = lists[v]
+    if type(ws) is tuple:
+        ws = lists[v] = set(ws)
+    return ws
 
 
 def build(n, root, arcs):
@@ -295,7 +350,9 @@ def normalize(d):
     the merge is a plain contraction.
 
     A frozen graph is thawed once, at its first rewrite, and the copy is
-    frozen once at the end; one that needs no rewrite comes back as given.
+    frozen once at the end; the copy shares every list that no rewrite
+    touched, and the freeze sorts only the touched ones.  One that needs
+    no rewrite comes back as given.
     A working graph normalized before is checked only at the heads of the
     arcs added since (module docstring); any other digraph, a frozen one
     always, gets the full walk of the root's in-list and its outneighbors'

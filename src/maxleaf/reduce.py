@@ -94,9 +94,11 @@ contraction, so it was one before.  Hence the rule 2 phase walks the
 middles of one scan in ascending order, checking each as its turn comes,
 since a contraction can end a middle.
 
-The rewrites run on one working copy of the input (`RootedDigraph.thaw`):
-each costs time linear in the arcs it touches, and the copy is frozen in
-place once, as the kernel, without another build.  Every rewrite is logged
+The rewrites run on one working copy of the input (`RootedDigraph.thaw`),
+which shares the input's adjacency tuples until a rewrite first touches
+one: each rewrite costs time linear in the lists it touches, and the copy
+is frozen in place once, as the kernel, sorting only those lists, without
+another build.  Every rewrite is logged
 as a step that replays forward on a digraph, so vertex ids stay in input
 coordinates, and `lift` carries a tree back through the steps on one
 parent map.

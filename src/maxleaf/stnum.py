@@ -256,9 +256,11 @@ def reduce_indegrees(d):
     is visited, so x's in-list is read from d.  The lists and the tree are
     dropped before the copy is taken, so the two are never held in memory
     together.  The copy is built without the deleted arcs: a visited
-    vertex's in-set is its two kept tails, and only the out-sets of the
-    deleted arcs' tails are filtered, so no set is copied whole and then
-    emptied.
+    vertex's in-set is its two kept tails, only the out-sets of the
+    deleted arcs' tails are filtered, and every other list is shared with
+    d as `thaw` shares it, a tuple as it is and a set copied, so no list is
+    copied whole and then emptied.  A caller that rewrites the copy's
+    lists in place takes them from `owned_lists`, as `rr_numbering` does.
     """
     r = d.root
     out = tree = None
@@ -298,10 +300,12 @@ def _reduction_failed(d, message):
 
 
 def _elimination_state(work):
-    """The adjacency sets of the working graph, the heap of elimination
-    candidates (non-root vertices of outdegree at most 1) and the number of
-    non-root vertices without a root in-arc."""
-    r, out, inn = work.root, work._out, work._in
+    """The adjacency sets of the working graph, its own to rewrite in place
+    (`RootedDigraph.owned_lists`), the heap of elimination candidates
+    (non-root vertices of outdegree at most 1) and the number of non-root
+    vertices without a root in-arc."""
+    r = work.root
+    out, inn = work.owned_lists()
     candidates = [w for w in out if w != r and len(out[w]) <= 1]
     heapify(candidates)
     return out, inn, candidates, sum(r not in inn[w] for w in inn if w != r)
@@ -388,7 +392,9 @@ def rr_numbering(d):
     with its `in_sides` split, whose walk checks the order.
 
     Works on the working copy that `reduce_indegrees(d)` returns, without
-    its arcs into the root r, eliminating on its adjacency sets in place;
+    its arcs into the root r, eliminating in place on its adjacency sets,
+    which it takes from `owned_lists` so that no tuple shared with d or an
+    earlier copy is rewritten;
     a stall hands that graph back to `reduce_indegrees`.  Arcs into r
     constrain no vertex, and without them a vertex whose only out-arc
     led to r is deleted rather than contracted into r.  Every step keeps the

@@ -47,6 +47,38 @@ def with_arcs(d, arcs):
     return RootedDigraph(d.vertices, d.root, list(d.arc_set()) + list(arcs))
 
 
+def legacy_rooted_digraph(vertices, root, arcs):
+    """`RootedDigraph(vertices, root, arcs)` as it was built before the
+    constructor bucket-sorted the arcs: one set of the arcs, a list per
+    vertex, and each list sorted into a tuple, with the same checks and
+    messages.  The reference that the constructor tests compare against."""
+    vs = tuple(sorted(set(vertices)))
+    out = {v: [] for v in vs}
+    if root not in out:
+        raise ValueError(f"root {root} is not a vertex")
+    inn = {v: [] for v in vs}
+    arcset = set(arcs)
+    try:
+        for u, v in arcset:
+            if u == v:
+                raise KeyError(u)
+            out[u].append(v)
+            inn[v].append(u)
+    except KeyError:
+        u, v = min((u, v) for u, v in arcset if u == v or u not in out or v not in out)
+        if u == v:
+            raise ValueError(f"loop arc ({u}, {v})") from None
+        raise ValueError(f"arc ({u}, {v}) uses an unknown vertex") from None
+    d = RootedDigraph.__new__(RootedDigraph)
+    d.root = root
+    d._out = {v: tuple(sorted(ws)) for v, ws in out.items()}
+    d._in = {v: tuple(sorted(ws)) for v, ws in inn.items()}
+    d.vertices = tuple(d._out)
+    d.frozen = True
+    d._new_heads = None
+    return d
+
+
 def looped_digraph_maps(vertices, root, arcs):
     """`RootedDigraph`'s fields as the per-arc loop built them, checking
     and deduplicating each arc in input order: (vertices, out-lists,
@@ -716,13 +748,13 @@ def rescanning_rr_numbering(d):
     r = d.root
     work = stnum.reduce_indegrees(d)
     work.without_arcs([(y, r) for y in work._in[r]])
-    out, inn = work._out, work._in
+    out, inn = work.owned_lists()
     records = []
     while any(r not in inn[v] for v in inn if v != r):
         candidates = [w for w in inn if w != r and len(out[w]) <= 1]
         if not candidates:
             work = stnum.reduce_indegrees(work)
-            out, inn = work._out, work._in
+            out, inn = work.owned_lists()
             continue
         v = min(candidates)
         v_out, v_in = out.pop(v), inn.pop(v)

@@ -13,12 +13,13 @@ from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
 from maxleaf.errors import InfeasibleError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
+from maxleaf.reduce import apply_rule1
 from maxleaf.stnum import root_path_tree, two_disjoint_root_paths
 
 from support import (broom, brute_cutvertices, brute_idom, count_calls, dominator_chain,
-                     is_normalized, iterative_idom, lengauer_tarjan_idom,
-                     looped_digraph_maps, random_instances, raw_digraph, rebuilt, relabelled,
-                     root_path_lists, simple_arcs, tuple_stack_euler_intervals)
+                     is_normalized, iterative_idom, legacy_rooted_digraph,
+                     lengauer_tarjan_idom, looped_digraph_maps, random_instances, raw_digraph,
+                     rebuilt, relabelled, root_path_lists, simple_arcs, tuple_stack_euler_intervals)
 
 
 def test_build_smallest_star():
@@ -112,6 +113,102 @@ def test_constructor_names_a_bad_arc_as_the_per_arc_loop_did():
     # with several bad arcs the smallest is named
     with pytest.raises(ValueError, match=r"^arc \(1, 3\) uses an unknown vertex$"):
         RootedDigraph(ids, 2, good + [(9, 9), (5, 7), (1, 3)])
+
+
+def test_constructor_matches_the_arc_set_build():
+    """The bucket-sorting constructor gives the adjacency, vertices and key
+    of the arc-set build it replaced (`legacy_rooted_digraph`) on ascending,
+    shuffled and duplicated arcs, on non-dense ids and on a single vertex,
+    as tuples, and names the same bad arc."""
+    rng = random.Random(7)
+    cases = [([4], 4, [])]
+    for d in (gen_random(300, 4 / 300, 1), gen_t_l(6), gen_boloney(20)):
+        arcs = d.arcs()
+        shuffled = rng.sample(arcs, len(arcs))
+        ids = rng.sample(range(5 * d.n), d.n)
+        name = dict(zip(d.vertices, ids))
+        cases += [(d.vertices, d.root, arcs),
+                  (d.vertices, d.root, shuffled),
+                  (d.vertices, d.root, shuffled + arcs[::3] + arcs[:5]),
+                  (ids, name[d.root], [(name[u], name[v]) for u, v in shuffled])]
+    for vertices, root, arcs in cases:
+        got = RootedDigraph(vertices, root, iter(arcs))
+        ref = legacy_rooted_digraph(vertices, root, arcs)
+        assert (got.vertices, got._out, got._in, got._key()) == (
+            ref.vertices, ref._out, ref._in, ref._key())
+        assert got.frozen and all(type(ws) is tuple for ws in (*got._out.values(),
+                                                               *got._in.values()))
+    vertices, root, arcs = cases[-1]
+    for bad in ([(arcs[0][0], arcs[0][0])], [(-1, root)], [(root, -1), (-2, -2)]):
+        with pytest.raises(ValueError) as expected:
+            legacy_rooted_digraph(vertices, root, arcs + bad)
+        with pytest.raises(ValueError) as got:
+            RootedDigraph(vertices, root, bad + arcs)
+        assert str(got.value) == str(expected.value)
+
+
+def test_working_copies_share_only_tuples():
+    """Two working copies of one frozen graph, and a copy of one of them
+    taken after its first rewrites, each rewritten through `without_arcs`,
+    `without_vertex`, `contracted` and a rule 1 step: the frozen graph and
+    every sibling stay as they were, no set is held by two graphs, and
+    after `freeze` every vertex whose lists no rewrite touched holds the
+    frozen graph's very tuples."""
+    source = next(d for d in (gen_random(120, 2.5 / 120, s) for s in range(100))
+                  if len(cutvertices(d)) >= 3)
+    lists = (dict(source._out), dict(source._in))
+
+    def snapshot(g):
+        return {v: (tuple(sorted(g._out[v])), tuple(sorted(g._in[v]))) for v in g.vertices}
+
+    def rewrite(g, touched, seed):
+        rng = random.Random(seed)
+
+        def around(v):
+            return {v, *g._out[v], *g._in[v]}
+
+        x = rng.choice(cutvertices(g))
+        touched |= around(x)
+        g, _ = apply_rule1(g, x)
+        tree = set(bfs_tree(g).arcs())
+        arcs = rng.sample([arc for arc in g.arcs() if arc not in tree], 4)
+        touched.update(v for arc in arcs for v in arc)
+        g.without_arcs(arcs)
+        v = rng.choice([v for v in g.vertices if v != g.root])
+        shortcuts = [(u, z) for u in g._in[v] for z in g._out[v] if u != z]
+        touched |= around(v)
+        g.without_vertex(v, shortcuts)
+        keep = rng.choice([v for v in g.vertices if g._out[v]])
+        absorb = rng.choice([z for z in g._out[keep] if z != g.root])
+        touched |= around(absorb) | {keep}
+        g.contracted(keep, absorb)
+
+    a, b = source.thaw(), source.thaw()
+    touched = {id(a): set(), id(b): set()}
+    rewrite(a, touched[id(a)], 1)
+    c = a.thaw()
+    touched[id(c)] = set(touched[id(a)])
+    before = snapshot(a)
+    assert snapshot(c) == before
+    rewrite(b, touched[id(b)], 2)
+    assert snapshot(a) == snapshot(c) == before
+    after_b = snapshot(b)
+    rewrite(c, touched[id(c)], 3)
+    # c also writes to the lists that a owns as sets and c holds as copies
+    arcs = [(u, min(c._out[u])) for u in touched[id(a)] if c._out.get(u)]
+    touched[id(c)].update(v for arc in arcs for v in arc)
+    c.without_arcs(arcs)
+    assert snapshot(a) == before and snapshot(b) == after_b
+    assert (source._out, source._in) == lists and source.frozen
+    assert all(source._out[v] is lists[0][v] and source._in[v] is lists[1][v]
+               for v in source.vertices)
+    sets = [id(ws) for g in (a, b, c) for adj in (g._out, g._in)
+            for ws in adj.values() if type(ws) is not tuple]
+    assert len(sets) == len(set(sets)) > 0
+    for g in (a, b, c):
+        untouched = [v for v in g.freeze().vertices if v not in touched[id(g)]]
+        assert len(untouched) > source.n // 3
+        assert all(g._out[v] is lists[0][v] and g._in[v] is lists[1][v] for v in untouched)
 
 
 def test_build_rejects_loop():
