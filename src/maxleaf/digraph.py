@@ -583,15 +583,14 @@ def classify(d):
 class Outbranching:
     """A spanning out-tree given by a parent map on the non-root vertices."""
 
-    __slots__ = ("root", "parent", "leaf_set", "leaf_count")
+    __slots__ = ("root", "parent", "leaf_count")
 
     def __init__(self, root, parent):
         self.root = root
         self.parent = dict(parent)
-        children = set(self.parent.values())
-        verts = set(self.parent) | {root}
-        self.leaf_set = frozenset(v for v in verts if v not in children)
-        self.leaf_count = len(self.leaf_set)
+        leaves = self.parent.keys() | {root}
+        leaves.difference_update(self.parent.values())  # no one's parent
+        self.leaf_count = len(leaves)
 
     def arcs(self):
         return sorted((p, c) for c, p in self.parent.items())

@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from .digraph import RootedDigraph, build, normalize
 from .errors import PreconditionError
 
-FAMILIES = ("t_l", "boloney", "random", "star", "dipath", "bipath_chain", "necklace", "comb")
-
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -186,21 +184,21 @@ def gen_comb(size):
     return build(2 * size - 1, 0, arcs)
 
 
+_GENERATORS = {
+    "t_l": lambda spec: gen_t_l(spec.size),
+    "boloney": lambda spec: gen_boloney(spec.size),
+    "random": lambda spec: gen_random(spec.size, spec.arc_probability, spec.seed),
+    "star": lambda spec: gen_star(spec.size),
+    "dipath": lambda spec: gen_dipath(spec.size),
+    "bipath_chain": lambda spec: gen_bipath_chain(spec.size),
+    "necklace": lambda spec: gen_necklace(spec.size),
+    "comb": lambda spec: gen_comb(spec.size),
+}
+FAMILIES = tuple(_GENERATORS)
+
+
 def generate(spec: GenSpec) -> RootedDigraph:
-    if spec.family == "t_l":
-        return gen_t_l(spec.size)
-    if spec.family == "boloney":
-        return gen_boloney(spec.size)
-    if spec.family == "random":
-        return gen_random(spec.size, spec.arc_probability, spec.seed)
-    if spec.family == "star":
-        return gen_star(spec.size)
-    if spec.family == "dipath":
-        return gen_dipath(spec.size)
-    if spec.family == "bipath_chain":
-        return gen_bipath_chain(spec.size)
-    if spec.family == "necklace":
-        return gen_necklace(spec.size)
-    if spec.family == "comb":
-        return gen_comb(spec.size)
-    raise PreconditionError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
+    make = _GENERATORS.get(spec.family)
+    if make is None:
+        raise PreconditionError(f"unknown family {spec.family!r}; choose from {FAMILIES}")
+    return make(spec)

@@ -90,9 +90,10 @@ paired u with partners a and x had the bipath (a', a, u, x, y), which could
 repeat a vertex only as a' = y (u is no partner of y, which rules out a = y
 and a' = x), making a = z and so u = t, excluded.  Each of x and u, and
 likewise z and t, needs the same paired partner to be a middle after the
-contraction, so it was one before.  Hence the rule 2 phase walks the
-middles of one scan in ascending order, checking each as its turn comes,
-since a contraction can end a middle.
+contraction, so it was one before.  Hence every middle the rule 2 phase
+contracts was a middle at its one scan, and after the scan's first the
+phase tests the later vertices in ascending order on the working graph
+itself, each as its turn comes, since a contraction can end a middle.
 
 The rewrites run on one working copy of the input (`RootedDigraph.thaw`),
 which shares the input's adjacency tuples until a rewrite first touches
@@ -289,47 +290,46 @@ def is_bipath4(d, p):
     return True
 
 
-def _chain_partner_map(d, partners=None):
-    """v -> (a, b) when v's arcs are exactly the 2-circuits with a and b,
-    filled into `partners` when given."""
-    partners = {} if partners is None else partners
-    for v in d.vertices:
-        if v == d.root or d.outdeg(v) != 2 or d.indeg(v) != 2:
-            continue
-        outs = d.out_neighbors(v)
-        if outs == d.in_neighbors(v):
-            partners[v] = outs
-    return partners
+def _partners(d, v):
+    """v's partners, ascending, when v is paired (lemma C in the module
+    docstring), else None; a vertex not in d is unpaired."""
+    outs = d._out.get(v, ())
+    if len(outs) != 2 or v == d.root:
+        return None
+    ins = d._in[v]
+    a, b = outs
+    if len(ins) != 2 or a not in ins or b not in ins:
+        return None
+    return (a, b) if a < b else (b, a)
 
 
-def _bipath_at(partners, y):
-    """The length-4 bipath with middle y in the chain partner map, or None."""
-    pair = partners.get(y)
+def _bipath_at(d, y):
+    """The length-4 bipath (u, x, y, z, t) with middle y and x < z, read
+    from the adjacency lists of y, x and z, or None."""
+    pair = _partners(d, y)
     if pair is None:
         return None
     x, z = pair
-    if x not in partners or z not in partners:
+    px, pz = _partners(d, x), _partners(d, z)
+    if px is None or pz is None:  # y is one partner of each, the other is u or t
         return None
-    ux = [w for w in partners[x] if w != y]
-    tz = [w for w in partners[z] if w != y]
-    if not ux or not tz:
-        return None
-    p = (ux[0], x, y, z, tz[0])
+    u = px[1] if px[0] == y else px[0]
+    t = pz[1] if pz[0] == y else pz[0]
+    p = (u, x, y, z, t)
     return p if len(set(p)) == 5 else None
 
 
-def iter_bipath4(d, partners=None):
+def iter_bipath4(d):
     """All length-4 bipaths, one orientation each, by ascending middle
-    vertex; `partners`, a dict, is filled with d's chain partner map."""
-    partners = _chain_partner_map(d, partners)
-    for y in sorted(partners):
-        p = _bipath_at(partners, y)
+    vertex."""
+    for y in d.vertices:
+        p = _bipath_at(d, y)
         if p is not None:
             yield p
 
 
-def find_bipath4(d, partners=None):
-    return next(iter_bipath4(d, partners), None)
+def find_bipath4(d):
+    return next(iter_bipath4(d), None)
 
 
 def apply_rule2(d, p):
@@ -465,7 +465,7 @@ def kernelize(d):
     The rewrites run on one working copy of d, frozen in place as the
     kernel.  The rule 3 phase takes every deletion from one scan made
     before the first ("One scan" in the module docstring), and the rule 2
-    phase takes its bipaths from one scan (lemma C).
+    phase makes one scan, then walks the later vertices once (lemma C).
     A digraph on which no rule applies is returned unchanged, without
     normalization; normalization runs only after an actual rewrite, since
     shortcut arcs can violate the standing root assumptions.  The strip's
@@ -497,32 +497,26 @@ def _contract_bipaths(work, steps):
     every contraction and appending the steps, taking the bipaths that
     repeated `find_bipath4` scans would take.
 
-    One `find_bipath4` scan fills the chain partner map.  By lemma C
-    (module docstring) the later middles are among those of that scan, so
-    they are taken in ascending order, each checked against the partner
-    map as its turn comes; a contraction rewrites the partner pairs of x
-    and z and drops y.  A renormalization that rewrites anything, which
-    happens only on raw input, calls for a new scan.
+    The first bipath comes from one `find_bipath4` scan.  By lemma C
+    (module docstring) every later middle was a middle at that scan, so
+    the walk goes on from each contracted middle to the vertices after it,
+    in ascending order, testing each on the working graph as its turn
+    comes; a vertex a contraction dropped reads as unpaired.  A
+    renormalization that rewrites anything, which happens only on raw
+    input, restarts the walk from the smallest vertex.
     """
-    partners = {}
-    p = find_bipath4(work, partners)
+    p = find_bipath4(work)
     if p is None:
         return work
-    middles = iter([v for v in sorted(partners) if v > p[2]])
+    middles = iter([v for v in work.vertices if v > p[2]])
     while p is not None:
         mark = len(steps)
         work, st = apply_rule2(work, p)
         steps.append(st)
         work = renormalize(work, steps)
         if len(steps) > mark + 1:
-            partners = _chain_partner_map(work)
-            middles = iter(sorted(partners))
-        else:
-            u, x, y, z, t = p
-            del partners[y]
-            partners[x] = (u, z) if u < z else (z, u)
-            partners[z] = (x, t) if x < t else (t, x)
-        p = next(filter(None, (_bipath_at(partners, v) for v in middles)), None)
+            middles = iter(list(work.vertices))
+        p = next(filter(None, (_bipath_at(work, v) for v in middles)), None)
     return work
 
 
@@ -568,15 +562,15 @@ def large_indegree_witness(d, x):
     parent = {}
     placed = {root}
     tree = search(d._out, [root])
+    others = set(in_nbrs) - {root}  # N-(x) - r: B plus u, for every u
 
     for u in in_nbrs:
         if u == root or u in placed:
             continue
-        blocked = set(in_nbrs) - {u, root}
-        v = u
-        while v in tree and v not in blocked:
-            v = tree[v]  # the root maps to None: u's tree path avoids blocked
-        bfs = tree if v is None else search(d._out, [root], avoid=blocked)
+        v = tree.get(u, u)  # u's tree parent; u itself when the tree misses it
+        while v in tree and v not in others:
+            v = tree[v]  # the root maps to None: u's tree path avoids B
+        bfs = tree if v is None else search(d._out, [root], avoid=others - {u})
         if u not in bfs:
             raise ValueError(
                 f"in-neighbors of {x} other than {u} cut {u} from the root; "

@@ -270,7 +270,8 @@ def test_unexpected_value_error_is_internal(tmp_path, monkeypatch):
 def test_exact_broken_invariant_is_internal(tmp_path, monkeypatch):
     def one_leaf_short(d, internal=None, parent=None):
         tree = grow_tree(d, internal=internal, parent=parent)
-        a, b = sorted(tree.leaf_set - {d.root})[:2]
+        parents = set(tree.parent.values())
+        a, b = sorted(v for v in tree.parent if v not in parents)[:2]
         short = Outbranching(d.root, {**tree.parent, b: a})
         assert short.leaf_count == tree.leaf_count - 1
         return short

@@ -217,13 +217,25 @@ def test_rule2_chain_reaches_fixpoint():
     assert len(list(iter_bipath4(d))) == 0
 
 
+def bidirected_ring(n):
+    """The ring 1..n with both arcs between cyclic neighbors and the root
+    arcs (0, 1) and (0, n/2 + 1); raw, with ring arcs into both."""
+    arcs = [(0, 1), (0, n // 2 + 1)]
+    for v in range(1, n + 1):
+        arcs += [(v, v % n + 1), (v % n + 1, v)]
+    return build(n + 1, 0, arcs)
+
+
 def test_rule2_phase_matches_rescanning():
     # a ring of 2-circuits entered only at 1: contracting the middle 3
     # leaves 4 with the bipath (1, 2, 4, 5, 1), which is no longer one
     ring = build(8, 0, [(0, 6), (0, 7), (6, 1), (7, 1)]
                  + [a for v, w in ((1, 2), (2, 3), (3, 4), (4, 5), (5, 1))
                     for a in ((v, w), (w, v))])
-    corpus = [ring] + chain_planted_corpus(60, 4100, raw=True)
+    # the first contraction's renormalization deletes the ring arcs into the
+    # root outneighbors, so the walk restarts from the smallest vertex
+    rings = [bidirected_ring(n) for n in (8, 12, 20, 40)]
+    corpus = [ring] + rings + chain_planted_corpus(60, 4100, raw=True)
     corpus += chain_planted_corpus(60, 4100, raw=False)
     corpus += [strip_cutvertices(d, []) for d in corpus[-60:]]
     contractions = []
@@ -236,6 +248,7 @@ def test_rule2_phase_matches_rescanning():
         contractions.append(sum(isinstance(s, Rule2Step) for s in steps))
         rescans += any(isinstance(s, (NormDeleteStep, NormMergeStep)) for s in steps)
     assert contractions[0] == 1 and sum(contractions) > 500 and rescans > 50
+    assert contractions[1:5] == [1, 2, 10, 30]  # N - 10 in all for N >= 12
 
 
 def test_rule3_example():
@@ -657,9 +670,17 @@ def test_large_indegree_witness_rejects_unreduced():
         large_indegree_witness(d, 3)
 
 
+def fan_in_sink(k):
+    """root -> 1..k and i -> k + 1 for each i: the sink has indegree k, and
+    every in-neighbor's tree path avoids the others."""
+    return build(k + 2, 0, [(0, i) for i in range(1, k + 1)]
+                 + [(i, k + 1) for i in range(1, k + 1)])
+
+
 def test_large_indegree_witness_searches_only_for_blocked_tree_paths(monkeypatch):
     searches = count_calls(monkeypatch, reduce, "search")
     corpus = [kernelize(d)[0] for d in map(raw_digraph, range(200)) if is_connected(d)]
+    corpus.append(fan_in_sink(300))
     witnesses = 0
     for d in corpus:
         for x in d.vertices:
