@@ -38,44 +38,59 @@ def weak_bipaths(d, cls):
     maximal chains.
 
     Every non-special vertex has exactly two in-neighbors, both joined to it
-    by 2-circuits; anything else signals a classification bug.
+    by 2-circuits (both in its own out-list); anything else signals a
+    classification bug.  Its non-special in-neighbors are its chain
+    partners, a symmetric relation of degree at most 2, and the others its
+    anchors.  Each chain is walked from its smaller end, the first one met
+    in ascending order, so it comes out smaller end first.
     """
     ns = cls.nonspecial
-    chain_nbrs = {}
-    anchor_of = {}
-    for v in sorted(ns):
+    order = sorted(ns)
+    partners = {}
+    anchor_of = {}  # an end's one anchor; a lone vertex's two
+    for v in order:
         nbrs = d.in_neighbors(v)
-        if len(nbrs) != 2 or not all(d.has_arc(v, u) for u in nbrs):
+        outs = d._out[v]
+        if len(nbrs) != 2 or nbrs[0] not in outs or nbrs[1] not in outs:
             raise InternalInvariantError(
                 f"non-special vertex {v} lacks the two-2-circuit in-neighbor shape")
-        chain_nbrs[v] = [u for u in nbrs if u in ns]
-        anchor_of[v] = [u for u in nbrs if u not in ns]
+        a, b = nbrs
+        if a in ns:
+            if b in ns:
+                partners[v] = nbrs
+            else:
+                partners[v], anchor_of[v] = (a,), b
+        elif b in ns:
+            partners[v], anchor_of[v] = (b,), a
+        else:
+            partners[v], anchor_of[v] = (), nbrs
     paths = []
-    seen = set()
-    for v in sorted(ns):
-        if v in seen or len(chain_nbrs[v]) == 2:
+    far_ends = set()
+    covered = 0
+    for v in order:
+        step = partners[v]
+        if len(step) == 2 or v in far_ends:
             continue
         chain = [v]
-        seen.add(v)
-        prev, cur = v, next((w for w in chain_nbrs[v] if w not in seen), None)
-        while cur is not None:
-            chain.append(cur)
-            seen.add(cur)
-            nxt = next((w for w in chain_nbrs[cur] if w != prev), None)
-            prev, cur = cur, nxt
-        if chain[-1] < chain[0]:
-            chain.reverse()
-        first, last = chain[0], chain[-1]
-        if len(chain) == 1:
-            a, b = sorted(anchor_of[v])
-            anchors = (a, b)
+        if step:
+            prev, cur = v, step[0]
+            while True:
+                chain.append(cur)
+                step = partners[cur]
+                if len(step) == 1:
+                    break
+                a, b = step
+                prev, cur = cur, (b if a == prev else a)
+            far_ends.add(cur)
+            anchors = (anchor_of[v], anchor_of[cur])
         else:
-            anchors = (anchor_of[first][0], anchor_of[last][0])
+            anchors = anchor_of[v]
         for a in anchors:
             if a not in cls.special:
                 raise InternalInvariantError(f"chain anchor {a} is not special")
         paths.append(WeakBipath(tuple(chain), anchors))
-    if len(seen) != len(ns):
+        covered += len(chain)
+    if covered != len(ns):
         raise InternalInvariantError("non-special vertices contain a 2-circuit cycle")
     return paths
 

@@ -169,8 +169,10 @@ def bound2_tree(d, sides):
     from each side of the `in_sides` split `sides`, its smallest in-neighbor
     there, giving a forward and a backward spanning tree; a nice vertex
     instead takes its smallest simple in-neighbor (never r, since r's
-    outneighbors take r) on the side whose in-list holds it.  Root
-    outneighbors take r in both trees.  An arc of one tree is transverse
+    outneighbors take r) on the side whose in-list holds it: the first of
+    its ascending in-list that a set of its out-list lacks, so each of its
+    lists is read once.  Root outneighbors, tested against a set of r's
+    out-list, take r in both trees.  An arc of one tree is transverse
     when its ends are incomparable in the other.  The tree with more
     transverse arcs is chosen, ties to forward; its transverse arcs that
     point left (head's subtree before the tail in the other tree's
@@ -181,16 +183,19 @@ def bound2_tree(d, sides):
     are read straight from the two parent maps.
     """
     r = d.root
+    root_out = set(d._out[r])
     fwd, bwd = sides
     parent_f, parent_b = {}, {}
     for v in fwd:
-        if d.has_arc(r, v):
+        if v in root_out:
             parent_f[v] = parent_b[v] = r
             continue
         parent_f[v], parent_b[v] = fwd[v][0], bwd[v][0]
-        anchor = next((u for u in d.in_neighbors(v) if not d.has_arc(v, u)), None)
-        if anchor is not None:
-            (parent_f if anchor in fwd[v] else parent_b)[v] = anchor
+        outs = set(d._out[v])
+        for u in d.in_neighbors(v):
+            if u not in outs:
+                (parent_f if u in fwd[v] else parent_b)[v] = u
+                break
     tin_f, tout_f = euler_intervals(r, parent_f)
     tin_b, tout_b = euler_intervals(r, parent_b)
 

@@ -8,6 +8,15 @@ is unreachable from the root), 4 internal error (an invariant violation or
 any other unexpected ValueError), 5 unmet precondition (well-formed input the
 command does not accept: an instance above the `exact` limit, k < 1, a
 generator parameter out of range, a `bench` count below 1).
+
+Every command but `gen` looks for a spanning out-tree, which a graph file
+with fewer than n - 1 arcs lacks for every root; `graphio.load_graph`
+reads such a file as None without building its n vertices.  `verify`
+then reads the tree file, prints `INVALID: the graph has fewer than n - 1
+arcs, so no out-tree spans it` and exits 1, and every other command
+answers as on the two-vertex digraph without arcs, which has no spanning
+out-tree either (`approx`, `kernelize` and `exact` exit 3, `decide` prints
+FALSE).
 """
 from __future__ import annotations
 
@@ -16,7 +25,7 @@ import sys
 
 from . import graphio
 from .approx import approximate, approximate_each_root
-from .digraph import verify_outbranching
+from .digraph import build, verify_outbranching
 from .errors import (GraphFormatError, InfeasibleError, InternalInvariantError,
                      PreconditionError)
 from .exact import DEFAULT_LIMIT, maxleaf_exact
@@ -38,6 +47,12 @@ def _write_or_print(text, path, out):
         out.write(text)
 
 
+def _load(path):
+    """The digraph of a graph file; the two-vertex digraph without arcs for
+    a file with fewer than n - 1 arcs (module docstring)."""
+    return graphio.load_graph(path) or build(2, 0, ())
+
+
 def cmd_gen(args, out, err):
     spec = GenSpec(args.family, args.size if args.family != "random" else args.n,
                    seed=args.seed, arc_probability=args.p)
@@ -50,7 +65,7 @@ def cmd_gen(args, out, err):
 
 
 def cmd_kernelize(args, out, err):
-    d = graphio.load_graph(args.graph)
+    d = _load(args.graph)
     reduced, trace = kernelize(d)
     if args.out:
         graphio.save_graph(reduced, args.out)
@@ -62,7 +77,7 @@ def cmd_kernelize(args, out, err):
 
 
 def cmd_decide(args, out, err):
-    d = graphio.load_graph(args.graph)
+    d = _load(args.graph)
     decision = decide(d, args.k)
     if decision.verdict == "TRUE":
         out.write(f"TRUE (witness leaves={decision.witness.leaf_count})\n")
@@ -82,7 +97,7 @@ def cmd_decide(args, out, err):
 
 
 def cmd_approx(args, out, err):
-    d = graphio.load_graph(args.graph)
+    d = _load(args.graph)
     if args.all_roots:
         best = None
         for root, tree, report in approximate_each_root(d):
@@ -105,7 +120,7 @@ def cmd_approx(args, out, err):
 
 
 def cmd_exact(args, out, err):
-    d = graphio.load_graph(args.graph)
+    d = _load(args.graph)
     result = maxleaf_exact(d, limit=args.limit)
     out.write(f"{result.maxleaf}\n")
     if args.witness:
@@ -116,6 +131,9 @@ def cmd_exact(args, out, err):
 def cmd_verify(args, out, err):
     d = graphio.load_graph(args.graph)
     t = graphio.load_tree(args.tree)
+    if d is None:
+        out.write("INVALID: the graph has fewer than n - 1 arcs, so no out-tree spans it\n")
+        return 1
     check = verify_outbranching(d, t)
     if check.ok:
         out.write(f"OK leaves={check.leaf_count}\n")

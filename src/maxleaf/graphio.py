@@ -1,14 +1,20 @@
 """Text formats: graph files, tree files and DOT export.
 
 Graph format: first data line is `n m r`, followed by m lines `u v` with
-0-based vertex ids.  Lines starting with `#` and blank lines are ignored.
+0-based vertex ids, each field an ASCII integer (`-?[0-9]+`).  Lines
+starting with `#` and blank lines are ignored.
 `parse_graph` first reads the whole text in one scan, which accepts only
 the layout `format_graph` writes for dense ids; any other text, and every
 malformed one, goes to the line-by-line reading, which raises the errors.
+A text with fewer than n - 1 arcs reads as None: no root of it reaches
+every vertex, so no command can use it, and a header such as
+`1000000000 0 0` must not build a billion vertices.
 
 Tree format: first data line is `n r`, followed by n-1 lines `child parent`.
 """
 from __future__ import annotations
+
+import re
 
 from .digraph import Outbranching, RootedDigraph, build
 from .errors import GraphFormatError
@@ -22,20 +28,24 @@ def _data_lines(text):
         yield i, line
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
 def _ints(line_no, line, count, what):
+    """The `count` integer fields of a line; `int` alone would also take
+    `0_1`, `+1` and non-ASCII digits."""
     parts = line.split()
     if len(parts) != count:
         raise GraphFormatError(line_no, f"expected {count} fields for {what}, got {len(parts)}")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise GraphFormatError(line_no, f"non-integer field in {what!r} line: {line!r}") from None
+    if not all(map(_INT.fullmatch, parts)):
+        raise GraphFormatError(line_no, f"non-integer field in {what!r} line: {line!r}")
+    return [int(p) for p in parts]
 
 
 def _scan_graph(text):
-    """The digraph of a text in `format_graph`'s dense layout, read in one
-    scan of the whole text; None for any other text and for any text that
-    the line-by-line reading rejects."""
+    """`n, m, r` and the arcs of a text in `format_graph`'s dense layout,
+    read in one scan of the whole text; None for any other text and for any
+    text that the line-by-line reading rejects."""
     head, _, body = text.partition("\n")
     try:
         n, m, r = map(int, head.split(" "))
@@ -48,11 +58,17 @@ def _scan_graph(text):
     if ids and (min(ids) < 0 or max(ids) >= n or any(map(int.__eq__, ids[::2], ids[1::2]))):
         return None
     it = iter(ids)
-    return build(n, r, zip(it, it))
+    return n, m, r, zip(it, it)
 
 
 def parse_graph(text):
-    return _scan_graph(text) or _parse_graph_lines(text)
+    """The digraph of a graph file's text; None for a text with fewer than
+    the n - 1 arcs that a spanning out-tree needs, without building its n
+    vertices (module docstring)."""
+    n, m, r, arcs = _scan_graph(text) or _parse_graph_lines(text)
+    if m < n - 1:
+        return None
+    return build(n, r, arcs)
 
 
 def _parse_graph_lines(text):
@@ -82,7 +98,7 @@ def _parse_graph_lines(text):
         arcs.append((u, v))
     for line_no, line in lines:
         raise GraphFormatError(line_no, f"trailing data after {m} arcs: {line!r}")
-    return build(n, r, arcs)
+    return n, m, r, arcs
 
 
 def load_graph(path):

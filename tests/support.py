@@ -8,13 +8,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from maxleaf import stnum
-from maxleaf.bounds import dominate_bipartite
+from maxleaf.approx import WeakBipath
+from maxleaf.bounds import acyclic_many_leaves, dominate_bipartite
 from maxleaf.digraph import (NormDeleteStep, NormMergeStep, Outbranching, RootedDigraph,
                              VerifyResult, build, euler_intervals,
                              find_cutvertex, grow_tree, is_2connected, is_connected,
                              normalize, reachable)
 from maxleaf.errors import InfeasibleError, InternalInvariantError, PreconditionError
 from maxleaf.exact import DEFAULT_LIMIT, ExactResult
+from maxleaf.gen import gen_boloney, gen_comb, gen_necklace, gen_t_l
 from maxleaf.reduce import (ReductionTrace, Rule1Step, Rule2Step, Rule3Step,
                             apply_rule1, apply_rule2, apply_rule3, find_bipath4,
                             find_rule3, iter_bipath4, renormalize, strip_cutvertices)
@@ -1487,3 +1489,129 @@ def enumerating_exact(d, limit=DEFAULT_LIMIT):
                 raise InternalInvariantError("optimal internal set produced a suboptimal tree")
             return ExactResult(maxleaf, witness, explored)
     raise InternalInvariantError("no internal set found on a connected instance")
+
+
+def approx_core(d):
+    """The 2-connected core that `approx.approximate` numbers and
+    classifies: d renormalized and stripped of its cutvertices."""
+    steps = []
+    work = strip_cutvertices(renormalize(d.thaw(), steps), steps)
+    return work.freeze() if steps else d
+
+
+def chain_cores():
+    """Cores rich in chains of non-special vertices, for the chain and
+    bound-2 oracles: relabelled t_l(3..16) and boloney, necklaces, combs,
+    random instances and the feasible raw digraphs of `raw_digraph`."""
+    inputs = [relabelled(gen_t_l(l), l) for l in range(3, 17)]
+    inputs += [relabelled(gen_boloney(k), k) for k in (3, 5, 8, 13, 21, 34, 60)]
+    inputs += [gen_necklace(size) for size in range(6, 31, 2)]
+    inputs += [gen_comb(size) for size in range(3, 16)]
+    inputs += random_instances(40, 8, 60, seed_base=7700)
+    inputs += chain_planted_corpus(30, 7800, raw=False)
+    inputs += [raw_digraph(seed) for seed in range(7900, 7980)]
+    return [approx_core(d) for d in inputs if is_connected(d)]
+
+
+def legacy_weak_bipaths(d, cls):
+    """`approx.weak_bipaths` before its chains were read by list
+    membership, kept verbatim as the oracle for it.
+
+    Partition of the non-special vertices of `cls = classify(d)` into
+    maximal chains.
+
+    Every non-special vertex has exactly two in-neighbors, both joined to it
+    by 2-circuits; anything else signals a classification bug.
+    """
+    ns = cls.nonspecial
+    chain_nbrs = {}
+    anchor_of = {}
+    for v in sorted(ns):
+        nbrs = d.in_neighbors(v)
+        if len(nbrs) != 2 or not all(d.has_arc(v, u) for u in nbrs):
+            raise InternalInvariantError(
+                f"non-special vertex {v} lacks the two-2-circuit in-neighbor shape")
+        chain_nbrs[v] = [u for u in nbrs if u in ns]
+        anchor_of[v] = [u for u in nbrs if u not in ns]
+    paths = []
+    seen = set()
+    for v in sorted(ns):
+        if v in seen or len(chain_nbrs[v]) == 2:
+            continue
+        chain = [v]
+        seen.add(v)
+        prev, cur = v, next((w for w in chain_nbrs[v] if w not in seen), None)
+        while cur is not None:
+            chain.append(cur)
+            seen.add(cur)
+            nxt = next((w for w in chain_nbrs[cur] if w != prev), None)
+            prev, cur = cur, nxt
+        if chain[-1] < chain[0]:
+            chain.reverse()
+        first, last = chain[0], chain[-1]
+        if len(chain) == 1:
+            a, b = sorted(anchor_of[v])
+            anchors = (a, b)
+        else:
+            anchors = (anchor_of[first][0], anchor_of[last][0])
+        for a in anchors:
+            if a not in cls.special:
+                raise InternalInvariantError(f"chain anchor {a} is not special")
+        paths.append(WeakBipath(tuple(chain), anchors))
+    if len(seen) != len(ns):
+        raise InternalInvariantError("non-special vertices contain a 2-circuit cycle")
+    return paths
+
+
+def legacy_bound2_tree(d, sides):
+    """`bounds.bound2_tree` before its anchors were read by list
+    membership, kept verbatim as the oracle for it.
+
+    Out-tree with at least l/24 leaves, l = number of nice vertices.
+
+    Every non-root vertex that is not a root outneighbor takes one parent
+    from each side of the `in_sides` split `sides`, its smallest in-neighbor
+    there, giving a forward and a backward spanning tree; a nice vertex
+    instead takes its smallest simple in-neighbor (never r, since r's
+    outneighbors take r) on the side whose in-list holds it.  Root
+    outneighbors take r in both trees.  An arc of one tree is transverse
+    when its ends are incomparable in the other.  The tree with more
+    transverse arcs is chosen, ties to forward; its transverse arcs that
+    point left (head's subtree before the tail in the other tree's
+    preorder) or right, whichever are more, ties to left, are added to the
+    other tree, and the tree grows from that union, which is acyclic
+    (`acyclic_many_leaves` checks).  Each vertex has its parent in the
+    other tree and at most one transverse in-arc, so the union's in-lists
+    are read straight from the two parent maps.
+    """
+    r = d.root
+    fwd, bwd = sides
+    parent_f, parent_b = {}, {}
+    for v in fwd:
+        if d.has_arc(r, v):
+            parent_f[v] = parent_b[v] = r
+            continue
+        parent_f[v], parent_b[v] = fwd[v][0], bwd[v][0]
+        anchor = next((u for u in d.in_neighbors(v) if not d.has_arc(v, u)), None)
+        if anchor is not None:
+            (parent_f if anchor in fwd[v] else parent_b)[v] = anchor
+    tin_f, tout_f = euler_intervals(r, parent_f)
+    tin_b, tout_b = euler_intervals(r, parent_b)
+
+    def transverse(parent, tin, tout):
+        return [(u, v) for v, u in parent.items()
+                if u != r and (tout[v] < tin[u] or tout[u] < tin[v])]
+
+    trans_f = transverse(parent_f, tin_b, tout_b)
+    trans_b = transverse(parent_b, tin_f, tout_f)
+    if len(trans_f) >= len(trans_b):
+        trans, parent, tin, tout = trans_f, parent_b, tin_b, tout_b
+    else:
+        trans, parent, tin, tout = trans_b, parent_f, tin_f, tout_f
+    left = {v: u for u, v in trans if tout[v] < tin[u]}
+    right = {v: u for u, v in trans if tout[u] < tin[v]}
+    tail = left if len(left) >= len(right) else right
+    ins = dict.fromkeys(d.vertices, ())
+    for v, p in parent.items():
+        ins[v] = sorted((p, tail[v])) if v in tail else (p,)
+    return acyclic_many_leaves(r, ins)

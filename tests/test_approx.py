@@ -9,17 +9,18 @@ import pytest
 from maxleaf import approx, bounds, digraph, reduce, stnum
 from maxleaf.approx import (approximate, approximate_each_root, majbound_tree,
                             sqrt_opt_tree, weak_bipaths)
-from maxleaf.digraph import build, classify, is_connected, normalize, verify_outbranching
-from maxleaf.errors import InfeasibleError
+from maxleaf.digraph import (Classification, build, classify, is_connected, normalize,
+                             verify_outbranching)
+from maxleaf.errors import InfeasibleError, InternalInvariantError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_dipath, gen_random, gen_star, gen_t_l
 from maxleaf.graphio import format_tree
 from maxleaf.reduce import kernelize, renormalize, strip_cutvertices
 from maxleaf.stnum import rr_numbering
 
-from support import (chain_planted_corpus, count_calls, legacy_gen_random, random_instances,
-                     raw_digraph, relabelled, rescanning_majbound_tree,
-                     two_connected_instances)
+from support import (chain_cores, chain_planted_corpus, count_calls, legacy_gen_random,
+                     legacy_weak_bipaths, random_instances, raw_digraph, relabelled,
+                     rescanning_majbound_tree, two_connected_instances)
 
 
 def anchored_chains(chains, chain_len=1):
@@ -69,6 +70,59 @@ def test_weak_bipaths_singleton():
     paths = weak_bipaths(d, classify(d))
     assert [len(p.vertices) for p in paths] == [1, 1]
     assert all(p.anchors == (3, 4) for p in paths)
+
+
+def _chains_or_error(d):
+    cls = classify(d)
+    try:
+        return weak_bipaths(d, cls)
+    except InternalInvariantError as exc:
+        return str(exc)
+
+
+def _legacy_chains_or_error(d):
+    cls = classify(d)
+    try:
+        return legacy_weak_bipaths(d, cls)
+    except InternalInvariantError as exc:
+        return str(exc)
+
+
+def test_weak_bipaths_matches_legacy_on_cores_and_raw_digraphs():
+    cores = chain_cores()
+    for core in cores:
+        assert weak_bipaths(core, classify(core)) == legacy_weak_bipaths(core, classify(core))
+    assert sum(len(weak_bipaths(c, classify(c))) for c in cores) > 200
+    raw = [raw_digraph(seed) for seed in range(8000, 8200)]
+    outcomes = [_chains_or_error(d) for d in raw]
+    assert outcomes == [_legacy_chains_or_error(d) for d in raw]
+    # raw digraphs both break the chain shape and split into chains
+    assert {type(o) for o in outcomes if o} == {str, list}
+
+
+@pytest.mark.parametrize("arcs, message", [
+    # 2 has the in-neighbor 1 alone
+    ([(0, 1), (1, 2), (2, 1)], "non-special vertex 2 lacks the two-2-circuit in-neighbor shape"),
+    # the chain 1, 2 hangs off the root, which is never special
+    ([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)], "chain anchor 0 is not special"),
+    # the bidirected triangle 1, 2, 3 has no end
+    ([(1, 2), (2, 1), (2, 3), (3, 2), (3, 1), (1, 3)],
+     "non-special vertices contain a 2-circuit cycle"),
+])
+def test_weak_bipaths_error_messages_unchanged(arcs, message):
+    d = build(max(map(max, arcs)) + 1, 0, arcs)
+    assert _chains_or_error(d) == message == _legacy_chains_or_error(d)
+
+
+def test_weak_bipaths_checks_both_in_neighbors_against_its_out_list():
+    # a classification that calls 2 non-special although its in-arc from
+    # 1 is simple: 2's out-list holds 0 but not 1
+    d = build(3, 0, [(0, 1), (0, 2), (1, 2), (2, 0)])
+    cls = Classification(frozenset({1}), frozenset({1}), frozenset({2}))
+    message = "non-special vertex 2 lacks the two-2-circuit in-neighbor shape"
+    for chains in (weak_bipaths, legacy_weak_bipaths):
+        with pytest.raises(InternalInvariantError, match=message):
+            chains(d, cls)
 
 
 def test_majbound_vacuous_without_chains():

@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxleaf.digraph import (RootedDigraph, build, classify, is_connected, normalize,
-                            verify_outbranching)
+from maxleaf.digraph import (RootedDigraph, build, classify, is_2connected, is_connected,
+                            normalize, verify_outbranching)
 from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree,
                             dominate_bipartite, vertex_cover_third)
 from maxleaf.errors import InternalInvariantError
 from maxleaf.exact import maxleaf_exact
-from maxleaf.gen import gen_boloney, gen_star, gen_t_l
+from maxleaf.gen import gen_boloney, gen_necklace, gen_star, gen_t_l
 from maxleaf.stnum import rr_numbering
 
-from support import (brute_min_vertex_cover, digraph_many_leaves, domination_scaffold,
-                     in_lists, is_ancestor, many_leaves_bound, numbered_sides,
-                     random_undirected_graphs, resorting_vertex_cover, split,
+from support import (brute_min_vertex_cover, chain_cores, digraph_many_leaves,
+                     domination_scaffold, in_lists, is_ancestor, legacy_bound2_tree,
+                     many_leaves_bound, numbered_sides, random_undirected_graphs, raw_digraph,
+                     resorting_vertex_cover, split,
                      topological_order, transverse_decomposition, trim_to_indegree_two,
                      two_connected_instances)
 
@@ -242,6 +243,18 @@ def test_bound2_bound_and_validity():
         lnice = len(classify(d).nice)
         assert Fraction(tree.leaf_count) >= Fraction(lnice, 24)
         assert tree.leaf_count <= maxleaf_exact(d).maxleaf
+
+
+def test_bound2_matches_legacy_on_cores():
+    # raw necklaces and raw digraphs keep arcs into the root outneighbors
+    raw = [gen_necklace(size) for size in range(6, 31, 2)]
+    raw += [d for d in map(raw_digraph, range(8000, 8400)) if d.n >= 3 and is_2connected(d)]
+    anchored = 0
+    for d in chain_cores() + raw:
+        sides = numbered_sides(d)
+        assert bound2_tree(d, sides) == legacy_bound2_tree(d, sides)
+        anchored += len(classify(d).nice - set(d.root_out()))
+    assert anchored > 2000
 
 
 def test_bound2_oriented_sample():

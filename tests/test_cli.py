@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from maxleaf import graphio
 from maxleaf.cli import main
 from maxleaf.digraph import Outbranching, grow_tree, verify_outbranching
 from maxleaf.graphio import format_graph, load_graph, load_tree, parse_graph
@@ -191,6 +192,59 @@ def test_infeasible_exit_code(tmp_path):
         code, _, err = run(["exact", str(path)])
         assert code == 3
         assert err == "infeasible: some vertex is unreachable from the root\n"
+
+
+UNSPANNABLE_ANSWERS = [
+    (["approx"], 3, "", "infeasible: some vertex is unreachable from the root\n"),
+    (["kernelize"], 3, "", "infeasible: some vertex is unreachable from the root\n"),
+    (["exact"], 3, "", "infeasible: some vertex is unreachable from the root\n"),
+    (["approx", "--all-roots"], 3, "", "infeasible: no root reaches every vertex\n"),
+    (["decide", "-k", "2"], 0, "FALSE\n", ""),
+    (["decide", "-k", "0"], 5, "", "unmet precondition: parameter k must be at least 1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", UNSPANNABLE_ANSWERS)
+def test_header_only_graph_answers_as_an_unreachable_vertex(tmp_path, monkeypatch,
+                                                            argv, code, out, err):
+    # fewer than n - 1 arcs: no spanning out-tree for any root, and no
+    # vertex built for a header that asks for a billion
+    small, header, hand = tmp_path / "u.graph", tmp_path / "h.graph", tmp_path / "hand.graph"
+    small.write_text("3 1 0\n0 1\n")
+    header.write_text("1000000000 0 0\n")
+    hand.write_text("# header only\n1000000000 0 0\n")
+    assert run([argv[0], str(small), *argv[1:]]) == (code, out, err)
+
+    def refuse(n, root, arcs):
+        raise AssertionError(f"built {n} vertices")
+
+    monkeypatch.setattr(graphio, "build", refuse)
+    for path in (header, hand):
+        assert run([argv[0], str(path), *argv[1:]]) == (code, out, err)
+
+
+def test_verify_rejects_every_tree_of_a_graph_with_fewer_than_n_minus_1_arcs(tmp_path,
+                                                                            monkeypatch):
+    small, header = tmp_path / "u.graph", tmp_path / "h.graph"
+    small.write_text("3 1 0\n0 1\n")
+    header.write_text("1000000000 0 0\n")
+    tree, lone, broken = tmp_path / "t.tree", tmp_path / "lone.tree", tmp_path / "broken.tree"
+    tree.write_text("3 0\n1 0\n2 1\n")
+    lone.write_text("1 0\n")
+    broken.write_text("1000000000 0\n")
+
+    def refuse(n, root, arcs):
+        raise AssertionError(f"built {n} vertices")
+
+    monkeypatch.setattr(graphio, "build", refuse)
+    invalid = (1, "INVALID: the graph has fewer than n - 1 arcs, so no out-tree spans it\n", "")
+    for g in (small, header):
+        for t in (tree, lone):
+            assert run(["verify", str(g), str(t)]) == invalid
+    # the tree file is read first: a malformed one is malformed input
+    code, out, err = run(["verify", str(header), str(broken)])
+    assert code == 2 and out == ""
+    assert err == "error: line 1: expected 999999999 `child parent` lines, found 0\n"
 
 
 def test_graph_file_round_trip(tmp_path):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxleaf import graphio
 from maxleaf.digraph import Outbranching, build, is_connected
 from maxleaf.errors import GraphFormatError
 from maxleaf.gen import gen_random, gen_t_l
@@ -43,6 +44,44 @@ def test_parse_graph_rejects_bad_header():
         parse_graph("3 1 9\n0 1\n")
     with pytest.raises(GraphFormatError):
         parse_graph("x y z\n")
+
+
+@pytest.mark.parametrize("text", [
+    "2 1 0\n0 0_1\n",             # int() reads 0_1 as 1
+    "2 1 0\n0 \u0661\n",          # ARABIC-INDIC DIGIT ONE
+    "2 1 0\n0 +1\n",
+    "2\u0660 1 0\n0 1\n",         # ARABIC-INDIC DIGIT ZERO in the header
+    "2 1 0\n0 1.0\n",
+])
+def test_parse_graph_takes_only_ascii_integer_fields(text):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert "non-integer field" in str(exc.value)
+    assert parse_graph("2 1 0\n0 1\n").arcs() == [(0, 1)]
+    assert parse_graph("2 1 0\n-0 01\n").arcs() == [(0, 1)]
+
+
+def test_parse_tree_takes_only_ascii_integer_fields():
+    with pytest.raises(GraphFormatError, match="non-integer field"):
+        parse_tree("2 0\n1 0_0\n")
+    with pytest.raises(GraphFormatError, match="non-integer field"):
+        parse_tree("2 0\n\u0661 0\n")
+
+
+@pytest.mark.parametrize("text", ["1000000000 0 0\n", "# hand-written\n1000000000 0 0\n",
+                                  "1000000000 2 5\n0 1\n5 0\n", "3 1 0\n0 1\n"])
+def test_parse_graph_builds_no_file_with_fewer_than_n_minus_1_arcs(text, monkeypatch):
+    def refuse(n, root, arcs):
+        raise AssertionError(f"built {n} vertices")
+
+    monkeypatch.setattr(graphio, "build", refuse)
+    assert parse_graph(text) is None
+
+
+def test_parse_graph_builds_files_with_n_minus_1_arcs():
+    for text in ("1 0 0\n", "3 2 0\n0 1\n1 2\n", "3 2 0\n0 1\n0 1\n"):
+        n, _, r, arcs = _parse_graph_lines(text)
+        assert parse_graph(text) == build(n, r, arcs)
 
 
 def test_sparse_ids_are_compacted_with_mapping_comment():
@@ -95,6 +134,18 @@ def test_round_trip_identity_on_random_instances(seed):
     # ids may be compacted; structure must survive another round exactly
     assert format_graph(again) == format_graph(parse_graph(format_graph(again)))
     assert again.n == d.n and again.m == d.m
+
+
+def _build(parts):
+    """The digraph of a reader's n, m, r and arcs."""
+    n, _, r, arcs = parts
+    return build(n, r, arcs)
+
+
+def _parse_lines(text):
+    """What `parse_graph` gives for a text, read line by line."""
+    n, m, r, arcs = _parse_graph_lines(text)
+    return build(n, r, arcs) if m >= n - 1 else None
 
 
 def _read(parse, text):
@@ -156,10 +207,10 @@ def test_scan_matches_line_path():
     for d in graphs:
         text = format_graph(d)
         if list(d.vertices) == list(range(d.n)):
-            assert _scan_graph(text) == d
+            assert _build(_scan_graph(text)) == d
         for variant in (text, *_perturbed(text)):
             texts.append(variant)
     for text in texts:
-        assert _read(parse_graph, text) == _read(_parse_graph_lines, text), repr(text)
+        assert _read(parse_graph, text) == _read(_parse_lines, text), repr(text)
         scanned += _scan_graph(text) is not None
     assert scanned > len(graphs)  # some perturbed texts take the scan too
