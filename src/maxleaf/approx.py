@@ -120,10 +120,13 @@ def majbound_tree(d, cls, paths):
     meets first.  The search expands the reached vertices, ascending,
     before anything it discovers, so when some arc (a, b) leads from a
     reached a to a pending b, it meets the least such pair, ordered by a
-    and then b, at its first level.  A heap frontier holds the arcs from
-    reached vertices to specials, pushed as their tails are reached and
-    dropped lazily once their heads are, so its minimum is that pair; the
-    search runs only when no pending special is one arc away.
+    and then b, at its first level.  A heap frontier holds the reached
+    tails with a pointer each into their ascending out-lists, pushed when
+    a tail is reached and has a pending head.  Pending only shrinks, so a
+    pointer only advances past heads that are no longer pending, and the
+    least tail whose pointer stops at a head gives that pair; a tail leaves
+    the heap once its pointer runs off its list.  The search runs only
+    when no pending special is one arc away.
     """
     if d.n <= 2:
         return bfs_tree(d)
@@ -132,22 +135,30 @@ def majbound_tree(d, cls, paths):
     parent = {}
     reached = set()
     pending = set(cls.special)
-    frontier = []
+    frontier = []  # [tail, index of its next head that may be pending, heads]
 
     def reach(w):
         reached.add(w)
-        for b in d.out_neighbors(w):
-            if b in pending:
-                heappush(frontier, (w, b))
+        heads = d.out_neighbors(w)
+        if not pending.isdisjoint(heads):
+            heappush(frontier, [w, 0, heads])
 
     reach(d.root)
     while pending:
-        while frontier and frontier[0][1] not in pending:
+        target = None
+        while frontier:
+            top = frontier[0]
+            a, i, heads = top
+            end = len(heads)
+            while i < end and heads[i] not in pending:
+                i += 1
+            if i < end:
+                top[1] = i
+                target = heads[i]
+                prev = {target: a}
+                break
             heappop(frontier)
-        if frontier:
-            a, target = heappop(frontier)
-            prev = {target: a}
-        else:
+        if target is None:
             target, prev = _path_to_pending(d, reached, pending, nonspecial)
         pending.discard(target)
         v = target

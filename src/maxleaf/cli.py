@@ -167,6 +167,7 @@ def cmd_bench(args, out, err):
 
 
 def build_parser():
+    """The `maxleaf` parser and its subcommand parsers by command name."""
     parser = argparse.ArgumentParser(
         prog="maxleaf",
         description="Rooted maximum leaf outbranchings: kernelize, decide, approximate, solve.")
@@ -218,16 +219,32 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = build_parser()
+_PARSER, _COMMANDS = build_parser()
+
+
+def _parse(argv):
+    """`_PARSER.parse_args(argv)`.  When the first token names a command,
+    that command's parser reads the rest alone, which is all the top-level
+    parser would hand it; any other argv, and one with tokens the command
+    leaves over, goes through the top-level parser, so usage and errors
+    come out as they do there."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     command = globals()["cmd_" + args.command]  # at call time, so a rebound cmd_* runs
     try:
         return command(args, out, err)

@@ -372,12 +372,21 @@ class _OrderLabels:
 
 def _reinserted(r, remaining, records):
     """The numbering that reinserts the eliminated vertices, last record
-    first, into the ascending `remaining` vertices (see `rr_numbering`)."""
+    first, into the ascending `remaining` vertices (see `rr_numbering`).
+
+    A record `(v, v_in, v_exempt, u, u_others, u_exempt)` holds v, its
+    in-set when it was eliminated, whether r was in it, the vertex u it was
+    contracted into (None when it was deleted), u's other in-neighbors
+    then, and whether r was among them.  v_in holds r only when v is
+    exempt, and u_others is `()` when u is exempt or None; neither is read
+    then.  u's others all lie before u when the largest of their labels is
+    below u's."""
     order = _OrderLabels(r, remaining, len(remaining) + len(records))
     label = order.label
     for v, v_in, v_exempt, u, u_others, u_exempt in reversed(records):
         after = r
-        if u is not None and not u_exempt and all(label[w] < label[u] for w in u_others):
+        if (u is not None and not u_exempt
+                and max(map(label.__getitem__, u_others), default=-1) < label[u]):
             after = u
         if not v_exempt:
             first = min(v_in, key=label.__getitem__)
@@ -422,7 +431,10 @@ def rr_numbering(d):
     loop test; it falls when such a vertex is eliminated or u gains the
     root as an in-neighbor.  A reduction returns a new working graph, so
     the heap and the count are rebuilt with it, at a cost below the
-    reduction's own.
+    reduction's own.  A step builds no difference set: its loops walk v's
+    in-set and skip u or r, and its record (see `_reinserted`) keeps that
+    popped in-set as it is, so the one set a step allocates is the copy of
+    u's other in-neighbors, taken only when u is not exempt.
 
     Reinsertion runs in reverse.  Let sigma number the working digraph G'
     that v's elimination left, and G the one before it.  A numbering stays
@@ -464,22 +476,27 @@ def rr_numbering(d):
             continue
         v = heappop(candidates)
         v_out, v_in = out.pop(v), inn.pop(v)
-        unexempt -= r not in v_in
+        v_exempt = r in v_in
+        unexempt -= not v_exempt
         for y in v_in:
             out[y].discard(v)
         u, u_others, u_exempt = None, (), False
         if v_out:
             (u,) = v_out
-            inn[u].discard(v)
-            u_others, u_exempt = inn[u] - {r}, r in inn[u]
-            for y in v_in - {u}:
-                out[y].add(u)
-                inn[u].add(y)
-            unexempt -= not u_exempt and r in v_in
-        for y in v_in - {r}:
-            if len(out[y]) <= 1:
+            u_in = inn[u]
+            u_in.discard(v)
+            u_exempt = r in u_in
+            if not u_exempt:
+                u_others = u_in.copy()
+            for y in v_in:
+                if y != u:
+                    out[y].add(u)
+                    u_in.add(y)
+            unexempt -= not u_exempt and v_exempt
+        for y in v_in:
+            if y != r and len(out[y]) <= 1:
                 heappush(candidates, y)
-        records.append((v, v_in - {r}, r in v_in, u, u_others, u_exempt))
+        records.append((v, v_in, v_exempt, u, u_others, u_exempt))
 
     order = tuple(_reinserted(r, sorted(inn.keys() - {r}), records))
     return RRNumbering(order, in_sides(d, order))

@@ -203,7 +203,8 @@ def test_majbound_matches_rescanning_reference(monkeypatch):
         paths = weak_bipaths(core, cls)
         assert majbound_tree(core, cls, paths) == rescanning_majbound_tree(core, cls, paths)
         steps += len(cls.special)
-    # both the heap frontier and the search fallback pick specials
+    # both the heap of reached tails, each with its out-list pointer, and
+    # the search fallback pick specials
     assert len(searches) > 100 and steps - len(searches) > 1000
 
 

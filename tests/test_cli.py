@@ -1,9 +1,10 @@
+import contextlib
 import importlib
 import io
 
 import pytest
 
-from maxleaf import graphio
+from maxleaf import cli, graphio
 from maxleaf.cli import main
 from maxleaf.digraph import Outbranching, grow_tree, verify_outbranching
 from maxleaf.graphio import format_graph, load_graph, load_tree, parse_graph
@@ -346,3 +347,51 @@ def test_command_is_looked_up_per_call(monkeypatch):
 def test_importing_the_main_module_runs_nothing(capsys):
     importlib.import_module("maxleaf.__main__")
     assert capsys.readouterr() == ("", "")
+
+
+PARSE_CASES = [
+    ["approx", "g"],
+    ["approx", "g", "--tree", "t", "--dot", "d", "--all-roots"],
+    ["approx", "g", "--all", "--tr=t"],    # abbreviated options
+    ["approx", "g", "--bogus", "x"],       # left over: the top-level usage
+    ["approx", "g", "x"],
+    ["approx", "--", "g"],
+    ["approx", "g", "--", "x"],
+    ["approx"],
+    ["approx", "g", "-h"],
+    ["approx", "-h", "--bogus"],
+    ["-h"],
+    [],
+    ["nosuch", "g"],
+    ["--", "approx", "g"],
+    ["--bogus", "approx", "g"],
+    ["decide", "g", "-k", "3", "--wit", "w", "--out", "o", "--trace", "t"],
+    ["decide", "g", "-k3"],
+    ["decide", "g"],
+    ["decide", "g", "-k", "x"],
+    ["decide", "-k", "-1", "g"],
+    ["verify", "g", "t"],
+    ["verify", "g", "t", "u"],
+    ["gen", "--family", "t_l", "--size", "4", "--out", "o"],
+    ["gen", "--family", "nosuch"],
+    ["exact", "g", "--limit", "5", "--witness=w"],
+    ["kernelize", "g", "--out", "o", "--trace", "t"],
+    ["bench", "--count", "2", "--fam", "random", "--p", "0.5"],
+]
+
+
+def parsed(parse, argv):
+    """The namespace or exit code, stdout and stderr of `parse(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_command_parser_reads_argv_as_the_top_level_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parsed(cli._parse, argv) == parsed(cli._PARSER.parse_args, argv)
