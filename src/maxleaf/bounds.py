@@ -1,13 +1,13 @@
 """Constructive leaf-count lower bounds for 2-connected rooted digraphs.
 
-The pipeline: a greedy vertex cover of size (n+m)/3 gives a small dominating
-subset in bipartite degree-2 graphs, which gives a small strongly dominating
-set in acyclic rooted digraphs, hence a spanning out-tree whose leaf count
-grows with the number of indegree-2 vertices.  Applied to the two acyclic
-covers induced by a root-to-root numbering this yields one tree with at
-least l3/6 leaves (l3 = vertices of indegree >= 3) and, through transverse
-arcs, another with at least l_nice/24 leaves (l_nice = vertices with a
-simple in-arc).
+The pipeline: in an acyclic rooted digraph, a greedy vertex cover of size
+(n+m)/3 of the conflict graph that joins the two in-neighbors of each
+indegree-2 vertex dominates those vertices and gives a small strongly
+dominating set, hence a spanning out-tree whose leaf count grows with the
+number of indegree-2 vertices.  Applied to the two acyclic covers induced
+by a root-to-root numbering this yields one tree with at least l3/6 leaves
+(l3 = vertices of indegree >= 3) and, through transverse arcs, another with
+at least l_nice/24 leaves (l_nice = vertices with a simple in-arc).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .errors import InternalInvariantError
 from .stnum import rr_numbering
 
 
-# -- covers and domination ----------------------------------------------
+# -- vertex cover -------------------------------------------------------
 
 
 def vertex_cover_third(vertices, edges):
@@ -49,29 +49,6 @@ def vertex_cover_third(vertices, edges):
             adj[v].clear()
             cover.add(v)
     return cover
-
-
-def dominate_bipartite(a_side, b_side, edges):
-    """Subset of B dominating A, of size at most (|A|+|B|)/3.
-
-    Every a in A must have exactly two neighbors in B.  Built by covering the
-    conflict graph on B whose edges join the two neighbors of each a.
-    """
-    a_nbrs = {a: set() for a in a_side}
-    b_set = set(b_side)
-    for a, b in edges:
-        if a not in a_nbrs:
-            raise ValueError(f"edge endpoint {a} is not in the A side")
-        if b not in b_set:
-            raise ValueError(f"edge endpoint {b} is not in the B side")
-        a_nbrs[a].add(b)
-    conflicts = set()
-    for a, nbrs in a_nbrs.items():
-        if len(nbrs) != 2:
-            raise ValueError(f"vertex {a} has degree {len(nbrs)}, expected exactly 2")
-        b1, b2 = sorted(nbrs)
-        conflicts.add((b1, b2))
-    return vertex_cover_third(b_set, conflicts)
 
 
 # -- acyclic many-leaves extraction -------------------------------------
@@ -112,11 +89,12 @@ def acyclic_many_leaves(root, ins):
     from every vertex without in-arcs, tell a cycle (reported first) from a
     vertex that r does not reach.  Each in-list is then cut to its first
     two.  On the cut digraph, y holds the in-neighbors of the indegree-1
-    vertices, a the indegree-2 vertices with no in-neighbor in y, and a
-    subset x of the vertices outside y but the first sink dominates a; so
-    c = x | y | {r} strongly dominates, and the tree is the breadth-first
-    tree of the cut out-lists that expands only c.  The out-lists come out
-    ascending, as a `RootedDigraph`'s are.
+    vertices, a the indegree-2 vertices with no in-neighbor in y, and b
+    the vertices outside y but the first sink.  x covers the conflict graph
+    on b, whose edges join the two in-neighbors of each vertex of a, so x
+    dominates a and c = x | y | {r} strongly dominates, and the tree is the
+    breadth-first tree of the cut out-lists that expands only c.  The
+    out-lists come out ascending, as a `RootedDigraph`'s are.
     """
     out = _out_lists(ins)
     n = len(ins)
@@ -131,7 +109,7 @@ def acyclic_many_leaves(root, ins):
     y = {us[0] for us in ins.values() if len(us) == 1}
     a = [v for v, us in ins.items() if len(us) == 2 and y.isdisjoint(us)]
     b = [v for v in ins if v not in y and v != sink]
-    x = dominate_bipartite(a, b, [(v, u) for v in a for u in ins[v]])
+    x = vertex_cover_third(b, [ins[v] for v in a])
     found = search(out, [root], expand=x | y | {root})
     del found[root]
     if len(found) != n - 1:

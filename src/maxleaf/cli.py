@@ -39,12 +39,18 @@ EXIT_INTERNAL = 4
 EXIT_PRECONDITION = 5
 
 
-def _write_or_print(text, path, out):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
+def _save(text, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _save_kernel(args, reduced, trace):
+    """Write the kernel to `--out` and its trace to `--trace`, each when
+    given."""
+    if args.out:
+        _save(graphio.format_graph(reduced), args.out)
+    if args.trace:
+        _save(trace.to_text(), args.trace)
 
 
 def _load(path):
@@ -57,21 +63,20 @@ def cmd_gen(args, out, err):
     spec = GenSpec(args.family, args.size if args.family != "random" else args.n,
                    seed=args.seed, arc_probability=args.p)
     d = generate(spec)
-    _write_or_print(graphio.format_graph(d), args.out, out)
+    text = graphio.format_graph(d)
+    if args.out:
+        _save(text, args.out)
+    else:
+        out.write(text)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graphio.to_dot(d))
+        _save(graphio.to_dot(d), args.dot)
     return EXIT_OK
 
 
 def cmd_kernelize(args, out, err):
     d = _load(args.graph)
     reduced, trace = kernelize(d)
-    if args.out:
-        graphio.save_graph(reduced, args.out)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_text())
+    _save_kernel(args, reduced, trace)
     out.write(f"{d.n} {d.m} -> {reduced.n} {reduced.m} ({len(trace)} steps)\n")
     return EXIT_OK
 
@@ -82,17 +87,13 @@ def cmd_decide(args, out, err):
     if decision.verdict == "TRUE":
         out.write(f"TRUE (witness leaves={decision.witness.leaf_count})\n")
         if args.witness:
-            graphio.save_tree(decision.witness, args.witness)
+            _save(graphio.format_tree(decision.witness), args.witness)
     elif decision.verdict == "FALSE":
         out.write("FALSE\n")
     else:
         out.write(f"REDUCED (n={decision.reduced.n} m={decision.reduced.m}"
                   f" < threshold {decision.threshold})\n")
-        if args.out:
-            graphio.save_graph(decision.reduced, args.out)
-        if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                fh.write(decision.trace.to_text())
+        _save_kernel(args, decision.reduced, decision.trace)
     return EXIT_OK
 
 
@@ -112,10 +113,9 @@ def cmd_approx(args, out, err):
     out.write(report.format())
     out.write(f"leaves={tree.leaf_count}\n")
     if args.tree:
-        graphio.save_tree(tree, args.tree)
+        _save(graphio.format_tree(tree), args.tree)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graphio.to_dot(d, tree=tree))
+        _save(graphio.to_dot(d, tree=tree), args.dot)
     return EXIT_OK
 
 
@@ -124,7 +124,7 @@ def cmd_exact(args, out, err):
     result = maxleaf_exact(d, limit=args.limit)
     out.write(f"{result.maxleaf}\n")
     if args.witness:
-        graphio.save_tree(result.witness, args.witness)
+        _save(graphio.format_tree(result.witness), args.witness)
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .digraph import Outbranching, RootedDigraph, build
+from .digraph import Outbranching, build
 from .errors import GraphFormatError
 
 
@@ -122,11 +122,6 @@ def format_graph(d):
     return "\n".join(lines) + "%d %d\n" * m % tuple(ids)
 
 
-def save_graph(d, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(d))
-
-
 def parse_tree(text):
     lines = _data_lines(text)
     try:
@@ -164,11 +159,6 @@ def format_tree(t):
     lines = [f"{n} {t.root}"]
     lines.extend(f"{c} {p}" for c, p in sorted(t.parent.items()))
     return "\n".join(lines) + "\n"
-
-
-def save_tree(t, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_tree(t))
 
 
 def to_dot(d, tree=None):

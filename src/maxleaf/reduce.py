@@ -279,17 +279,6 @@ def apply_rule1(d, x, cuts=None):
     return step.apply(d), step
 
 
-def is_bipath4(d, p):
-    """Check the length-4 bipath condition: each of the three internal
-    vertices has exactly its two path neighbors as in- and outneighbors."""
-    if len(p) != 5 or len(set(p)) != 5:
-        return False
-    for a, v, b in zip(p, p[1:], p[2:]):
-        if not d.out_neighbors(v) == d.in_neighbors(v) == tuple(sorted((a, b))):
-            return False
-    return True
-
-
 def _partners(d, v):
     """v's partners, ascending, when v is paired (lemma C in the module
     docstring), else None; a vertex not in d is unpaired."""
@@ -319,23 +308,17 @@ def _bipath_at(d, y):
     return p if len(set(p)) == 5 else None
 
 
-def iter_bipath4(d):
-    """All length-4 bipaths, one orientation each, by ascending middle
-    vertex."""
-    for y in d.vertices:
-        p = _bipath_at(d, y)
-        if p is not None:
-            yield p
-
-
 def find_bipath4(d):
-    return next(iter_bipath4(d), None)
+    """The length-4 bipath `_bipath_at` finds at the smallest middle, or None."""
+    return next(filter(None, (_bipath_at(d, y) for y in d.vertices)), None)
 
 
 def apply_rule2(d, p):
     """Contract the middle internal pair (second and third vertex) of a
-    length-4 bipath p = (u, x, y, z, t)."""
-    if not is_bipath4(d, p):
+    length-4 bipath p = (u, x, y, z, t), given in either orientation: p is
+    one exactly when it is the bipath `_bipath_at` reads at its middle y or
+    its reverse, so no inner vertex is the root."""
+    if len(p) != 5 or _bipath_at(d, p[2]) not in (tuple(p), tuple(p)[::-1]):
         raise ValueError(f"{p} is not a bipath of length 4")
     u, x, y, z, t = p
     step = Rule2Step(u, x, y, z, t)
@@ -629,12 +612,9 @@ def decide(d, k):
             raise InternalInvariantError("lifted witness lost leaves")
         return KernelDecision("TRUE", lifted, reduced, trace, k)
 
-    best_x = None
-    for v in reduced.vertices:
-        if v != reduced.root and reduced.indeg(v) >= k:
-            if best_x is None or reduced.indeg(v) > reduced.indeg(best_x):
-                best_x = v
-    if best_x is not None:
+    best_x = max((v for v in reduced.vertices if v != reduced.root),
+                 key=lambda v: (reduced.indeg(v), -v), default=None)
+    if best_x is not None and reduced.indeg(best_x) >= k:
         witness = large_indegree_witness(reduced, best_x)
         if witness.leaf_count >= k:
             return settle(witness)

@@ -9,7 +9,7 @@ from itertools import combinations
 
 from maxleaf import stnum
 from maxleaf.approx import WeakBipath
-from maxleaf.bounds import acyclic_many_leaves, dominate_bipartite
+from maxleaf.bounds import acyclic_many_leaves, vertex_cover_third
 from maxleaf.digraph import (NormDeleteStep, NormMergeStep, Outbranching, RootedDigraph,
                              VerifyResult, build, euler_intervals,
                              find_cutvertex, grow_tree, is_2connected, is_connected,
@@ -18,8 +18,8 @@ from maxleaf.errors import InfeasibleError, InternalInvariantError, Precondition
 from maxleaf.exact import DEFAULT_LIMIT, ExactResult
 from maxleaf.gen import gen_boloney, gen_comb, gen_necklace, gen_t_l
 from maxleaf.reduce import (ReductionTrace, Rule1Step, Rule2Step, Rule3Step,
-                            apply_rule1, apply_rule2, apply_rule3, find_bipath4,
-                            find_rule3, iter_bipath4, renormalize, strip_cutvertices)
+                            _bipath_at, apply_rule1, apply_rule2, apply_rule3,
+                            find_bipath4, find_rule3, renormalize, strip_cutvertices)
 from maxleaf.digraph import cutvertices as idom_cutvertices
 
 
@@ -893,8 +893,7 @@ def domination_scaffold(d):
     a_dom = frozenset(v for v in deg2 if any(u in y for u in d.in_neighbors(v)))
     a = frozenset(v for v in deg2 if v not in a_dom)
     b = frozenset(v for v in d.vertices if v not in y and v != sink)
-    edges = [(v, u) for v in a for u in d.in_neighbors(v)]
-    x = frozenset(dominate_bipartite(a, b, edges))
+    x = frozenset(vertex_cover_third(b, [d.in_neighbors(v) for v in a]))
     c = frozenset(x | y | {d.root})
     return DominationScaffold(sink, z, y, a_dom, a, b, x, c)
 
@@ -1290,7 +1289,7 @@ def all_rule_applications(d):
     """Every single rule application available on d: (kind, payload) pairs."""
     apps = [("rule1", x) for x in idom_cutvertices(d)]
     apps += [("rule3", pair) for pair in rule3_pairs(d)]
-    apps += [("rule2", p) for p in iter_bipath4(d)]
+    apps += [("rule2", p) for p in (_bipath_at(d, y) for y in d.vertices) if p]
     return apps
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from maxleaf.digraph import (RootedDigraph, build, classify, is_2connected, is_connected,
                             normalize, verify_outbranching)
 from maxleaf.bounds import (acyclic_many_leaves, bound1_tree, bound2_tree,
-                            dominate_bipartite, vertex_cover_third)
+                            vertex_cover_third)
 from maxleaf.errors import InternalInvariantError
 from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_boloney, gen_necklace, gen_star, gen_t_l
@@ -67,42 +67,39 @@ def test_cover_property(n, data):
     assert 3 * len(cover) <= n + len(edges)
 
 
-# -- bipartite domination -------------------------------------------------
+# -- bipartite domination as a cover of the conflict graph ----------------
 
 
 def test_dominate_single_element():
-    s = dominate_bipartite(["a"], ["b1", "b2"], [("a", "b1"), ("a", "b2")])
+    s = vertex_cover_third(["b1", "b2"], [("b1", "b2")])
     assert len(s) == 1 and s <= {"b1", "b2"}
 
 
 def test_dominate_triangle_conflicts():
-    edges = [(0, "x"), (0, "y"), (1, "y"), (1, "z"), (2, "x"), (2, "z")]
-    s = dominate_bipartite([0, 1, 2], ["x", "y", "z"], edges)
+    nbrs = {0: ("x", "y"), 1: ("y", "z"), 2: ("x", "z")}
+    s = vertex_cover_third(["x", "y", "z"], nbrs.values())
     assert len(s) <= 2
+    assert all(set(pair) & s for pair in nbrs.values())
 
 
-def test_dominate_rejects_wrong_degree():
-    with pytest.raises(ValueError, match="degree"):
-        dominate_bipartite([0], [1, 2], [(0, 1)])
+def test_dominate_rejects_an_endpoint_outside_b():
+    with pytest.raises(ValueError, match="unknown vertex"):
+        vertex_cover_third([1, 2], [(1, 3)])
 
 
 def test_dominate_random_instances():
+    """Every vertex of A, given by its two neighbours in B, keeps one in
+    the cover of the conflict graph, which has at most (|A|+|B|)/3
+    vertices; two vertices of A may share their pair."""
     rng = random.Random(5)
     for _ in range(40):
         nb = rng.randint(2, 8)
         na = rng.randint(1, 10)
         b = list(range(nb))
-        edges = []
-        for a in range(na):
-            b1, b2 = rng.sample(b, 2)
-            edges += [(("a", a), b1), (("a", a), b2)]
-        a_side = [("a", a) for a in range(na)]
-        s = dominate_bipartite(a_side, b, edges)
+        nbrs = [tuple(rng.sample(b, 2)) for _ in range(na)]
+        s = vertex_cover_third(b, nbrs)
         assert Fraction(len(s)) <= Fraction(na + nb, 3)
-        nbrs = {}
-        for a, bb in edges:
-            nbrs.setdefault(a, set()).add(bb)
-        assert all(nbrs[a] & s for a in a_side)
+        assert all(set(pair) & s for pair in nbrs)
 
 
 # -- acyclic many-leaves ---------------------------------------------------

@@ -5,11 +5,14 @@ import io
 import pytest
 
 from maxleaf import cli, graphio
+from maxleaf.approx import approximate
 from maxleaf.cli import main
 from maxleaf.digraph import Outbranching, grow_tree, verify_outbranching
-from maxleaf.graphio import format_graph, load_graph, load_tree, parse_graph
+from maxleaf.exact import maxleaf_exact
+from maxleaf.graphio import (format_graph, format_tree, load_graph, load_tree, parse_graph,
+                             to_dot)
 from maxleaf.gen import gen_comb, gen_necklace, gen_t_l
-from maxleaf.reduce import kernelize
+from maxleaf.reduce import decide, kernelize
 
 from support import legacy_gen_random
 
@@ -88,6 +91,55 @@ def test_kernelize_writes_kernel_and_trace(tmp_path):
     assert out == f"{d.n} {d.m} -> {reduced.n} {reduced.m} ({len(trace)} steps)\n"
     assert red.read_text() == format_graph(reduced)
     assert tr.read_text() == trace.to_text()
+
+
+def test_every_output_flag_writes_the_graphio_rendering(tmp_path):
+    """Each file a command writes is the `graphio` rendering, or the trace
+    text, of what the library call returns on the same graph."""
+    f = {name: tmp_path / name for name in
+         ("g", "g.dot", "k.graph", "k.trace", "w.tree", "r.graph", "r.trace",
+          "a.tree", "a.dot", "e.tree")}
+    d = gen_comb(3)
+    code, out, _ = run(["gen", "--family", "comb", "--size", "3",
+                        "--out", str(f["g"]), "--dot", str(f["g.dot"])])
+    assert code == 0 and out == ""
+    assert f["g"].read_text() == format_graph(d)
+    assert f["g.dot"].read_text() == to_dot(d)
+
+    reduced, trace = kernelize(d)
+    assert len(trace) > 0
+    code, _, _ = run(["kernelize", str(f["g"]), "--out", str(f["k.graph"]),
+                      "--trace", str(f["k.trace"])])
+    assert code == 0
+    assert f["k.graph"].read_text() == format_graph(reduced)
+    assert f["k.trace"].read_text() == trace.to_text()
+
+    decision = decide(d, 2)
+    assert decision.verdict == "TRUE"
+    code, out, _ = run(["decide", str(f["g"]), "-k", "2", "--witness", str(f["w.tree"]),
+                        "--out", str(f["r.graph"]), "--trace", str(f["r.trace"])])
+    assert code == 0 and out.startswith("TRUE")
+    assert f["w.tree"].read_text() == format_tree(decision.witness)
+    assert not f["r.graph"].exists() and not f["r.trace"].exists()
+
+    decision = decide(d, 3)
+    assert decision.verdict == "REDUCED" and len(decision.trace) > 0
+    code, out, _ = run(["decide", str(f["g"]), "-k", "3", "--witness", str(f["w.tree"]),
+                        "--out", str(f["r.graph"]), "--trace", str(f["r.trace"])])
+    assert code == 0 and out.startswith("REDUCED")
+    assert f["r.graph"].read_text() == format_graph(decision.reduced)
+    assert f["r.trace"].read_text() == decision.trace.to_text()
+
+    tree, _ = approximate(d)
+    code, _, _ = run(["approx", str(f["g"]), "--tree", str(f["a.tree"]),
+                      "--dot", str(f["a.dot"])])
+    assert code == 0
+    assert f["a.tree"].read_text() == format_tree(tree)
+    assert f["a.dot"].read_text() == to_dot(d, tree=tree)
+
+    code, _, _ = run(["exact", str(f["g"]), "--witness", str(f["e.tree"])])
+    assert code == 0
+    assert f["e.tree"].read_text() == format_tree(maxleaf_exact(d).witness)
 
 
 def test_kernelize_prints_sizes(tmp_path):

@@ -14,8 +14,7 @@ from maxleaf.exact import maxleaf_exact
 from maxleaf.gen import gen_dipath, gen_random, gen_star, gen_t_l
 from maxleaf.reduce import (NormMergeStep, ReductionTrace, Rule1Step, Rule2Step,
                             Rule3Step, apply_rule1, apply_rule2, apply_rule3,
-                            decide, find_bipath4, find_rule3, is_bipath4,
-                            iter_bipath4, kernelize,
+                            _bipath_at, decide, find_bipath4, find_rule3, kernelize,
                             large_indegree_witness, lift, strip_cutvertices)
 
 from support import (all_rule_applications, brute_cutvertices, chain_planted_corpus,
@@ -201,7 +200,42 @@ def test_rule2_rejects_extra_arc():
     d = with_arcs(five_vertex_bipath(), [(3, 0)])  # internal vertex gains an out-arc
     with pytest.raises(ValueError, match="bipath"):
         apply_rule2(d, (1, 2, 3, 4, 5))
-    assert not is_bipath4(d, (1, 2, 3, 4, 5))
+    assert find_bipath4(d) is None
+
+
+def test_rule2_accepts_exactly_the_bipaths_read_at_their_middle():
+    """`apply_rule2` takes every bipath `_bipath_at` finds, in both
+    orientations, with the same step either way round, and nothing else."""
+    checked = 0
+    for d in chain_planted_corpus(20, 9100, raw=False) + [five_vertex_bipath()]:
+        for p in filter(None, (_bipath_at(d, y) for y in d.vertices)):
+            for q in (p, p[::-1], list(p)):
+                d2, step = apply_rule2(d, q)
+                assert (step.u, step.x, step.y, step.z, step.t) == tuple(q)
+                assert d2 == d.contracted(q[1], q[2])
+            checked += 1
+    assert checked >= 20
+    d = five_vertex_bipath()
+    for bad in [(1, 2, 3, 4), (1, 2, 3, 4, 5, 4), (1, 2, 3, 2, 1), (2, 3, 4, 5, 4),
+                (0, 1, 2, 3, 4), (5, 4, 3, 2, 0)]:
+        with pytest.raises(ValueError, match="bipath"):
+            apply_rule2(d, bad)
+    third = with_arcs(d, [(3, 5)])  # the middle 3 gains a third neighbour
+    with pytest.raises(ValueError, match="bipath"):
+        apply_rule2(third, (1, 2, 3, 4, 5))
+
+
+def test_rule2_rejects_the_root_as_an_inner_vertex():
+    """On raw input the root may carry in-arcs and so sit in a chain of
+    2-circuits; it is never paired, so no bipath has it inside."""
+    d = build(6, 2, [(2, 1), (1, 2), (2, 3), (3, 2), (3, 4), (4, 3),
+                     (1, 0), (0, 1), (4, 5), (5, 4)])
+    assert d.in_neighbors(2) == d.out_neighbors(2) == (1, 3)
+    for p in [(0, 1, 2, 3, 4), (1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (4, 3, 2, 1, 0)]:
+        with pytest.raises(ValueError, match="bipath"):
+            apply_rule2(d, p)
+    assert _bipath_at(d, 2) is None
+    assert find_bipath4(d) is None
 
 
 def test_rule2_chain_reaches_fixpoint():
@@ -214,7 +248,7 @@ def test_rule2_chain_reaches_fixpoint():
         d, _ = apply_rule2(d, p)
         contractions += 1
     assert contractions == 3  # chain of 7 shrinks to 4 double-linked vertices
-    assert len(list(iter_bipath4(d))) == 0
+    assert not any(_bipath_at(d, y) for y in d.vertices)
 
 
 def bidirected_ring(n):
