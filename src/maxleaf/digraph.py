@@ -641,11 +641,14 @@ def grow_tree(d, internal=None, parent=None):
 
     The root and the vertices of `parent` are expanded in ascending id order,
     then every newly reached vertex that lies in `internal` (every one when
-    `internal` is None), so only those can become internal.  Callers check
-    that the result spans.
+    `internal` is None), so only those can become internal.  Each out-list
+    is read ascending, a working graph's through `out_neighbors`, so the
+    tree does not depend on the history of its sets.  Callers check that
+    the result spans.
     """
     parent = parent or {}
-    found = search(d._out, sorted({d.root, *parent}), expand=internal)
+    out = d._out if d.frozen else {v: d.out_neighbors(v) for v in d.vertices}
+    found = search(out, sorted({d.root, *parent}), expand=internal)
     del found[d.root]
     found.update(parent)
     return Outbranching(d.root, found)

@@ -527,47 +527,37 @@ def large_indegree_witness(d, x):
     is an in-neighbor the guarantee weakens by one leaf unless x can hang
     directly off the root.
 
-    Each u takes its path from a breadth-first search that never discovers
-    the set B = N-(x) - {u, r}.  Lemma: such a search discovers every vertex
-    whose path in the breadth-first tree T of the whole digraph avoids B
-    from its parent in T.  Removing B lowers no depth, so such a vertex keeps
-    its depth, and by induction on the depth, as in (a) and (b) of
-    `stnum`'s shortcut lemma, the search expands the vertices that keep
-    their depth in T's order: a vertex expanded before v's tree parent with
-    v in its out-list would have made T discover v from it.  So T gives
-    every u whose tree path avoids B the path that search would give, and
-    only the other in-neighbors need a search.
+    Every path comes from one breadth-first search from the root that
+    discovers the set A = N-(x) - r but expands none of it: each u in A
+    follows the search map back to the root.  Lemma: until a search of
+    d - (A - u) discovers u, it expands exactly the vertices that this
+    search expands, in the same order, since the two differ only on A - u,
+    which one never discovers and the other never expands.  So it discovers
+    u exactly when this search does, from the same vertex, and every vertex
+    on u's path from the same parent: u's path is the one a search avoiding
+    A - u gives it, and two paths agree wherever they meet.
     """
     in_nbrs = d.in_neighbors(x)
     if not in_nbrs:
         raise ValueError(f"vertex {x} has no in-neighbors")
     root = d.root
+    others = set(in_nbrs) - {root}  # A = N-(x) - r
+    found = search(d._out, [root], expand=d._out.keys() - others)
     parent = {}
-    placed = {root}
-    tree = search(d._out, [root])
-    others = set(in_nbrs) - {root}  # N-(x) - r: B plus u, for every u
-
     for u in in_nbrs:
-        if u == root or u in placed:
+        if u == root:
             continue
-        v = tree.get(u, u)  # u's tree parent; u itself when the tree misses it
-        while v in tree and v not in others:
-            v = tree[v]  # the root maps to None: u's tree path avoids B
-        bfs = tree if v is None else search(d._out, [root], avoid=others - {u})
-        if u not in bfs:
+        if u not in found:
             raise ValueError(
                 f"in-neighbors of {x} other than {u} cut {u} from the root; "
                 "digraph is not reduced under rule 3")
         v = u
-        while v != root:
-            if v not in placed:
-                parent[v] = bfs[v]
-                placed.add(v)
-            v = bfs[v]
+        while v != root and v not in parent:
+            parent[v] = found[v]
+            v = parent[v]
 
-    if root in in_nbrs and x not in placed:
+    if root in in_nbrs and x not in parent:
         parent[x] = root
-        placed.add(x)
 
     witness = grow_tree(d, parent=parent)
     if len(witness.parent) != d.n - 1:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
                              dominators_from_maps, euler_intervals, find_cutvertex,
-                             immediate_dominators, is_2connected, is_connected,
+                             grow_tree, immediate_dominators, is_2connected, is_connected,
                              normalize, NormDeleteStep,
                              NormMergeStep, Outbranching, RootedDigraph,
                              reachable, verify_outbranching)
@@ -411,6 +411,17 @@ def test_bfs_tree_puts_root_children_first():
     t = bfs_tree(d)
     assert t.parent[1] == 0 and t.parent[2] == 0
     assert verify_outbranching(d, t).ok
+
+
+def test_grow_tree_reads_a_working_graph_ascending():
+    # 10 gains 9 before 1, so its out-set iterates 9 first; read in that
+    # order, 9 would discover 5 before 1 does
+    d = RootedDigraph((0, 1, 3, 5, 9, 10), 0, [(0, 10), (3, 1), (3, 9), (1, 5), (9, 5)])
+    work = d.thaw().without_vertex(3, [(10, 9), (10, 1)])
+    assert list(work._out[10]) == [9, 1]
+    tree = grow_tree(work)
+    assert tree == grow_tree(RootedDigraph(work.vertices, work.root, work.arcs()))
+    assert tree.parent == {10: 0, 1: 10, 9: 10, 5: 1}
 
 
 def test_bfs_tree_and_cutvertices_reject_unreachable_vertices_alike():

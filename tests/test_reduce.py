@@ -711,7 +711,19 @@ def fan_in_sink(k):
                  + [(i, k + 1) for i in range(1, k + 1)])
 
 
-def test_large_indegree_witness_searches_only_for_blocked_tree_paths(monkeypatch):
+def blocked_chain(k):
+    """r -> a1 -> ... -> ak, each ai -> s, and r -> p1 -> ... -> pk -> ai for
+    each i >= 2, with r = 0, ai = i, s = k + 1 and pi = k + 1 + i: the
+    breadth-first path to each ai past a1 runs through a(i-1), and only
+    the long path avoids the other in-neighbors of s."""
+    s, p = k + 1, [k + 1 + i for i in range(1, k + 1)]
+    arcs = [(0, 1), (0, p[0])] + [(i, i + 1) for i in range(1, k)]
+    arcs += [(i, s) for i in range(1, k + 1)] + list(zip(p, p[1:]))
+    arcs += [(p[-1], i) for i in range(2, k + 1)]
+    return build(2 * k + 2, 0, arcs)
+
+
+def test_large_indegree_witness_makes_one_search(monkeypatch):
     searches = count_calls(monkeypatch, reduce, "search")
     corpus = [kernelize(d)[0] for d in map(raw_digraph, range(200)) if is_connected(d)]
     corpus.append(fan_in_sink(300))
@@ -719,18 +731,29 @@ def test_large_indegree_witness_searches_only_for_blocked_tree_paths(monkeypatch
     for d in corpus:
         for x in d.vertices:
             if d.indeg(x) >= 2:
+                del searches[:]
                 assert large_indegree_witness(d, x) == looped_large_indegree_witness(d, x)
+                assert len(searches) == 1
                 witnesses += 1
-    # one shared tree per witness, and some in-neighbors still need a search
-    assert witnesses > 500 and len(searches) > witnesses
-    # the kernel of the legacy n = 3000 instance: 28 of the 30 in-neighbors
-    # of its largest-indegree vertex are certified by the shared tree
+    assert witnesses > 500
+    # the kernel of the legacy n = 3000 instance: 2 of the 30 in-neighbors
+    # of its largest-indegree vertex have breadth-first paths through others
     d, _ = kernelize(legacy_gen_random(3000, 0.001, seed=1))
     x = max(d.vertices, key=lambda v: (d.indeg(v), -v))
     del searches[:]
     witness = large_indegree_witness(d, x)
-    assert d.indeg(x) == 30 and len(searches) == 3
+    assert d.indeg(x) == 30 and len(searches) == 1
     assert witness == looped_large_indegree_witness(d, x) and witness.leaf_count == 1730
+
+
+def test_large_indegree_witness_on_the_blocked_chain(monkeypatch):
+    k = 200
+    d = blocked_chain(k)
+    searches = count_calls(monkeypatch, reduce, "search")
+    witness = large_indegree_witness(d, k + 1)
+    assert d.indeg(k + 1) == k and len(searches) == 1
+    assert witness == looped_large_indegree_witness(d, k + 1) and witness.leaf_count == k
+    assert verify_outbranching(d, witness).ok
 
 
 def test_decide_star_true():
