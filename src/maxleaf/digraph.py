@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .errors import InfeasibleError, InternalInvariantError
@@ -49,10 +50,18 @@ class RootedDigraph:
 
     Frozen, as built: each vertex's out- and in-list is an ascending tuple,
     traversals read them in that order, and `has_arc` bisects.  The
-    constructor puts each arc in its tail's bucket, in vertex order, and
-    sorts each bucket, which is linear on arcs that come ascending, as a
-    graph file and the generators give them; walking the tails in order
+    constructor puts each arc in its tail's bucket in one pass over the
+    arcs, keeping no list of them: the buckets are a list indexed by id
+    when the ids are 0..n-1, as `build` gives them, and a dict otherwise.
+    It sorts each bucket, which is linear on arcs that come ascending, as
+    a graph file and the generators give them; walking the tails in order
     then fills every in-list ascending, without a sort or an arc set.
+
+    Shared id objects: every adjacency entry is its vertex's own key object,
+    the int in `vertices`, not the object the arcs carried.  A graph holds
+    n int objects instead of one per arc end, and a dict or set lookup of
+    an id above 256 (CPython caches only the small ones) finds its key by
+    identity, without comparing values.
 
     Working, as `thaw` returns it: each list is either the ascending tuple
     it shares with the graph it was thawed from, or a set that this graph
@@ -67,11 +76,12 @@ class RootedDigraph:
     `owned_lists`, which turns every tuple still shared into a set first.
 
     The constructor rejects a loop or an arc on an unknown vertex with a
-    ValueError naming the smallest.  `without_arcs`, `without_vertex` and
-    `contracted` rewrite a working graph in place, in time linear in the
-    arcs they touch, and return it, so code written as `d = step.apply(d)`
-    serves both states; a frozen graph gets a rewritten frozen copy, for
-    the cost of copying its two dicts and the lists the rewrite touches.
+    ValueError naming the smallest, draining the arcs after the first.
+    `without_arcs`, `without_vertex` and `contracted` rewrite a working
+    graph in place, in time linear in the arcs they touch, and return it,
+    so code written as `d = step.apply(d)` serves both states; a frozen
+    graph gets a rewritten frozen copy, for the cost of copying its two
+    dicts and the lists the rewrite touches.
 
     From its first normalization on, a working graph records the heads of
     the arcs added since the last one, so that `normalize` reads only their
@@ -84,34 +94,40 @@ class RootedDigraph:
 
     def __init__(self, vertices, root, arcs):
         vs = tuple(sorted(set(vertices)))
-        out = {v: [] for v in vs}
-        if root not in out:
+        n = len(vs)
+        dense = not vs or vs[0] == 0 and vs[-1] == n - 1
+        known = range(n) if dense else dict(zip(vs, vs))
+        if root not in known:
             raise ValueError(f"root {root} is not a vertex")
-        inn = {v: [] for v in vs}
-        arcs = list(arcs)
+        key = vs if dense else known  # an id's own key object
+        lo = vs[0]
+        # buckets indexed by id: lists when each id is its own position
+        out = [[] for _ in vs] if dense else {v: [] for v in vs}
+        inn = [[] for _ in vs] if dense else {v: [] for v in vs}
+        outs, ins = (out, inn) if dense else (out.values(), inn.values())
+        arcs = iter(arcs)
         try:
             for u, v in arcs:
-                out[u].append(v)
-            for u, ws in out.items():  # tails ascending, so every in-list is too
-                ws.sort()
-                if u in ws:
+                if u < lo or v < lo:  # a negative id would wrap around in a list
                     raise KeyError(u)
-                prev = None
-                for v in ws:
-                    if v != prev:
-                        inn[v].append(u)
-                        prev = v
-        except KeyError:
-            u, v = min((u, v) for u, v in arcs if u == v or u not in out or v not in out)
-            if u == v:
-                raise ValueError(f"loop arc ({u}, {v})") from None
-            raise ValueError(f"arc ({u}, {v}) uses an unknown vertex") from None
-        if sum(map(len, inn.values())) != len(arcs):  # duplicates, adjacent once sorted
-            out = {u: dict.fromkeys(ws) for u, ws in out.items()}
+                out[u].append(key[v])
+        except (KeyError, IndexError):
+            raise _bad_arc(known, zip(vs, outs), [(u, v)], arcs) from None
+        for u, ws in zip(vs, outs):  # tails ascending, so every in-list is too
+            ws.sort()
+            if u in ws:
+                raise _bad_arc(known, zip(vs, outs))
+            prev = None
+            for v in ws:
+                if v is not prev:  # each id is one key object
+                    inn[v].append(u)
+                    prev = v
+        if sum(map(len, ins)) != sum(map(len, outs)):  # duplicates, adjacent once sorted
+            outs = map(dict.fromkeys, outs)
         self.root = root
         self.vertices = vs
-        self._out = dict(zip(vs, map(tuple, out.values())))
-        self._in = dict(zip(vs, map(tuple, inn.values())))
+        self._out = dict(zip(vs, map(tuple, outs)))
+        self._in = dict(zip(vs, map(tuple, ins)))
         self.frozen = True
         self._new_heads = None
 
@@ -264,6 +280,18 @@ class RootedDigraph:
         _owned(self._in, v).add(u)
         if self._new_heads is not None:
             self._new_heads.add(v)
+
+
+def _bad_arc(known, held, *rest):
+    """The ValueError naming the smallest loop or arc on a vertex outside
+    `known` among the arcs bucketed so far (`held`: each tail with its
+    heads) and the arcs of `rest`, which drains the caller's iterator."""
+    bucketed = ((u, v) for u, ws in held for v in ws)
+    u, v = min((u, v) for u, v in chain(bucketed, *rest)
+               if u == v or u not in known or v not in known)
+    if u == v:
+        return ValueError(f"loop arc ({u}, {v})")
+    return ValueError(f"arc ({u}, {v}) uses an unknown vertex")
 
 
 def _shared(lists):

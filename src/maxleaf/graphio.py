@@ -3,9 +3,16 @@
 Graph format: first data line is `n m r`, followed by m lines `u v` with
 0-based vertex ids, each field an ASCII integer (`-?[0-9]+`).  Lines
 starting with `#` and blank lines are ignored.
-`parse_graph` first reads the whole text in one scan, which accepts only
-the layout `format_graph` writes for dense ids; any other text, and every
-malformed one, goes to the line-by-line reading, which raises the errors.
+`parse_graph` first reads the whole text in one scan: the body after the
+header, its spaces and newlines turned into commas, is decoded as one JSON
+array, and the scan takes the text only when rendering those ids in
+`format_graph`'s dense layout gives the body back byte for byte.  So it
+accepts exactly the canonical rendering of its ids (one space and one
+newline per arc, no sign on 0, no leading zero), and only with at least
+n - 1 arcs.  Any other text, any whose decoding fails (a quoted field,
+`null`, deep brackets, a field longer than `sys.get_int_max_str_digits()`),
+and any with a loop or an id out of range goes to the line-by-line
+reading, which raises the errors.
 A text with fewer than n - 1 arcs reads as None: no root of it reaches
 every vertex, so no command can use it, and a header such as
 `1000000000 0 0` must not build a billion vertices.
@@ -14,6 +21,7 @@ Tree format: first data line is `n r`, followed by n-1 lines `child parent`.
 """
 from __future__ import annotations
 
+import json
 import re
 
 from .digraph import Outbranching, build
@@ -29,6 +37,7 @@ def _data_lines(text):
 
 
 _INT = re.compile(r"-?[0-9]+")
+_COMMAS = str.maketrans(" \n", ",,")
 
 
 def _ints(line_no, line, count, what):
@@ -39,33 +48,43 @@ def _ints(line_no, line, count, what):
         raise GraphFormatError(line_no, f"expected {count} fields for {what}, got {len(parts)}")
     if not all(map(_INT.fullmatch, parts)):
         raise GraphFormatError(line_no, f"non-integer field in {what!r} line: {line!r}")
-    return [int(p) for p in parts]
+    try:
+        return [int(p) for p in parts]
+    except ValueError:  # more digits than `sys.get_int_max_str_digits()` allows
+        longest = max(map(len, parts))
+        raise GraphFormatError(line_no, f"integer field of {longest} characters in {what!r} line"
+                               ) from None
 
 
 def _scan_graph(text):
-    """`n, m, r` and the arcs of a text in `format_graph`'s dense layout,
-    read in one scan of the whole text; None for any other text and for any
-    text that the line-by-line reading rejects."""
+    """`n, r` and the arcs of a text in `format_graph`'s dense layout with
+    at least n - 1 arcs, read in one scan of the whole text; None for any
+    other text (module docstring)."""
     head, _, body = text.partition("\n")
     try:
         n, m, r = map(int, head.split(" "))
-        ids = list(map(int, body.split()))
-    except ValueError:
-        return None
-    if (head != f"{n} {m} {r}" or not 0 <= r < n or len(ids) != 2 * m
-            or body != "%d %d\n" * m % tuple(ids)):
-        return None
-    if ids and (min(ids) < 0 or max(ids) >= n or any(map(int.__eq__, ids[::2], ids[1::2]))):
+        if head != f"{n} {m} {r}" or not 0 <= r < n or m < n - 1:
+            return None
+        ids = json.loads("[%s]" % body[:-1].translate(_COMMAS))
+        if len(ids) != 2 * m or body != "%d %d\n" * m % tuple(ids):
+            return None
+    except (ValueError, TypeError, OverflowError, RecursionError):
         return None
     it = iter(ids)
-    return n, m, r, zip(it, it)
+    return n, r, zip(it, it)
 
 
 def parse_graph(text):
     """The digraph of a graph file's text; None for a text with fewer than
     the n - 1 arcs that a spanning out-tree needs, without building its n
     vertices (module docstring)."""
-    n, m, r, arcs = _scan_graph(text) or _parse_graph_lines(text)
+    scanned = _scan_graph(text)
+    if scanned:
+        try:
+            return build(*scanned)
+        except ValueError:  # a loop or an unknown id: the line reading names its line
+            pass
+    n, m, r, arcs = _parse_graph_lines(text)
     if m < n - 1:
         return None
     return build(n, r, arcs)

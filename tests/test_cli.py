@@ -232,6 +232,23 @@ def test_malformed_input_exit_code(tmp_path):
     assert "line 3" in err
 
 
+def test_fields_beyond_the_int_digit_limit_exit_2(tmp_path):
+    """CPython's int() refuses a string of more than 4,300 digits; such a
+    field is malformed input, not an internal error."""
+    long = "9" * 5000
+    arc, head, tree = (tmp_path / name for name in ("arc.graph", "head.graph", "t.tree"))
+    arc.write_text(f"3 2 0\n0 1\n0 {long}\n")
+    head.write_text(f"{long} 2 0\n0 1\n1 2\n")
+    g = tmp_path / "g.graph"
+    g.write_text("3 2 0\n0 1\n1 2\n")
+    tree.write_text(f"3 0\n1 0\n2 {long}\n")
+    for argv, line in ((["kernelize", str(arc)], 3), (["approx", str(head)], 1),
+                       (["verify", str(g), str(tree)], 3)):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert f"line {line}" in err and "integer field of" in err and "internal" not in err
+
+
 def test_infeasible_exit_code(tmp_path):
     g = tmp_path / "u.graph"
     g.write_text("3 1 0\n0 1\n")

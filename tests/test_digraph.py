@@ -12,6 +12,7 @@ from maxleaf.digraph import (build, bfs_tree, classify, cutvertices,
                              reachable, verify_outbranching)
 from maxleaf.errors import InfeasibleError
 from maxleaf.exact import maxleaf_exact
+from maxleaf.graphio import format_graph, parse_graph
 from maxleaf.gen import gen_boloney, gen_random, gen_t_l
 from maxleaf.reduce import apply_rule1
 from maxleaf.stnum import root_path_tree, two_disjoint_root_paths
@@ -145,6 +146,71 @@ def test_constructor_matches_the_arc_set_build():
         with pytest.raises(ValueError) as got:
             RootedDigraph(vertices, root, bad + arcs)
         assert str(got.value) == str(expected.value)
+
+
+def _fresh(arcs):
+    """The arcs as new int objects, as a file's decoder makes them."""
+    return [(int(str(u)), int(str(v))) for u, v in arcs]
+
+
+def test_adjacency_entries_are_the_vertices_key_objects():
+    """Every adjacency entry of a built and of a parsed graph is its
+    vertex's own key object, not the arc's int: above 256 CPython makes a
+    new int per decoded field, and shared ones let every dict and set
+    lookup of an id succeed by identity."""
+    d = gen_random(600, 4 / 600, 3)
+    shifted = {v: 3 * v + 1000 for v in d.vertices}
+    graphs = [build(d.n, d.root, _fresh(d.arcs())),
+              parse_graph(format_graph(d)),
+              RootedDigraph(shifted.values(), shifted[d.root],
+                            _fresh((shifted[u], shifted[v]) for u, v in d.arcs()))]
+    for g in graphs:
+        assert g.n > 256 and g.m > 2 * g.n
+        own = {v: v for v in g.vertices}
+        assert all(v is own[v] for lists in (g._out, g._in) for u in g.vertices
+                   for v in (u, *lists[u]))
+        assert all(own[k] is k for k in (*g._out, *g._in))
+    assert all(v is graphs[1].vertices[v] for ws in graphs[1]._out.values() for v in ws)
+
+
+def test_dense_ids_build_as_other_ids_do():
+    """Ids 0..n-1, which the constructor buckets in lists, give the same
+    digraph as the same arcs on other ids, which it buckets in a dict, on
+    ascending, shuffled and duplicated arcs."""
+    rng = random.Random(11)
+    for d in (gen_random(300, 4 / 300, 2), gen_t_l(5), gen_boloney(12), raw_digraph(3)):
+        arcs = d.arcs()
+        duplicated = arcs + rng.sample(arcs, len(arcs) // 2)
+        rng.shuffle(duplicated)
+        for given in (arcs, rng.sample(arcs, len(arcs)), duplicated):
+            for name in ({v: v + 7 for v in d.vertices}, {v: 5 * v - 40 for v in d.vertices}):
+                dense = RootedDigraph(range(d.n), d.root, iter(given))
+                other = RootedDigraph(name.values(), name[d.root],
+                                      ((name[u], name[v]) for u, v in given))
+                assert dense == d
+                assert other._out == {name[u]: tuple(name[v] for v in ws)
+                                      for u, ws in dense._out.items()}
+                assert other._in == {name[v]: tuple(name[u] for u in ws)
+                                     for v, ws in dense._in.items()}
+
+
+@pytest.mark.parametrize("ids", [list(range(6)), [-3, 2, 5, 9, 11, 40]])
+def test_constructor_names_the_smallest_bad_arc_from_a_list_and_a_generator(ids):
+    """A loop, an unknown id and a negative one (which must not wrap around
+    in a list of buckets), alone at any position or together: the
+    ValueError names the smallest bad arc, as the arc-set build does."""
+    a, b, c, d, e, f = ids
+    good = [(a, b), (b, c), (c, d), (a, d), (d, e), (e, f), (f, b)]
+    bads = [(c, c), (a, 7), (7, b), (-1, c), (c, -1), (-100, a), (b, -100), (1000, a)]
+    cases = [good[:at] + [bad] + good[at:] for bad in bads for at in (0, 3, len(good))]
+    cases += [good + bads, bads[::-1] + good, good[:2] + bads[2:] + good[2:] + bads[:2]]
+    for arcs in cases:
+        with pytest.raises(ValueError) as expected:
+            legacy_rooted_digraph(ids, a, arcs)
+        for given in (arcs, iter(arcs), (arc for arc in arcs)):
+            with pytest.raises(ValueError) as got:
+                RootedDigraph(ids, a, given)
+            assert str(got.value) == str(expected.value)
 
 
 def test_working_copies_share_only_tuples():

@@ -20,7 +20,7 @@ DOCUMENTED = {0, 2, 3, 5}
 
 # replacement tokens: in range, out of range, and not ASCII integers
 TOKENS = ["0", "1", "2", "3", "5", "9", "-1", "1000000000", "x", "1.5", "0_1", "+1",
-          "١", "#", "0x1", "1e3"]
+          "١", "#", "0x1", "1e3", "null", "9" * 5000]
 
 
 def run(argv):

@@ -68,6 +68,28 @@ def test_parse_tree_takes_only_ascii_integer_fields():
         parse_tree("2 0\n\u0661 0\n")
 
 
+LONG = "9" * 5000  # beyond CPython's default limit of 4,300 digits for int()
+
+
+@pytest.mark.parametrize("text, line_no", [
+    (f"3 2 0\n0 1\n0 {LONG}\n", 3),
+    (f"{LONG} 2 0\n0 1\n1 2\n", 1),
+    (f"3 2 0\n0 1\n-{LONG} 2\n", 3),
+])
+def test_parse_graph_rejects_fields_beyond_the_int_digit_limit(text, line_no):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph(text)
+    assert exc.value.line_no == line_no and "integer field of" in exc.value.message
+
+
+def test_parse_tree_rejects_fields_beyond_the_int_digit_limit():
+    with pytest.raises(GraphFormatError) as exc:
+        parse_tree(f"3 0\n1 0\n2 {LONG}\n")
+    assert exc.value.line_no == 3 and "integer field of 5000 characters" in exc.value.message
+    with pytest.raises(GraphFormatError):
+        parse_tree(f"{LONG} 0\n1 0\n")
+
+
 @pytest.mark.parametrize("text", ["1000000000 0 0\n", "# hand-written\n1000000000 0 0\n",
                                   "1000000000 2 5\n0 1\n5 0\n", "3 1 0\n0 1\n"])
 def test_parse_graph_builds_no_file_with_fewer_than_n_minus_1_arcs(text, monkeypatch):
@@ -136,12 +158,6 @@ def test_round_trip_identity_on_random_instances(seed):
     assert again.n == d.n and again.m == d.m
 
 
-def _build(parts):
-    """The digraph of a reader's n, m, r and arcs."""
-    n, _, r, arcs = parts
-    return build(n, r, arcs)
-
-
 def _parse_lines(text):
     """What `parse_graph` gives for a text, read line by line."""
     n, m, r, arcs = _parse_graph_lines(text)
@@ -193,6 +209,13 @@ def _perturbed(text):
     yield f"{n} {m} {r}\n{body}x y\n"
     yield f"{n} {m} {r}\n{body}2 1\n"
     yield head + "\n" + body.replace(" ", " 0 ", 1)
+    # JSON-significant text: the scan decodes the body as one JSON array
+    for token in ('"0"', "[", "]", ",", "null", "true", "NaN", "Infinity", "1.0", "1e0", "-0",
+                  "[0]", "{}", LONG):
+        yield f"{n} {m + 1} {r}\n{body}{token} 1\n"
+        yield head + "\n" + body.replace("0", token, 1)
+    yield f"{n} {m + 1} {r}\n{body}0 " + "[" * 100_000 + "\n"
+    yield f"{n} {m} {r}\n{body[:-1]},\n" if body else f"{n} {m} {r}\n,\n"
 
 
 def test_scan_matches_line_path():
@@ -206,8 +229,8 @@ def test_scan_matches_line_path():
     scanned = 0
     for d in graphs:
         text = format_graph(d)
-        if list(d.vertices) == list(range(d.n)):
-            assert _build(_scan_graph(text)) == d
+        if list(d.vertices) == list(range(d.n)) and d.m >= d.n - 1:
+            assert build(*_scan_graph(text)) == d
         for variant in (text, *_perturbed(text)):
             texts.append(variant)
     for text in texts:
